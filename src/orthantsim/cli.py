@@ -26,22 +26,23 @@ from .paths import (
     BrownianSpec,
     RegularPath,
     SampledPath,
+    read_path_csv,
     sample_brownian,
     standard_regular_approximation,
 )
 from .particles import (
     CbpSpec,
     CollisionParams,
+    gap_srbm,
     simulate_cbp,
     solve_competing,
 )
-from . import particles as particles_mod
-from . import skorokhod as skorokhod_mod
 from .skorokhod import (
     simulate_srbm,
     solve_continuous,
     solve_grid_oracle,
     solve_regular,
+    write_solution,
 )
 
 EXIT_OK = 0
@@ -71,6 +72,19 @@ def _emit(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
 
 
+def _option(args, cfg: dict, name: str, default=None):
+    """``--level``/``--tol`` if given, else the config's value or ``default``.
+
+    A given flag must be positive: 0 is rejected, not read as "unset".
+    """
+    value = getattr(args, name)
+    if value is None:
+        return cfg.get(name, default)
+    if value <= 0:
+        raise ConfigError(f"--{name} must be positive, got {value}")
+    return value
+
+
 def _load_path(cfg, base: Path):
     if not isinstance(cfg, dict) or "kind" not in cfg:
         raise ConfigError("path source needs a 'kind' field")
@@ -81,18 +95,15 @@ def _load_path(cfg, base: Path):
         file = base / cfg["file"]
         try:
             with open(file) as fh:
-                return SampledPath.from_csv(fh)
+                times, values = read_path_csv(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read path CSV {file}: {exc}") from exc
+        except OrthantSimError as exc:
+            raise ConfigError(f"malformed path CSV {file}: {exc}") from exc
+        return SampledPath(times, values)
     if kind == "brownian":
         return sample_brownian(BrownianSpec.from_jsonable(cfg))
     raise ConfigError(f"unknown path kind {cfg['kind']!r}")
-
-
-def _collision_params(cfg) -> CollisionParams:
-    if "symmetric" in cfg:
-        return CollisionParams.symmetric(int(cfg["symmetric"]))
-    return CollisionParams.from_jsonable(cfg)
 
 
 def cmd_validate(cfg: dict, args) -> int:
@@ -103,7 +114,7 @@ def cmd_validate(cfg: dict, args) -> int:
         raise ConfigError("config needs 'matrix' and/or 'collision_params'")
     if "matrix" in cfg:
         res = validate_reflection_m_matrix(np.asarray(cfg["matrix"], dtype=float),
-                                           tol=args.tol or 1e-8)
+                                           tol=_option(args, {}, "tol", 1e-8))
         report["matrix"] = {
             "accepted": res.accepted,
             "reason": res.reason,
@@ -112,7 +123,7 @@ def cmd_validate(cfg: dict, args) -> int:
         accepted &= res.accepted
     if "collision_params" in cfg:
         try:
-            q = _collision_params(cfg["collision_params"])
+            q = CollisionParams.from_jsonable(cfg["collision_params"])
             report["collision_params"] = {"accepted": True,
                                           "n_particles": q.n_particles}
         except OrthantSimError as exc:
@@ -129,12 +140,12 @@ def _out_dir(cfg: dict, args) -> Path:
     return out
 
 
-def _write_solution(sol, out: Path, stem: str, writer) -> dict:
+def _write_solution(sol, out: Path, stem: str) -> dict:
     csv_path = out / f"{stem}.csv"
     events_path = out / f"{stem}_events.json"
     with open(csv_path, "w") as fh:
         with open(events_path, "w") as eh:
-            writer(sol, fh, eh)
+            write_solution(sol, fh, eh)
     return {"csv": str(csv_path), "events": str(events_path)}
 
 
@@ -142,8 +153,8 @@ def cmd_solve(cfg: dict, args) -> int:
     """Solve one Skorohod or competing-particle problem and export it."""
     out = _out_dir(cfg, args)
     method = args.method or cfg.get("method", "exact")
-    level = args.level or cfg.get("level")
-    tol = args.tol or cfg.get("tol", 1e-8)
+    level = _option(args, cfg, "level")
+    tol = _option(args, cfg, "tol", 1e-8)
     path = _load_path(cfg.get("path"), Path(args.config).parent)
     summary = {"method": method}
 
@@ -151,9 +162,8 @@ def cmd_solve(cfg: dict, args) -> int:
         R = ReflectionMatrix(np.asarray(cfg["matrix"], dtype=float))
         grid_points = int(cfg.get("grid_points", 2000))
         if isinstance(path, RegularPath):
-            regrid = SampledPath(
-                np.linspace(0.0, path.horizon, grid_points + 1),
-                path.values_at(np.linspace(0.0, path.horizon, grid_points + 1)))
+            grid = np.linspace(0.0, path.horizon, grid_points + 1)
+            regrid = SampledPath(grid, path.values_at(grid))
             sol = (solve_regular(R, path) if method == "exact"
                    else solve_grid_oracle(R, regrid, tol=tol))
         else:
@@ -166,16 +176,14 @@ def cmd_solve(cfg: dict, args) -> int:
             ts = other.Z.times
             summary["sup_difference"] = float(
                 np.abs(sol.Z.values_at(ts) - other.Z.values).max())
-        summary["files"] = _write_solution(sol, out, "skorokhod",
-                                           skorokhod_mod.write_solution)
+        summary["files"] = _write_solution(sol, out, "skorokhod")
         summary["final_l"] = sol.final_boundary_terms.tolist()
     elif "collision_params" in cfg:
-        q = _collision_params(cfg["collision_params"])
+        q = CollisionParams.from_jsonable(cfg["collision_params"])
         sol = solve_competing(q, path, n=level,
                               method="exact" if method == "exact" else "grid",
                               tol=tol)
-        summary["files"] = _write_solution(sol, out, "particles",
-                                           particles_mod.write_solution)
+        summary["files"] = _write_solution(sol, out, "particles")
         summary["final_l"] = sol.final_collision_terms.tolist()
     else:
         raise ConfigError("config needs 'matrix' or 'collision_params'")
@@ -197,10 +205,10 @@ def cmd_simulate_srbm(cfg: dict, args) -> int:
         int(cfg["steps"]),
         int(args.seed if args.seed is not None else cfg["seed"]),
         method=args.method or cfg.get("method", "exact"),
-        level=args.level or cfg.get("level"),
-        tol=args.tol or cfg.get("tol", 1e-8),
+        level=_option(args, cfg, "level"),
+        tol=_option(args, cfg, "tol", 1e-8),
     )
-    files = _write_solution(sol, out, "srbm", skorokhod_mod.write_solution)
+    files = _write_solution(sol, out, "srbm")
     _emit({"files": files, "phases": len(sol.events) + 1,
            "final_l": sol.final_boundary_terms.tolist()})
     return EXIT_OK
@@ -212,41 +220,26 @@ def cmd_simulate_cbp(cfg: dict, args) -> int:
     if args.seed is not None:
         spec_cfg["seed"] = args.seed
     spec = CbpSpec.from_jsonable(spec_cfg)
+    level = _option(args, cfg, "level")
     sol = simulate_cbp(spec, method=args.method or cfg.get("method", "exact"),
-                       level=args.level or cfg.get("level"))
-    files = _write_solution(sol, out, "cbp", particles_mod.write_solution)
+                       level=level)
+    files = _write_solution(sol, out, "cbp")
     summary = {"files": files, "phases": len(sol.events) + 1,
                "final_l": sol.final_collision_terms.tolist()}
     if cfg.get("gap_check"):
-        summary["gap_srbm_discrepancy"] = _gap_check(spec, sol,
-                                                     args.level or cfg.get("level"))
+        srbm = gap_srbm(spec, level)
+        ts = np.union1d(sol.Z.times, srbm.Z.times)
+        summary["gap_srbm_discrepancy"] = float(
+            np.abs(sol.Z.values_at(ts) - srbm.Z.values_at(ts)).max())
     _emit(summary)
     return EXIT_OK
-
-
-def _gap_check(spec: CbpSpec, sol, level) -> float:
-    from .particles import gap_drift_and_covariance, reflection_matrix_from_params
-    from .paths import brownian_components
-
-    mu, A = gap_drift_and_covariance(spec.g, spec.sigma2)
-    R = reflection_matrix_from_params(spec.q)
-    B = brownian_components(spec.n_particles, spec.horizon, spec.steps,
-                            spec.seed, spec.stream_offset)
-    sig = np.sqrt(spec.sigma2)
-    noise = SampledPath(B.times,
-                        sig[1:] * B.values[:, 1:] - sig[:-1] * B.values[:, :-1])
-    srbm = simulate_srbm(R, mu, A, np.diff(spec.y0), spec.horizon, spec.steps,
-                         spec.seed, method="exact",
-                         level=level or spec.steps, noise=noise)
-    ts = np.union1d(sol.Z.times, srbm.Z.times)
-    return float(np.abs(sol.Z.values_at(ts) - srbm.Z.values_at(ts)).max())
 
 
 def cmd_approximate(cfg: dict, args) -> int:
     path = _load_path(cfg.get("path"), Path(args.config).parent)
     if isinstance(path, RegularPath):
         raise ConfigError("approximate expects a sampled path source")
-    level = args.level or cfg.get("level", 1)
+    level = _option(args, cfg, "level", 1)
     reg = standard_regular_approximation(path, int(level))
     obj = reg.to_jsonable()
     obj["kind"] = "regular"
@@ -272,10 +265,10 @@ def cmd_verify(cfg: dict, args) -> int:
         if not isinstance(entry, dict) or "name" not in entry:
             raise ConfigError("each suite entry needs a 'name'")
         opts = {k: v for k, v in entry.items() if k not in ("name", "instances")}
-        if args.tol is not None:
-            opts["tol"] = args.tol
-        if args.level is not None:
-            opts["level"] = args.level
+        for name in ("tol", "level"):
+            value = _option(args, {}, name)
+            if value is not None:
+                opts[name] = value
         res = comparison.run_suite(entry["name"],
                                    int(entry.get("instances", 1)),
                                    seed, **opts)

@@ -30,14 +30,13 @@ from .particles import (
     CollisionParams,
     ParticleSystemSolution,
     driving_path_for,
-    gap_drift_and_covariance,
+    gap_srbm,
     reflection_matrix_from_params,
     simulate_cbp,
     solve_competing,
 )
 from .skorokhod import (
     SkorokhodSolution,
-    simulate_srbm,
     solve_grid_oracle,
     solve_regular,
 )
@@ -696,20 +695,11 @@ def _drift_instance(rng, opts):
 
 
 def _gap_srbm_instance(rng, opts):
-    from .paths import brownian_components  # local import to avoid cycle noise
     n = int(rng.integers(2, opts.get("n_max", 5) + 1))
     spec = random_cbp_spec(rng, n, steps=opts.get("steps", 300))
     level = opts.get("level") or spec.steps
     cbp = simulate_cbp(spec, level=level)
-    mu, A = gap_drift_and_covariance(spec.g, spec.sigma2)
-    R = reflection_matrix_from_params(spec.q)
-    B = brownian_components(n, spec.horizon, spec.steps, spec.seed,
-                            spec.stream_offset)
-    sig = np.sqrt(spec.sigma2)
-    noise = SampledPath(B.times,
-                        sig[1:] * B.values[:, 1:] - sig[:-1] * B.values[:, :-1])
-    srbm = simulate_srbm(R, mu, A, np.diff(spec.y0), spec.horizon, spec.steps,
-                         spec.seed, method="exact", level=level, noise=noise)
+    srbm = gap_srbm(spec, level)
     times = _union_times(cbp.Z, srbm.Z)
     gap = np.abs(cbp.Z.values_at(times) - srbm.Z.values_at(times))
     m = _Margins()
@@ -728,15 +718,15 @@ def _counterexample_instance(rng, opts):
 
 
 SUITES = {
-    "skorokhod_comparison": lambda rng, opts: _skorokhod_comparison_instance(rng, opts),
-    "particle_comparison": lambda rng, opts: _particle_comparison_instance(rng, opts),
+    "skorokhod_comparison": _skorokhod_comparison_instance,
+    "particle_comparison": _particle_comparison_instance,
     "removal_right": lambda rng, opts: _removal_instance(rng, opts, False),
     "removal_two_sided": lambda rng, opts: _removal_instance(rng, opts, True),
-    "initial_shift": lambda rng, opts: _initial_shift_instance(rng, opts),
-    "increase_qplus": lambda rng, opts: _increase_q_instance(rng, opts),
-    "drift": lambda rng, opts: _drift_instance(rng, opts),
-    "gap_srbm": lambda rng, opts: _gap_srbm_instance(rng, opts),
-    "counterexample": lambda rng, opts: _counterexample_instance(rng, opts),
+    "initial_shift": _initial_shift_instance,
+    "increase_qplus": _increase_q_instance,
+    "drift": _drift_instance,
+    "gap_srbm": _gap_srbm_instance,
+    "counterexample": _counterexample_instance,
 }
 
 

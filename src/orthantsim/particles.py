@@ -14,7 +14,6 @@ ranks k and k+1.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -35,7 +34,14 @@ from .paths import (
     difference_path,
     write_path_csv,
 )
-from .skorokhod import PhaseEvent, solve_continuous, solve_grid_oracle
+from .skorokhod import (
+    PhaseEvent,
+    _stitch,
+    simulate_srbm,
+    solve_continuous,
+    solve_grid_oracle,
+    write_solution,  # noqa: F401  (one writer serves both solution types)
+)
 
 PARAM_SUM_TOL = 1e-12
 
@@ -173,7 +179,7 @@ class ParticleSystemSolution:
         write_path_csv(
             fileobj, self.Y.times,
             np.hstack([self.Y.values, self.L.values, self.Z.values]),
-            header=header,
+            header,
         )
 
     def events_to_jsonable(self) -> list[dict]:
@@ -312,22 +318,10 @@ def solve_regular_linear(q: CollisionParams, y0, i: int, alpha: float,
         raise ParameterError(f"rank index {i} out of 1..{n}")
     if T <= 0:
         raise ParameterError("horizon T must be positive")
-    times, Yr, Lr, events, cons = _cp_segment(q, y0, i - 1, float(alpha), T)
-    times = np.asarray(times)
-    Y = SampledPath(times, np.asarray(Yr))
-    L = SampledPath(times, np.asarray(Lr))
-    Z = SampledPath(times, np.diff(np.asarray(Yr), axis=1))
-
-    def driver(ts):
-        out = np.tile(y0, (len(ts), 1))
-        out[:, i - 1] += alpha * np.asarray(ts)
-        return out
-
-    diag = _cp_diagnostics(q, times, Y.values, L.values, driver)
-    diag["block_consistency_residual"] = cons
-    diag["phases"] = len(events) + 1
-    diag["method"] = "regular-linear-exact"
-    return ParticleSystemSolution(Y, L, Z, tuple(events), diag)
+    sol = _solve_competing_regular(q, RegularPath(y0, [0.0, T], (i,), [alpha]))
+    sol.diagnostics["phases"] = len(sol.events) + 1
+    sol.diagnostics["method"] = "regular-linear-exact"
+    return sol
 
 
 def solve_competing(q: CollisionParams, X, n: int | None = None,
@@ -378,39 +372,23 @@ def _solve_competing_regular(q: CollisionParams, X: RegularPath) -> ParticleSyst
     n = q.n_particles
     if X.dim != n:
         raise DimensionError("driver dimension must match the particle count")
-    y = _check_w_point(X.start, n)
-    times = [np.asarray([0.0])]
-    Yrows = [y[None, :].copy()]
-    Lrows = [np.zeros((1, n - 1))]
-    events: list[PhaseEvent] = []
+    y0 = _check_w_point(X.start, n)
     consistency = 0.0
-    l_offset = np.zeros(n - 1)
-    for k, (axis, slope, dur) in enumerate(zip(X.axes, X.slopes,
-                                               np.diff(X.breakpoints))):
-        t_offset = float(X.breakpoints[k])
-        seg_t, seg_Y, seg_L, seg_events, cons = _cp_segment(
-            q, y, axis - 1, float(slope), float(dur)
-        )
-        shifted = t_offset + np.asarray(seg_t)[1:]
-        shifted[-1] = X.breakpoints[k + 1]  # kill accumulated rounding
-        times.append(shifted)
-        Yrows.append(np.asarray(seg_Y)[1:])
-        Lrows.append(l_offset + np.asarray(seg_L)[1:])
-        events.extend(PhaseEvent(t_offset + e.tau, e.active_before, e.active_after)
-                      for e in seg_events)
+
+    def segment(y, i0, slope, dur):
+        nonlocal consistency
+        seg_t, seg_Y, seg_L, seg_events, cons = _cp_segment(q, y, i0, slope, dur)
         consistency = max(consistency, cons)
-        y = np.asarray(seg_Y)[-1]
-        l_offset = l_offset + np.asarray(seg_L)[-1]
-    tall = np.concatenate(times)
-    Yall = np.vstack(Yrows)
-    Lall = np.vstack(Lrows)
+        return seg_t, seg_Y, seg_L, seg_events
+
+    tall, Yall, Lall, events = _stitch(X, y0, n - 1, segment)
     Y = SampledPath(tall, Yall)
     L = SampledPath(tall, Lall)
     Z = SampledPath(tall, np.diff(Yall, axis=1))
     diag = _cp_diagnostics(q, tall, Yall, Lall, X.values_at)
     diag["block_consistency_residual"] = consistency
     diag["method"] = "regular-exact"
-    return ParticleSystemSolution(Y, L, Z, tuple(events), diag)
+    return ParticleSystemSolution(Y, L, Z, events, diag)
 
 
 @dataclass(frozen=True)
@@ -515,9 +493,18 @@ def subsystem_spec(spec: CbpSpec, lo: int, hi: int) -> CbpSpec:
     )
 
 
-def write_solution(sol: ParticleSystemSolution, csv_file, events_file=None) -> None:
-    """CSV trajectory plus the JSON events sidecar."""
-    sol.to_csv(csv_file)
-    if events_file is not None:
-        json.dump(sol.events_to_jsonable(), events_file, indent=2, sort_keys=True)
-        events_file.write("\n")
+def gap_srbm(spec: CbpSpec, level: int | None = None):
+    """The spec's gap process as an exact SRBM solve at ``level`` (default steps).
+
+    The noise sigma_{k+1} B_{k+1} - sigma_k B_k reuses the particles' per-rank
+    streams, so the result matches ``simulate_cbp(spec)``'s gaps pathwise.
+    """
+    mu, A = gap_drift_and_covariance(spec.g, spec.sigma2)
+    B = brownian_components(spec.n_particles, spec.horizon, spec.steps,
+                            spec.seed, spec.stream_offset)
+    sig = np.sqrt(spec.sigma2)
+    noise = SampledPath(B.times,
+                        sig[1:] * B.values[:, 1:] - sig[:-1] * B.values[:, :-1])
+    return simulate_srbm(reflection_matrix_from_params(spec.q), mu, A,
+                         np.diff(spec.y0), spec.horizon, spec.steps, spec.seed,
+                         method="exact", level=level or spec.steps, noise=noise)

@@ -13,7 +13,6 @@ Axis indices are 1-based everywhere in the public API.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -103,7 +102,8 @@ class SampledPath:
         return SampledPath(self.times, self.values[:, lo - 1:hi])
 
     def to_csv(self, fileobj) -> None:
-        write_path_csv(fileobj, self.times, self.values, "x")
+        write_path_csv(fileobj, self.times, self.values,
+                       [f"x{k + 1}" for k in range(self.dim)])
 
     @classmethod
     def from_csv(cls, fileobj) -> "SampledPath":
@@ -282,11 +282,6 @@ class BrownianSpec:
                    int(obj["steps"]), int(obj["seed"]))
 
 
-def evaluate(path, t: float) -> np.ndarray:
-    """Value of a sampled or regular path at time t."""
-    return path.evaluate(t)
-
-
 def symmetric_sqrt(A: np.ndarray) -> np.ndarray:
     """Symmetric PSD square root; eigenvalues above the floor are clipped to 0."""
     A = np.asarray(A, dtype=float)
@@ -299,10 +294,18 @@ def symmetric_sqrt(A: np.ndarray) -> np.ndarray:
     return (U * np.sqrt(np.clip(w, 0.0, None))) @ U.T
 
 
-def _component_stream(seed: int, key: int) -> np.random.Generator:
-    # Stream splitting: one SeedSequence child per component, so subsystems
-    # that share (seed, key) reproduce the same noise bitwise.
-    return np.random.default_rng(np.random.SeedSequence([int(seed), int(key)]))
+def _standard_normals(seed: int, steps: int, dim: int,
+                      stream_offset: int = 0) -> np.ndarray:
+    """Standard normals of shape (steps, dim), one stream per column.
+
+    Stream splitting: column j draws from SeedSequence([seed, offset + j + 1]),
+    so a subsystem with a shifted offset reproduces its columns bitwise.
+    """
+    xi = np.empty((steps, dim))
+    for j in range(dim):
+        stream = np.random.SeedSequence([int(seed), int(stream_offset + j + 1)])
+        xi[:, j] = np.random.default_rng(stream).standard_normal(steps)
+    return xi
 
 
 def brownian_components(dim: int, horizon: float, steps: int, seed: int,
@@ -316,9 +319,7 @@ def brownian_components(dim: int, horizon: float, steps: int, seed: int,
     if steps < 1:
         raise ParameterError("steps must be >= 1")
     dt = horizon / steps
-    incs = np.empty((steps, dim))
-    for j in range(dim):
-        incs[:, j] = _component_stream(seed, stream_offset + j + 1).standard_normal(steps)
+    incs = _standard_normals(seed, steps, dim, stream_offset)
     values = np.vstack([np.zeros(dim), np.cumsum(incs * np.sqrt(dt), axis=0)])
     times = np.linspace(0.0, horizon, steps + 1)
     return SampledPath(times, values)
@@ -333,9 +334,7 @@ def sample_brownian(spec: BrownianSpec) -> SampledPath:
     """
     F = symmetric_sqrt(spec.covariance)
     dt = spec.horizon / spec.steps
-    xi = np.empty((spec.steps, spec.dim))
-    for j in range(spec.dim):
-        xi[:, j] = _component_stream(spec.seed, j + 1).standard_normal(spec.steps)
+    xi = _standard_normals(spec.seed, spec.steps, spec.dim)
     incs = spec.drift * dt + (xi @ F.T) * np.sqrt(dt)
     values = np.vstack([np.zeros(spec.dim), np.cumsum(incs, axis=0)])
     times = np.linspace(0.0, spec.horizon, spec.steps + 1)
@@ -447,25 +446,39 @@ def increments_dominated(X: SampledPath, Xbar: SampledPath,
 
 
 def write_path_csv(fileobj, times: np.ndarray, values: np.ndarray,
-                   prefix: str = "x", header: list[str] | None = None) -> None:
-    """CSV with header t,<prefix>1..<prefix>d (or an explicit header)."""
-    writer = csv.writer(fileobj, lineterminator="\n")
-    if header is None:
-        header = [f"{prefix}{k + 1}" for k in range(values.shape[1])]
-    writer.writerow(["t"] + header)
-    for t, row in zip(times, values):
-        writer.writerow([f"{t:.17g}"] + [f"{v:.17g}" for v in row])
+                   header: list[str]) -> None:
+    """CSV with header ``t,<header>`` and one ``%.17g`` row per grid time.
+
+    Rows are formatted and written one at a time, never the whole table.
+    """
+    fileobj.write(",".join(["t", *header]) + "\n")
+    row = ",".join(["%.17g"] * (values.shape[1] + 1)) + "\n"
+    for t, r in zip(times.tolist(), values):
+        fileobj.write(row % (t, *r.tolist()))
 
 
 def read_path_csv(fileobj) -> tuple[np.ndarray, np.ndarray]:
+    """Times and values of a ``t,x1,...,xd`` CSV.
+
+    Malformed input raises ``ParameterError`` naming the offending line.
+    """
     reader = csv.reader(fileobj)
-    header = next(reader)
-    if not header or header[0] != "t":
-        raise ParameterError("path CSV must start with a 't' column")
-    rows = [[float(v) for v in row] for row in reader if row]
+    header = next(reader, [])
+    if header[:1] != ["t"]:
+        raise ParameterError("path CSV line 1: need a header starting with 't'")
+    rows = []
+    for row in reader:
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise ParameterError(f"path CSV line {reader.line_num}: {len(row)} "
+                                 f"fields, the header has {len(header)}")
+        try:
+            rows.append([float(v) for v in row])
+        except ValueError as exc:
+            raise ParameterError(
+                f"path CSV line {reader.line_num}: {exc}") from None
+    if not rows:
+        raise ParameterError("path CSV has no data rows after the header on line 1")
     data = np.asarray(rows, dtype=float)
     return data[:, 0], data[:, 1:]
-
-
-def path_to_json(path) -> str:
-    return json.dumps(path.to_jsonable(), sort_keys=True)

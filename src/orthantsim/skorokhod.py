@@ -72,7 +72,7 @@ class SkorokhodSolution:
         d = self.dim
         header = [f"z{k + 1}" for k in range(d)] + [f"l{k + 1}" for k in range(d)]
         write_path_csv(fileobj, self.Z.times,
-                       np.hstack([self.Z.values, self.L.values]), header=header)
+                       np.hstack([self.Z.values, self.L.values]), header)
 
     def events_to_jsonable(self) -> list[dict]:
         return [e.to_jsonable() for e in self.events]
@@ -209,19 +209,41 @@ def solve_linear_segment(R: ReflectionMatrix, x, i: int, alpha: float,
             raise DomainError(
                 f"active0 members {sorted(extra)} have nonzero coordinates"
             )
-    times, Zr, Lr, events, idle = _segment_arrays(R.entries, x, i - 1, alpha, T)
-    Z = SampledPath(np.asarray(times), np.asarray(Zr))
-    L = SampledPath(np.asarray(times), np.asarray(Lr))
-    diag = _solution_diagnostics(R, Z, L, lambda ts: _linear_driver(x, i - 1, alpha, ts))
-    diag["idle_boundary_components"] = sorted(set(idle))
-    diag["phases"] = len(events) + 1
-    return SkorokhodSolution(Z, L, tuple(events), diag)
+    sol = solve_regular(R, RegularPath(x, [0.0, T], (i,), [alpha]))
+    sol.diagnostics["phases"] = len(sol.events) + 1
+    return sol
 
 
-def _linear_driver(x: np.ndarray, i0: int, alpha: float, ts: np.ndarray) -> np.ndarray:
-    out = np.tile(x, (len(ts), 1))
-    out[:, i0] += alpha * np.asarray(ts)
-    return out
+def _stitch(X: RegularPath, row0: np.ndarray, width: int, segment):
+    """Chain single-segment solves along X's pieces by memoryless restart.
+
+    ``segment(row, axis0, slope, duration)`` solves one piece from the state
+    ``row`` and returns (times, rows, boundary rows, events), all from 0; the
+    pieces are shifted and joined into the same four outputs for all of X.
+    """
+    times = [np.asarray([0.0])]
+    rows = [row0[None, :].copy()]
+    Lrows = [np.zeros((1, width))]
+    events: list[PhaseEvent] = []
+    row = row0
+    l_offset = np.zeros(width)
+    for k, (axis, slope, dur) in enumerate(zip(X.axes, X.slopes,
+                                               np.diff(X.breakpoints))):
+        t_offset = float(X.breakpoints[k])
+        seg_t, seg_rows, seg_L, seg_events = segment(row, axis - 1, float(slope),
+                                                     float(dur))
+        seg_rows = np.asarray(seg_rows)
+        seg_L = np.asarray(seg_L)
+        shifted = t_offset + np.asarray(seg_t)[1:]
+        shifted[-1] = X.breakpoints[k + 1]  # kill accumulated rounding
+        times.append(shifted)
+        rows.append(seg_rows[1:])
+        Lrows.append(l_offset + seg_L[1:])
+        events.extend(PhaseEvent(t_offset + e.tau, e.active_before, e.active_after)
+                      for e in seg_events)
+        row = seg_rows[-1]
+        l_offset = l_offset + seg_L[-1]
+    return np.concatenate(times), np.vstack(rows), np.vstack(Lrows), tuple(events)
 
 
 def _solution_diagnostics(R: ReflectionMatrix, Z: SampledPath, L: SampledPath,
@@ -243,40 +265,25 @@ def solve_regular(R: ReflectionMatrix, X: RegularPath) -> SkorokhodSolution:
     """
     if X.dim != R.dim:
         raise DimensionError("path dimension must match the matrix dimension")
-    z = _check_start(X.start, R.dim)
-    durations = np.diff(X.breakpoints)
-    times = [np.asarray([0.0])]
-    Zrows = [z[None, :].copy()]
-    Lrows = [np.zeros((1, R.dim))]
-    events: list[PhaseEvent] = []
+    z0 = _check_start(X.start, R.dim)
     idle: set[int] = set()
     phase_counts = []
-    l_offset = np.zeros(R.dim)
-    for k, (axis, slope, dur) in enumerate(zip(X.axes, X.slopes, durations)):
-        t_offset = float(X.breakpoints[k])
+
+    def segment(z, i0, slope, dur):
         seg_t, seg_Z, seg_L, seg_events, seg_idle = _segment_arrays(
-            R.entries, z, axis - 1, float(slope), float(dur)
-        )
-        shifted = t_offset + np.asarray(seg_t)[1:]
-        shifted[-1] = X.breakpoints[k + 1]  # kill accumulated rounding
-        times.append(shifted)
-        Zrows.append(np.asarray(seg_Z)[1:])
-        Lrows.append(l_offset + np.asarray(seg_L)[1:])
-        events.extend(
-            PhaseEvent(t_offset + e.tau, e.active_before, e.active_after)
-            for e in seg_events
-        )
+            R.entries, z, i0, slope, dur)
         idle.update(seg_idle)
         phase_counts.append(len(seg_events) + 1)
-        z = np.asarray(seg_Z)[-1]
-        l_offset = l_offset + np.asarray(seg_L)[-1]
-    Z = SampledPath(np.concatenate(times), np.vstack(Zrows))
-    L = SampledPath(np.concatenate(times), np.vstack(Lrows))
+        return seg_t, seg_Z, seg_L, seg_events
+
+    times, Zv, Lv, events = _stitch(X, z0, R.dim, segment)
+    Z = SampledPath(times, Zv)
+    L = SampledPath(times, Lv)
     diag = _solution_diagnostics(R, Z, L, X.values_at)
     diag["idle_boundary_components"] = sorted(idle)
     diag["phase_counts"] = phase_counts
     diag["method"] = "regular-exact"
-    return SkorokhodSolution(Z, L, tuple(events), diag)
+    return SkorokhodSolution(Z, L, events, diag)
 
 
 def solve_grid_oracle(R: ReflectionMatrix, X: SampledPath, tol: float = 1e-8,
@@ -399,8 +406,8 @@ def simulate_srbm(R: ReflectionMatrix, mu, A, z0, horizon: float, steps: int,
     return sol
 
 
-def write_solution(sol: SkorokhodSolution, csv_file, events_file=None) -> None:
-    """CSV trajectory plus the JSON events sidecar."""
+def write_solution(sol, csv_file, events_file=None) -> None:
+    """CSV trajectory plus the JSON events sidecar, for either solution type."""
     sol.to_csv(csv_file)
     if events_file is not None:
         json.dump(sol.events_to_jsonable(), events_file, indent=2, sort_keys=True)

@@ -272,3 +272,36 @@ def test_verify_unknown_suite_exits_two(tmp_path, capsys):
 
 def test_usage_error_exits_one(capsys):
     assert main(["solve"]) == 1  # missing --config
+
+
+# ------------------------------------------------- malformed path CSV sources
+
+@pytest.mark.parametrize("text, line", [
+    ("", "line 1"),
+    ("t,x1,x2\n", "line 1"),
+    ("t,x1,x2\n0,0.5,1\n0.5,1\n1,0.5,2\n", "line 3"),
+    ("t,x1,x2\n0,0.5,1\n0.5,a,1\n", "line 3"),
+], ids=["empty", "header_only", "ragged_row", "non_numeric"])
+def test_solve_malformed_csv_path_exits_one(tmp_path, capsys, text, line):
+    (tmp_path / "path.csv").write_text(text)
+    cfg = write_config(tmp_path, {"matrix": [[1.0, -0.4], [-0.3, 1.0]],
+                                  "path": {"kind": "csv", "file": "path.csv"}})
+    code, _, err = run(capsys, "solve", "--config", cfg,
+                       "--out", str(tmp_path / "run"))
+    assert code == 1
+    error = json.loads(err)
+    assert error["error"] == "config"
+    assert "path.csv" in error["message"] and line in error["message"]
+
+
+# ------------------------------------------------------ positive overrides
+
+@pytest.mark.parametrize("flag", ["--level", "--tol"])
+def test_zero_override_is_rejected(tmp_path, capsys, flag):
+    cfg = write_config(tmp_path, {
+        "matrix": [[1.0]], "mu": [0.0], "covariance": [[1.0]], "z0": [0.5],
+        "horizon": 1.0, "steps": 10, "seed": 1})
+    code, _, err = run(capsys, "simulate-srbm", "--config", cfg,
+                       "--out", str(tmp_path / "run"), flag, "0")
+    assert code == 1
+    assert flag in json.loads(err)["message"]

@@ -1,0 +1,170 @@
+"""Golden hashes of the command-line outputs.
+
+Each case runs one ``orthantsim`` command on a fixed config and seed in an
+empty directory and hashes its exit code, its stdout and every file it
+writes.  The expected digests pin the output bytes of all six commands,
+both solver methods and all nine ``verify`` suites, so a refactor that must
+not change behaviour can be checked byte for byte.  They were recorded with
+Python 3.11 and numpy 2.4 on x86-64; another BLAS or numpy build may change
+last bits of the sampled noise and so the digests.
+
+``python tests/test_golden.py`` prints the digests of the current code.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+from pathlib import Path
+
+import pytest
+
+from orthantsim.cli import main
+
+MATRIX_2D = [[1.0, -0.4], [-0.3, 1.0]]
+MATRIX_3D = [[1.0, -0.3, -0.2], [-0.25, 1.0, -0.3], [-0.1, -0.35, 1.0]]
+QPARAMS_3 = {"qplus": [0.5, 0.6, 0.3], "qminus": [0.4, 0.7, 0.5]}
+REGULAR_2D = {"kind": "regular", "start": [0.3, 0.1],
+              "breakpoints": [0.0, 0.5, 1.0, 1.6, 2.0, 2.5],
+              "axes": [1, 2, 1, 2, 1], "slopes": [-1.0, -0.8, 0.4, -1.2, -0.9]}
+REGULAR_3P = {"kind": "regular", "start": [0.0, 0.2, 0.5],
+              "breakpoints": [0.0, 0.4, 0.9, 1.5, 2.0],
+              "axes": [1, 3, 2, 1], "slopes": [1.5, -1.0, 0.7, -0.6]}
+# sampled paths read through the CSV source
+CSV_2D = ("t,x1,x2\n0,0.2,0.4\n0.25,0.05,0.3\n0.5,-0.1,0.1\n0.75,0.1,-0.2\n"
+          "1,-0.2,0.05\n1.25,-0.3,0.2\n1.5,0.1,-0.1\n")
+CSV_3P = ("t,x1,x2,x3\n0,0,0.1,0.3\n0.25,0.2,0.05,0.25\n0.5,0.35,0.1,0.1\n"
+          "0.75,0.1,0.3,0.05\n1,0.4,0.2,0.45\n")
+SRBM = {"matrix": MATRIX_3D, "mu": [-0.2, 0.1, -0.3],
+        "covariance": [[1.0, 0.2, 0.0], [0.2, 0.8, -0.1], [0.0, -0.1, 1.2]],
+        "z0": [0.2, 0.0, 0.4], "horizon": 1.0, "steps": 200, "seed": 11}
+CBP = {"g": [0.2, -0.1, 0.0, -0.3], "sigma2": [1.0, 0.7, 1.3, 0.9],
+       "q": {"qplus": [0.5, 0.6, 0.45, 0.7], "qminus": [0.4, 0.55, 0.3, 0.5]},
+       "y0": [0.0, 0.1, 0.1, 0.4], "horizon": 1.0, "steps": 150, "seed": 4}
+SMALL = {"instances": 2, "steps": 120, "level": 30, "n_max": 4}
+SUITES = [
+    {"name": "skorokhod_comparison", "instances": 2, "d_max": 3, "grid": 12},
+    {"name": "particle_comparison", "instances": 2, "n_max": 4},
+    {"name": "removal_right", **SMALL},
+    {"name": "removal_two_sided", **SMALL},
+    {"name": "initial_shift", **SMALL},
+    {"name": "increase_qplus", **SMALL},
+    {"name": "drift", **SMALL},
+    {"name": "gap_srbm", **SMALL},
+    {"name": "counterexample", "instances": 2},
+]
+
+# name -> (command, config, extra arguments)
+CASES = {
+    "validate": ("validate", {"matrix": MATRIX_2D,
+                              "collision_params": {"symmetric": 3}}, []),
+    "solve_regular_exact": ("solve", {"matrix": MATRIX_2D, "path": REGULAR_2D,
+                                      "compare_methods": True,
+                                      "grid_points": 300},
+                            ["--method", "exact"]),
+    "solve_regular_grid": ("solve", {"matrix": MATRIX_2D, "path": REGULAR_2D,
+                                     "grid_points": 300},
+                           ["--method", "grid", "--tol", "1e-10"]),
+    "solve_csv_exact": ("solve", {"matrix": MATRIX_2D,
+                                  "path": {"kind": "csv", "file": "path2.csv"}},
+                        ["--method", "exact", "--level", "4"]),
+    "solve_csv_grid": ("solve", {"matrix": MATRIX_2D, "compare_methods": True,
+                                 "path": {"kind": "csv", "file": "path2.csv"}},
+                       ["--method", "grid"]),
+    "solve_brownian_exact": ("solve", {"matrix": MATRIX_3D, "level": 40,
+                                       "path": {"kind": "brownian", "dim": 3,
+                                                "drift": [0.5, 0.5, 0.5],
+                                                "covariance": SRBM["covariance"],
+                                                "horizon": 1.0, "steps": 80,
+                                                "seed": 2}},
+                             []),
+    "solve_particles_regular": ("solve", {"collision_params": QPARAMS_3,
+                                          "path": REGULAR_3P},
+                                ["--method", "exact"]),
+    "solve_particles_csv_exact": ("solve", {"collision_params": QPARAMS_3,
+                                            "path": {"kind": "csv",
+                                                     "file": "path3.csv"}},
+                                  ["--level", "3"]),
+    "solve_particles_csv_grid": ("solve", {"collision_params": QPARAMS_3,
+                                           "path": {"kind": "csv",
+                                                    "file": "path3.csv"}},
+                                 ["--method", "grid"]),
+    "simulate_srbm_exact": ("simulate-srbm", SRBM, ["--seed", "5"]),
+    "simulate_srbm_grid": ("simulate-srbm", SRBM, ["--method", "grid"]),
+    "simulate_cbp_exact_gap_check": ("simulate-cbp",
+                                     {"cbp": CBP, "gap_check": True}, []),
+    "simulate_cbp_grid": ("simulate-cbp", CBP,
+                          ["--method", "grid", "--seed", "9"]),
+    "approximate": ("approximate", {"path": {"kind": "csv", "file": "path2.csv"}},
+                    ["--level", "3", "--out", "approx.json"]),
+    "verify": ("verify", {"suites": SUITES, "seed": 3}, ["--out", "report"]),
+}
+
+EXPECTED = {
+    'approximate': '0c6d1c19db7bbc959f8b34fc0eeae30757c32592841e16ff644eaf2dd789a8c6',
+    'simulate_cbp_exact_gap_check': 'a4c282e46db3dc59f92e283a69f47469c8c636702fc76e6ce4ea046a3552948c',
+    'simulate_cbp_grid': 'e7789c67eef5c3fed4ca4e08bd35300311d93b4ca6e3d13765f523f518dc9bb2',
+    'simulate_srbm_exact': 'bae8e510287f0ca7dbd49d46262756e0b60384908e362467248acd8bc5c5af92',
+    'simulate_srbm_grid': 'cbab18666cb3149e5fd0256c383ed4747951171b696ca6d513afb0ea39fb9df2',
+    'solve_brownian_exact': '96f6bc31d9e5d5accffb49322423ab7ba3f528aa1ca7445981d82b5f060bf177',
+    'solve_csv_exact': 'cf8f42c70a227aaf6b23038bc80e5484169bd3047b3ba0b66a8b7e5c3cc4c259',
+    'solve_csv_grid': 'dde6603c8b6b025359d09c02ae261da26ee510a3d5e56482e4541c8b971613e6',
+    'solve_particles_csv_exact': '4888c024d6b3551cd55750011c257ef13aac5d4954ad5a4858ddead3c6de54cf',
+    'solve_particles_csv_grid': 'c7e8371a5c615f6ec10f5488bcb8a5da5d7a47f065dfb5f4273f2ee4d1e16fdb',
+    'solve_particles_regular': 'c11fbd931fde59f4a0cbea761aaf7efb4296540b68c2582dcfa672da53087e67',
+    'solve_regular_exact': '8e0fc96363e13dd9c831c9d16e5cf49779548128bb69c96428a319e0a1245fc0',
+    'solve_regular_grid': '2eb7f20d9507cca7d7cfb94baba316e9d00c8572db2a66d6945d6062211edccf',
+    'validate': '710b66017c0b9fd99bea5fef031ded580496db1f8842fa704355541b46c0e228',
+    'verify': 'bbcce689a5529941d62410cdfe1108e80b333fc5bf85fd110ea45f7a3a430b66',
+}
+
+
+@contextlib.contextmanager
+def _inside(path: Path):
+    old = os.getcwd()
+    os.chdir(path)
+    try:
+        yield
+    finally:
+        os.chdir(old)
+
+
+def run_case(name: str, workdir: Path) -> str:
+    """SHA-256 over the exit code, stdout and written files of one case."""
+    command, cfg, extra = CASES[name]
+    workdir.mkdir(parents=True)
+    (workdir / "config.json").write_text(json.dumps(cfg))
+    (workdir / "path2.csv").write_text(CSV_2D)
+    (workdir / "path3.csv").write_text(CSV_3P)
+    inputs = {p.name for p in workdir.iterdir()}
+    argv = [command, "--config", "config.json"]
+    if command in ("solve", "simulate-srbm", "simulate-cbp"):
+        argv += ["--out", "out"]
+    stdout = io.StringIO()
+    with _inside(workdir), contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv + extra)
+    digest = hashlib.sha256(f"exit {code}\n".encode())
+    digest.update(stdout.getvalue().encode())
+    for path in sorted(workdir.rglob("*")):
+        rel = path.relative_to(workdir).as_posix()
+        if path.is_file() and rel not in inputs:
+            digest.update(f"\n{rel}\n".encode())
+            digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_bytes_match_golden(name, tmp_path):
+    assert run_case(name, tmp_path / name) == EXPECTED[name]
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in sorted(CASES):
+            print(f"    {case!r}: {run_case(case, Path(tmp) / case)!r},")
