@@ -75,13 +75,16 @@ def _emit(obj) -> None:
 def _option(args, cfg: dict, name: str, default=None):
     """``--level``/``--tol`` if given, else the config's value or ``default``.
 
-    A given flag must be positive: 0 is rejected, not read as "unset".
+    A given flag or config value must be positive: 0 is rejected, not read
+    as "unset".
     """
-    value = getattr(args, name)
+    value, source = getattr(args, name), f"--{name}"
     if value is None:
-        return cfg.get(name, default)
+        value, source = cfg.get(name), f"config {name!r}"
+    if value is None:
+        return default
     if value <= 0:
-        raise ConfigError(f"--{name} must be positive, got {value}")
+        raise ConfigError(f"{source} must be positive, got {value}")
     return value
 
 
@@ -95,12 +98,11 @@ def _load_path(cfg, base: Path):
         file = base / cfg["file"]
         try:
             with open(file) as fh:
-                times, values = read_path_csv(fh)
+                return SampledPath(*read_path_csv(fh))
         except OSError as exc:
             raise ConfigError(f"cannot read path CSV {file}: {exc}") from exc
         except OrthantSimError as exc:
             raise ConfigError(f"malformed path CSV {file}: {exc}") from exc
-        return SampledPath(times, values)
     if kind == "brownian":
         return sample_brownian(BrownianSpec.from_jsonable(cfg))
     raise ConfigError(f"unknown path kind {cfg['kind']!r}")
@@ -168,7 +170,8 @@ def cmd_solve(cfg: dict, args) -> int:
                    else solve_grid_oracle(R, regrid, tol=tol))
         else:
             regrid = path
-            sol = (solve_continuous(R, path, level or len(path.times) - 1)
+            sol = (solve_continuous(R, path,
+                                    len(path.times) - 1 if level is None else level)
                    if method == "exact"
                    else solve_grid_oracle(R, path, tol=tol))
         if cfg.get("compare_methods"):

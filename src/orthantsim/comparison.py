@@ -28,12 +28,12 @@ from .paths import (
 from .particles import (
     CbpSpec,
     CollisionParams,
-    ParticleSystemSolution,
     driving_path_for,
     gap_srbm,
     reflection_matrix_from_params,
     simulate_cbp,
     solve_competing,
+    subsystem_spec,
 )
 from .skorokhod import (
     SkorokhodSolution,
@@ -106,8 +106,28 @@ class _Margins:
         )
 
 
-def _union_times(a: SampledPath, b: SampledPath) -> np.ndarray:
-    return np.union1d(a.times, b.times)
+def _pair_margins(m: _Margins, sol, bar, relations, cols=slice(None),
+                  offset: int = 0) -> None:
+    """Add each named relation between two coupled solutions, in order.
+
+    The relations are ``"Z<=Zbar"``, ``"dL>=dLbar"`` (per-step increments),
+    ``"Y<=Ybar"`` and ``"Y>=Ybar"``; the first two also apply to Skorohod
+    solutions.  ``cols`` picks the components of ``sol`` compared with all of
+    ``bar``'s, and ``offset`` shifts the reported component numbers.  Margins
+    are taken on the union of the two time grids (Y, L and Z of one solution
+    share a grid).
+    """
+    times = np.union1d(sol.Z.times, bar.Z.times)
+    for relation in relations:
+        if relation == "dL>=dLbar":
+            dL = np.diff(sol.L.values_at(times)[:, cols], axis=0)
+            dLbar = np.diff(bar.L.values_at(times), axis=0)
+            m.add(dLbar - dL, times[1:], relation, component_offset=offset)
+            continue
+        own = getattr(sol, relation[0]).values_at(times)[:, cols]
+        other = getattr(bar, relation[0]).values_at(times)
+        m.add(own - other if "<=" in relation else other - own, times,
+              relation, component_offset=offset)
 
 
 def _grid_residual(sol: SkorokhodSolution) -> float:
@@ -120,23 +140,32 @@ def _require(cond: bool, message: str) -> None:
         raise PreconditionError(message)
 
 
-def _regular_pair_dominated(X: RegularPath, Xbar: RegularPath) -> None:
-    _require(X.dim == Xbar.dim, "paths must share the dimension")
-    _require(np.array_equal(X.breakpoints, Xbar.breakpoints)
-             and X.axes == Xbar.axes,
-             "regular paths must be coupled (same breakpoints and axes)")
-    _require(bool(np.all(X.start <= Xbar.start)), "X(0) <= Xbar(0) fails")
-    _require(bool(np.all(X.slopes <= Xbar.slopes)),
-             "segment increment domination fails")
+def _coupled_route(X, Xbar) -> str:
+    """``"exact"`` for two coupled regular drivers, ``"grid"`` for two sampled.
 
-
-def _sampled_pair_dominated(X: SampledPath, Xbar: SampledPath) -> None:
-    check = increments_dominated(X, Xbar)
-    if not check.ok:
-        s, t, i = check.first_violation
-        raise PreconditionError(
-            f"increment domination fails on [{s}, {t}] component {i}"
-        )
+    Raises ``PreconditionError`` unless the pair is of one kind, coupled, and
+    has dominated increments (and, for regular drivers, dominated starts).
+    """
+    if isinstance(X, RegularPath) and isinstance(Xbar, RegularPath):
+        _require(X.dim == Xbar.dim, "paths must share the dimension")
+        _require(np.array_equal(X.breakpoints, Xbar.breakpoints)
+                 and X.axes == Xbar.axes,
+                 "regular paths must be coupled (same breakpoints and axes)")
+        _require(bool(np.all(X.start <= Xbar.start)), "X(0) <= Xbar(0) fails")
+        _require(bool(np.all(X.slopes <= Xbar.slopes)),
+                 "segment increment domination fails")
+        return "exact"
+    if isinstance(X, SampledPath) and isinstance(Xbar, SampledPath):
+        check = increments_dominated(X, Xbar)
+        if not check.ok:
+            s, t, i = check.first_violation
+            raise PreconditionError(
+                f"increment domination fails on [{s}, {t}] component {i}"
+            )
+        return "grid"
+    raise PreconditionError(
+        "need either two coupled regular paths or two sampled paths"
+    )
 
 
 def check_skorokhod_comparison(R: ReflectionMatrix, Rbar: ReflectionMatrix,
@@ -159,32 +188,19 @@ def check_skorokhod_comparison(R: ReflectionMatrix, Rbar: ReflectionMatrix,
              and float(np.min(Xbar.values_at([0.0]))) >= 0,
              "both drivers must start in the orthant")
 
-    if isinstance(X, RegularPath) and isinstance(Xbar, RegularPath):
-        _regular_pair_dominated(X, Xbar)
-        sol = solve_regular(R, X)
-        bar = solve_regular(Rbar, Xbar)
-        effective_tol = EXACT_TOL if tol is None else tol
-        route = "exact"
-    elif isinstance(X, SampledPath) and isinstance(Xbar, SampledPath):
-        _sampled_pair_dominated(X, Xbar)
+    route = _coupled_route(X, Xbar)
+    if route == "exact":
+        sol, bar = solve_regular(R, X), solve_regular(Rbar, Xbar)
+        if tol is None:
+            tol = EXACT_TOL
+    else:
         sol = solve_grid_oracle(R, X, tol=grid_tol)
         bar = solve_grid_oracle(Rbar, Xbar, tol=grid_tol)
         if tol is None:
             tol = GRID_TOL_BASE + 2.0 * (_grid_residual(sol) + _grid_residual(bar))
-        effective_tol = tol
-        route = "grid"
-    else:
-        raise PreconditionError(
-            "need either two coupled regular paths or two sampled paths"
-        )
-
-    times = _union_times(sol.Z, bar.Z)
     m = _Margins()
-    m.add(sol.Z.values_at(times) - bar.Z.values_at(times), times, "Z<=Zbar")
-    dL = np.diff(sol.L.values_at(times), axis=0)
-    dLbar = np.diff(bar.L.values_at(times), axis=0)
-    m.add(dLbar - dL, times[1:], "dL>=dLbar")
-    return m.report(effective_tol, route=route)
+    _pair_margins(m, sol, bar, ("Z<=Zbar", "dL>=dLbar"))
+    return m.report(tol, route=route)
 
 
 def check_particle_comparison(q: CollisionParams, qbar: CollisionParams,
@@ -207,50 +223,29 @@ def check_particle_comparison(q: CollisionParams, qbar: CollisionParams,
     _require(bool(np.all(np.diff(start) >= 0) and np.all(np.diff(start_bar) >= 0)),
              "both drivers must start in the ordered cone")
 
-    if isinstance(X, RegularPath) and isinstance(Xbar, RegularPath):
-        _regular_pair_dominated(X, Xbar)
-        sol = solve_competing(q, X)
-        bar = solve_competing(qbar, Xbar)
-        effective_tol = EXACT_TOL if tol is None else tol
-        route = "exact"
-    elif isinstance(X, SampledPath) and isinstance(Xbar, SampledPath):
-        _sampled_pair_dominated(X, Xbar)
+    route = _coupled_route(X, Xbar)
+    if route == "exact":
+        sol, bar = solve_competing(q, X), solve_competing(qbar, Xbar)
+        if tol is None:
+            tol = EXACT_TOL
+    else:
         sol = solve_competing(q, X, method="grid", tol=grid_tol)
         bar = solve_competing(qbar, Xbar, method="grid", tol=grid_tol)
         if tol is None:
             tol = GRID_TOL_BASE + 2.0 * grid_tol
-        effective_tol = tol
-        route = "grid"
-    else:
-        raise PreconditionError(
-            "need either two coupled regular paths or two sampled paths"
-        )
-
-    times = _union_times(sol.Y, bar.Y)
     m = _Margins()
-    m.add(sol.Y.values_at(times) - bar.Y.values_at(times), times, "Y<=Ybar")
-    return m.report(effective_tol, route=route)
+    _pair_margins(m, sol, bar, ("Y<=Ybar",))
+    return m.report(tol, route=route)
 
 
-def _solved_pair_margins(m: _Margins, sol: ParticleSystemSolution,
-                         bar: ParticleSystemSolution, gap_cols: np.ndarray,
-                         positions: str | None, pos_cols: np.ndarray,
-                         gap_offset: int, pos_offset: int) -> None:
-    """Gap / collision-term / optional position relations on the union grid."""
-    times = _union_times(sol.Y, bar.Y)
-    Zf = sol.Z.values_at(times)[:, gap_cols]
-    Zs = bar.Z.values_at(times)
-    m.add(Zf - Zs, times, "Z<=Zbar", component_offset=gap_offset)
-    dLf = np.diff(sol.L.values_at(times)[:, gap_cols], axis=0)
-    dLs = np.diff(bar.L.values_at(times), axis=0)
-    m.add(dLs - dLf, times[1:], "dL>=dLbar", component_offset=gap_offset)
-    if positions is not None:
-        Yf = sol.Y.values_at(times)[:, pos_cols]
-        Ys = bar.Y.values_at(times)
-        if positions in ("le", "eq"):
-            m.add(Yf - Ys, times, "Y<=Ybar", component_offset=pos_offset)
-        if positions in ("ge", "eq"):
-            m.add(Ys - Yf, times, "Y>=Ybar", component_offset=pos_offset)
+# (lo == 1, hi == N) -> the removal corollaries' position relations, by
+# their tag in the report details and by name
+_REMOVAL_POSITIONS = {
+    (True, True): ("eq", ("Y<=Ybar", "Y>=Ybar")),
+    (True, False): ("le", ("Y<=Ybar",)),
+    (False, True): ("ge", ("Y>=Ybar",)),
+    (False, False): (None, ()),
+}
 
 
 def check_removal_corollaries(spec: CbpSpec, lo: int, hi: int,
@@ -268,24 +263,17 @@ def check_removal_corollaries(spec: CbpSpec, lo: int, hi: int,
     if not (1 <= lo < hi <= n):
         raise PreconditionError(f"need 1 <= lo < hi <= N, got {lo}..{hi} of {n}")
     X = driving_path_for(spec)
-    Xn = standard_regular_approximation(X, level or spec.steps)
+    Xn = standard_regular_approximation(X, spec.steps if level is None else level)
     full = solve_competing(spec.q, Xn)
-    sub_q = CollisionParams(spec.q.qplus[lo - 1:hi], spec.q.qminus[lo - 1:hi])
-    sub = solve_competing(sub_q, Xn.restrict_components(lo, hi))
+    sub = solve_competing(subsystem_spec(spec, lo, hi).q,
+                          Xn.restrict_components(lo, hi))
 
-    if lo == 1 and hi == n:
-        positions = "eq"
-    elif lo == 1:
-        positions = "le"
-    elif hi == n:
-        positions = "ge"
-    else:
-        positions = None
-    gap_cols = np.arange(lo - 1, hi - 1)
-    pos_cols = np.arange(lo - 1, hi)
+    positions, relations = _REMOVAL_POSITIONS[lo == 1, hi == n]
     m = _Margins()
-    _solved_pair_margins(m, full, sub, gap_cols, positions, pos_cols,
-                         gap_offset=lo - 1, pos_offset=lo - 1)
+    _pair_margins(m, full, sub, ("Z<=Zbar", "dL>=dLbar"),
+                  cols=slice(lo - 1, hi - 1), offset=lo - 1)
+    _pair_margins(m, full, sub, relations, cols=slice(lo - 1, hi),
+                  offset=lo - 1)
     return m.report(tol, lo=lo, hi=hi, positions=positions)
 
 
@@ -302,18 +290,14 @@ def check_skorokhod_removal(R: ReflectionMatrix, X, members,
     _require(len(members) >= 1 and all(1 <= v <= R.dim for v in members),
              "members must be a nonempty subset of 1..d")
     if isinstance(X, SampledPath):
-        X = standard_regular_approximation(X, level or len(X.times) - 1)
+        X = standard_regular_approximation(
+            X, len(X.times) - 1 if level is None else level)
     idx = np.asarray(members, dtype=int) - 1
     Rsub = ReflectionMatrix(R.entries[np.ix_(idx, idx)])
     full = solve_regular(R, X)
     sub = solve_regular(Rsub, X.restrict_members(members))
-    times = _union_times(full.Z, sub.Z)
     m = _Margins()
-    m.add(full.Z.values_at(times)[:, idx] - sub.Z.values_at(times), times,
-          "Z<=Zbar")
-    dLf = np.diff(full.L.values_at(times)[:, idx], axis=0)
-    dLs = np.diff(sub.L.values_at(times), axis=0)
-    m.add(dLs - dLf, times[1:], "dL>=dLbar")
+    _pair_margins(m, full, sub, ("Z<=Zbar", "dL>=dLbar"), cols=idx)
     return m.report(tol, members=members)
 
 
@@ -342,16 +326,10 @@ def _gap_relation_margins(m: _Margins, q: CollisionParams, X: SampledPath,
     """
     W = difference_path(X)
     Wbar = _shifted_driver(W, offset, rate)
-    Wn = standard_regular_approximation(W, nlev)
-    Wbarn = standard_regular_approximation(Wbar, nlev)
     R = reflection_matrix_from_params(q)
-    sol = solve_regular(R, Wn)
-    bar = solve_regular(R, Wbarn)
-    times = _union_times(sol.Z, bar.Z)
-    m.add(sol.Z.values_at(times) - bar.Z.values_at(times), times, "Z<=Zbar")
-    dL = np.diff(sol.L.values_at(times), axis=0)
-    dLbar = np.diff(bar.L.values_at(times), axis=0)
-    m.add(dLbar - dL, times[1:], "dL>=dLbar")
+    sol = solve_regular(R, standard_regular_approximation(W, nlev))
+    bar = solve_regular(R, standard_regular_approximation(Wbar, nlev))
+    _pair_margins(m, sol, bar, ("Z<=Zbar", "dL>=dLbar"))
 
 
 def check_initial_shift(spec: CbpSpec, y0bar=None, z0bar=None,
@@ -367,7 +345,7 @@ def check_initial_shift(spec: CbpSpec, y0bar=None, z0bar=None,
         raise PreconditionError("need y0bar (part i) and/or z0bar (part ii)")
     n = spec.n_particles
     X = driving_path_for(spec)
-    nlev = level or spec.steps
+    nlev = spec.steps if level is None else level
     y0 = np.asarray(spec.y0)
     m = _Margins()
     details = {}
@@ -380,8 +358,7 @@ def check_initial_shift(spec: CbpSpec, y0bar=None, z0bar=None,
         base = solve_competing(spec.q, standard_regular_approximation(X, nlev))
         Xbar = standard_regular_approximation(_shifted_driver(X, y0bar - y0), nlev)
         bar = solve_competing(spec.q, Xbar)
-        times = _union_times(base.Y, bar.Y)
-        m.add(base.Y.values_at(times) - bar.Y.values_at(times), times, "Y<=Ybar")
+        _pair_margins(m, base, bar, ("Y<=Ybar",))
         details["part_i"] = True
 
     if z0bar is not None:
@@ -411,7 +388,7 @@ def check_parameter_monotonicity(spec: CbpSpec, qbar: CollisionParams | None = N
     n = spec.n_particles
     g = np.asarray(spec.g)
     X = driving_path_for(spec)
-    nlev = level or spec.steps
+    nlev = spec.steps if level is None else level
     m = _Margins()
     details = {}
 
@@ -436,8 +413,7 @@ def check_parameter_monotonicity(spec: CbpSpec, qbar: CollisionParams | None = N
     if drift_dom:
         base = solve_competing(spec.q, standard_regular_approximation(X, nlev))
         bar = solve_competing(qb, standard_regular_approximation(Xbar_raw, nlev))
-        times = _union_times(base.Y, bar.Y)
-        m.add(base.Y.values_at(times) - bar.Y.values_at(times), times, "Y<=Ybar")
+        _pair_margins(m, base, bar, ("Y<=Ybar",))
         details["positions"] = True
     if gbar is not None and gap_dom and qbar is None:
         # the gap corollary fixes the collision parameters
@@ -469,14 +445,6 @@ class CounterexampleResult:
     @property
     def certified(self) -> bool:
         return self.max_violation > 0.0
-
-    def to_jsonable(self) -> dict:
-        return {
-            "r21": self.r21,
-            "max_violation": self.max_violation,
-            "location": self.location.to_jsonable(),
-            "certified": self.certified,
-        }
 
 
 def counterexample_positive_offdiag(r21: float,
@@ -646,9 +614,21 @@ def _particle_comparison_instance(rng, opts):
     return check_particle_comparison(q, qbar, X, Xbar, tol=opts.get("tol"))
 
 
+def _random_spec(rng, opts, n_min: int = 2, n_max: int = 6,
+                 steps: int = 1000) -> CbpSpec:
+    """A particle count, then a spec of that size, under the suite options."""
+    n = int(rng.integers(n_min, opts.get("n_max", n_max) + 1))
+    return random_cbp_spec(rng, n, steps=opts.get("steps", steps))
+
+
+def _corollary_options(opts) -> dict:
+    """``tol`` and ``level`` of a corollary check, with the suite defaults."""
+    return {"tol": opts.get("tol", EXACT_TOL), "level": opts.get("level", 200)}
+
+
 def _removal_instance(rng, opts, two_sided: bool):
-    n = int(rng.integers(3, opts.get("n_max", 6) + 1))
-    spec = random_cbp_spec(rng, n, steps=opts.get("steps", 1000))
+    spec = _random_spec(rng, opts, n_min=3)
+    n = spec.n_particles
     if two_sided:
         lo = int(rng.integers(2, n))
         hi = int(rng.integers(lo + 1, n + 1))
@@ -656,54 +636,46 @@ def _removal_instance(rng, opts, two_sided: bool):
             hi = n - 1
     else:
         lo, hi = 1, int(rng.integers(2, n))
-    return check_removal_corollaries(spec, lo, hi,
-                                     tol=opts.get("tol", EXACT_TOL),
-                                     level=opts.get("level", 200))
+    return check_removal_corollaries(spec, lo, hi, **_corollary_options(opts))
 
 
 def _initial_shift_instance(rng, opts):
-    n = int(rng.integers(2, opts.get("n_max", 6) + 1))
-    spec = random_cbp_spec(rng, n, steps=opts.get("steps", 1000))
+    spec = _random_spec(rng, opts)
+    n = spec.n_particles
     y0 = np.asarray(spec.y0)
     y0bar = y0 + np.cumsum(rng.uniform(0.0, 0.5, n))
     z0bar = np.diff(y0) + rng.uniform(0.0, 0.5, n - 1)
     return check_initial_shift(spec, y0bar=y0bar, z0bar=z0bar,
-                               tol=opts.get("tol", EXACT_TOL),
-                               level=opts.get("level", 200))
+                               **_corollary_options(opts))
 
 
 def _increase_q_instance(rng, opts):
-    n = int(rng.integers(2, opts.get("n_max", 6) + 1))
-    spec = random_cbp_spec(rng, n, steps=opts.get("steps", 1000))
-    q, qbar = random_dominated_params(rng, n)
-    spec = replace(spec, q=q)
-    return check_parameter_monotonicity(spec, qbar=qbar,
-                                        tol=opts.get("tol", EXACT_TOL),
-                                        level=opts.get("level", 200))
+    spec = _random_spec(rng, opts)
+    q, qbar = random_dominated_params(rng, spec.n_particles)
+    return check_parameter_monotonicity(replace(spec, q=q), qbar=qbar,
+                                        **_corollary_options(opts))
 
 
 def _drift_instance(rng, opts):
-    n = int(rng.integers(2, opts.get("n_max", 6) + 1))
-    spec = random_cbp_spec(rng, n, steps=opts.get("steps", 1000))
+    spec = _random_spec(rng, opts)
+    n = spec.n_particles
     if rng.uniform() < 0.5:
         gbar = np.asarray(spec.g) + rng.uniform(0.0, 1.0, n)
     else:
         gbar = np.asarray(spec.g) + np.cumsum(rng.uniform(0.0, 0.8, n))
     return check_parameter_monotonicity(spec, gbar=gbar,
-                                        tol=opts.get("tol", EXACT_TOL),
-                                        level=opts.get("level", 200))
+                                        **_corollary_options(opts))
 
 
 def _gap_srbm_instance(rng, opts):
-    n = int(rng.integers(2, opts.get("n_max", 5) + 1))
-    spec = random_cbp_spec(rng, n, steps=opts.get("steps", 300))
-    level = opts.get("level") or spec.steps
+    spec = _random_spec(rng, opts, n_max=5, steps=300)
+    level = opts.get("level")  # None: both solves default to spec.steps
     cbp = simulate_cbp(spec, level=level)
     srbm = gap_srbm(spec, level)
-    times = _union_times(cbp.Z, srbm.Z)
-    gap = np.abs(cbp.Z.values_at(times) - srbm.Z.values_at(times))
+    times = np.union1d(cbp.Z.times, srbm.Z.times)
     m = _Margins()
-    m.add(gap - 0.0, times, "|Z_cbp - Z_srbm| <= tol")
+    m.add(np.abs(cbp.Z.values_at(times) - srbm.Z.values_at(times)), times,
+          "|Z_cbp - Z_srbm| <= tol")
     return m.report(opts.get("tol", 1e-8))
 
 

@@ -171,17 +171,6 @@ class ReflectionMatrix:
         np.fill_diagonal(Q, 0.0)
         return np.clip(Q, 0.0, None)
 
-    def submatrix(self, J: IndexSet) -> "ReflectionMatrix":
-        """Principal submatrix [R]_J; valid in the same class."""
-        return ReflectionMatrix(principal_submatrix(self.entries, J, J))
-
-    def to_jsonable(self) -> list[list[float]]:
-        return self.entries.tolist()
-
-    @classmethod
-    def from_jsonable(cls, obj) -> "ReflectionMatrix":
-        return cls(np.asarray(obj, dtype=float))
-
 
 def neumann_inverse(R: ReflectionMatrix, tol: float = 1e-12,
                     max_terms: int = 100_000) -> np.ndarray:

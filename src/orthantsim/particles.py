@@ -287,20 +287,19 @@ def _cp_segment(q: CollisionParams, y, i0, alpha, T):
     return times, Yr, Lr, events, cons
 
 
-def _position_identity_residual(q: CollisionParams, Y: np.ndarray,
-                                L: np.ndarray, X: np.ndarray) -> float:
+def _positions(q: CollisionParams, X: np.ndarray, L: np.ndarray) -> np.ndarray:
+    """Y = X + q+ L_{k-1,k} - q- L_{k,k+1}, with L_{0,1} = L_{N,N+1} = 0."""
     n = q.n_particles
     pad = np.zeros((L.shape[0], 1))
     Lfull = np.hstack([pad, L, pad])
-    recon = X + np.asarray(q.qplus) * Lfull[:, :n] - np.asarray(q.qminus) * Lfull[:, 1:]
-    return float(np.abs(Y - recon).max())
+    return X + np.asarray(q.qplus) * Lfull[:, :n] - np.asarray(q.qminus) * Lfull[:, 1:]
 
 
 def _cp_diagnostics(q: CollisionParams, times, Y, L, X_at) -> dict:
     X = X_at(times)
     w = alphas(q)
     return {
-        "max_identity_residual": _position_identity_residual(q, Y, L, X),
+        "max_identity_residual": float(np.abs(Y - _positions(q, X, L)).max()),
         "alpha_weight_residual": float(np.abs((Y - X) @ w).max()),
         "min_ordering_margin": float(np.diff(Y, axis=1).min()) if Y.shape[1] > 1 else 0.0,
     }
@@ -346,7 +345,7 @@ def solve_competing(q: CollisionParams, X, n: int | None = None,
     R = reflection_matrix_from_params(q)
     W = difference_path(X)
     if method == "exact":
-        sk = solve_continuous(R, W, n or len(X.times) - 1)
+        sk = solve_continuous(R, W, len(X.times) - 1 if n is None else n)
     elif method == "grid":
         sk = solve_grid_oracle(R, W, tol=tol)
     else:
@@ -355,9 +354,7 @@ def solve_competing(q: CollisionParams, X, n: int | None = None,
     Xu = X.values_at(times)
     Lu = sk.L.values_at(times)
     Zu = sk.Z.values_at(times)
-    pad = np.zeros((len(times), 1))
-    Lfull = np.hstack([pad, Lu, pad])
-    Yu = Xu + np.asarray(q.qplus) * Lfull[:, :nsys] - np.asarray(q.qminus) * Lfull[:, 1:]
+    Yu = _positions(q, Xu, Lu)
     Y = SampledPath(times, Yu)
     diag = _cp_diagnostics(q, times, Yu, Lu, lambda ts: X.values_at(ts))
     diag["gap_residual"] = float(np.abs(np.diff(Yu, axis=1) - Zu).max())
@@ -507,4 +504,4 @@ def gap_srbm(spec: CbpSpec, level: int | None = None):
                         sig[1:] * B.values[:, 1:] - sig[:-1] * B.values[:, :-1])
     return simulate_srbm(reflection_matrix_from_params(spec.q), mu, A,
                          np.diff(spec.y0), spec.horizon, spec.steps, spec.seed,
-                         method="exact", level=level or spec.steps, noise=noise)
+                         method="exact", level=level, noise=noise)

@@ -95,12 +95,6 @@ class SampledPath:
         w = ((ts - t0) / (t1 - t0))[:, None]
         return (1.0 - w) * self.values[idx] + w * self.values[idx + 1]
 
-    def component_slice(self, lo: int, hi: int) -> "SampledPath":
-        """Sub-path of components lo..hi (1-based, inclusive)."""
-        if not (1 <= lo <= hi <= self.dim):
-            raise RangeError(f"component range {lo}..{hi} invalid for dim {self.dim}")
-        return SampledPath(self.times, self.values[:, lo - 1:hi])
-
     def to_csv(self, fileobj) -> None:
         write_path_csv(fileobj, self.times, self.values,
                        [f"x{k + 1}" for k in range(self.dim)])
@@ -109,13 +103,6 @@ class SampledPath:
     def from_csv(cls, fileobj) -> "SampledPath":
         times, values = read_path_csv(fileobj)
         return cls(times, values)
-
-    def to_jsonable(self) -> dict:
-        return {"times": self.times.tolist(), "values": self.values.tolist()}
-
-    @classmethod
-    def from_jsonable(cls, obj) -> "SampledPath":
-        return cls(np.asarray(obj["times"]), np.asarray(obj["values"]))
 
 
 @dataclass(frozen=True)
@@ -190,10 +177,6 @@ class RegularPath:
         ax = np.asarray(self.axes, dtype=int)[idx] - 1
         out[np.arange(len(ts)), ax] += self.slopes[idx] * (ts - self.breakpoints[idx])
         return out
-
-    def as_sampled(self) -> SampledPath:
-        """Exact conversion: breakpoints carry the full path."""
-        return SampledPath(self.breakpoints, self.vertices)
 
     def restrict_members(self, members: tuple[int, ...]) -> "RegularPath":
         """Keep the listed components; segments moving dropped axes go idle.

@@ -397,7 +397,7 @@ def simulate_srbm(R: ReflectionMatrix, mu, A, z0, horizon: float, steps: int,
         driving = SampledPath(noise.times,
                               z0 + mu * noise.times[:, None] + noise.values)
     if method == "exact":
-        sol = solve_continuous(R, driving, level or steps)
+        sol = solve_continuous(R, driving, steps if level is None else level)
     elif method == "grid":
         sol = solve_grid_oracle(R, driving, tol=tol, max_iter=max_iter)
     else:

@@ -276,13 +276,17 @@ def test_usage_error_exits_one(capsys):
 
 # ------------------------------------------------- malformed path CSV sources
 
-@pytest.mark.parametrize("text, line", [
+@pytest.mark.parametrize("text, detail", [
     ("", "line 1"),
     ("t,x1,x2\n", "line 1"),
     ("t,x1,x2\n0,0.5,1\n0.5,1\n1,0.5,2\n", "line 3"),
     ("t,x1,x2\n0,0.5,1\n0.5,a,1\n", "line 3"),
-], ids=["empty", "header_only", "ragged_row", "non_numeric"])
-def test_solve_malformed_csv_path_exits_one(tmp_path, capsys, text, line):
+    ("t,x1\n0.5,1\n1,0.5\n", "start at 0"),
+    ("t,x1\n0,1\n0.5,0.5\n0.5,0.2\n", "strictly increasing"),
+    ("t,x1\n0,1\ninf,0.5\n", "infinite"),
+], ids=["empty", "header_only", "ragged_row", "non_numeric",
+        "late_start", "non_increasing", "non_finite"])
+def test_solve_malformed_csv_path_exits_one(tmp_path, capsys, text, detail):
     (tmp_path / "path.csv").write_text(text)
     cfg = write_config(tmp_path, {"matrix": [[1.0, -0.4], [-0.3, 1.0]],
                                   "path": {"kind": "csv", "file": "path.csv"}})
@@ -291,7 +295,7 @@ def test_solve_malformed_csv_path_exits_one(tmp_path, capsys, text, line):
     assert code == 1
     error = json.loads(err)
     assert error["error"] == "config"
-    assert "path.csv" in error["message"] and line in error["message"]
+    assert "path.csv" in error["message"] and detail in error["message"]
 
 
 # ------------------------------------------------------ positive overrides
@@ -305,3 +309,14 @@ def test_zero_override_is_rejected(tmp_path, capsys, flag):
                        "--out", str(tmp_path / "run"), flag, "0")
     assert code == 1
     assert flag in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize("name", ["level", "tol"])
+def test_zero_config_value_is_rejected(tmp_path, capsys, name):
+    cfg = write_config(tmp_path, {
+        "matrix": [[1.0]], "mu": [0.0], "covariance": [[1.0]], "z0": [0.5],
+        "horizon": 1.0, "steps": 10, "seed": 1, name: 0})
+    code, _, err = run(capsys, "simulate-srbm", "--config", cfg,
+                       "--out", str(tmp_path / "run"))
+    assert code == 1
+    assert repr(name) in json.loads(err)["message"]

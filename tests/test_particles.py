@@ -14,6 +14,7 @@ from orthantsim.particles import (
     alphas,
     driving_path_for,
     gap_drift_and_covariance,
+    gap_srbm,
     invert_system,
     reflection_matrix_from_params,
     simulate_cbp,
@@ -489,6 +490,14 @@ def test_subsystem_two_sided_shares_noise():
 def test_subsystem_bad_range():
     with pytest.raises(RangeError):
         subsystem_spec(spec_for(n=3), 2, 2)
+
+
+def test_zero_level_is_not_unset():
+    spec = spec_for(n=3)
+    with pytest.raises(ParameterError, match="level"):
+        simulate_cbp(spec, level=0)
+    with pytest.raises(ParameterError, match="level"):
+        gap_srbm(spec, 0)
 
 
 def test_cbp_spec_roundtrip():

@@ -387,6 +387,12 @@ def test_srbm_rejects_bad_start():
         simulate_srbm(R_HALF, [0.0, 0.0], np.eye(2), [-1.0, 0.0], 1.0, 10, 0)
 
 
+def test_srbm_zero_level_is_not_unset():
+    with pytest.raises(ParameterError, match="level"):
+        simulate_srbm(R_HALF, [0.0, 0.0], np.eye(2), [1.0, 1.0], 1.0, 10, 0,
+                      level=0)
+
+
 # ------------------------------------------------------------------- exports
 
 def test_csv_and_events_export():
