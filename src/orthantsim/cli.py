@@ -88,6 +88,14 @@ def _option(args, cfg: dict, name: str, default=None):
     return value
 
 
+def _method(args, cfg: dict) -> str:
+    """``--method`` if given, else the config's ``"method"`` (default exact)."""
+    method = args.method or cfg.get("method", "exact")
+    if method not in ("exact", "grid"):
+        raise ConfigError(f"config 'method' must be 'exact' or 'grid', got {method!r}")
+    return method
+
+
 def _load_path(cfg, base: Path):
     if not isinstance(cfg, dict) or "kind" not in cfg:
         raise ConfigError("path source needs a 'kind' field")
@@ -154,7 +162,7 @@ def _write_solution(sol, out: Path, stem: str) -> dict:
 def cmd_solve(cfg: dict, args) -> int:
     """Solve one Skorohod or competing-particle problem and export it."""
     out = _out_dir(cfg, args)
-    method = args.method or cfg.get("method", "exact")
+    method = _method(args, cfg)
     level = _option(args, cfg, "level")
     tol = _option(args, cfg, "tol", 1e-8)
     path = _load_path(cfg.get("path"), Path(args.config).parent)
@@ -183,9 +191,7 @@ def cmd_solve(cfg: dict, args) -> int:
         summary["final_l"] = sol.final_boundary_terms.tolist()
     elif "collision_params" in cfg:
         q = CollisionParams.from_jsonable(cfg["collision_params"])
-        sol = solve_competing(q, path, n=level,
-                              method="exact" if method == "exact" else "grid",
-                              tol=tol)
+        sol = solve_competing(q, path, n=level, method=method, tol=tol)
         summary["files"] = _write_solution(sol, out, "particles")
         summary["final_l"] = sol.final_collision_terms.tolist()
     else:
@@ -207,7 +213,7 @@ def cmd_simulate_srbm(cfg: dict, args) -> int:
         float(cfg["horizon"]),
         int(cfg["steps"]),
         int(args.seed if args.seed is not None else cfg["seed"]),
-        method=args.method or cfg.get("method", "exact"),
+        method=_method(args, cfg),
         level=_option(args, cfg, "level"),
         tol=_option(args, cfg, "tol", 1e-8),
     )
@@ -224,8 +230,7 @@ def cmd_simulate_cbp(cfg: dict, args) -> int:
         spec_cfg["seed"] = args.seed
     spec = CbpSpec.from_jsonable(spec_cfg)
     level = _option(args, cfg, "level")
-    sol = simulate_cbp(spec, method=args.method or cfg.get("method", "exact"),
-                       level=level)
+    sol = simulate_cbp(spec, method=_method(args, cfg), level=level)
     files = _write_solution(sol, out, "cbp")
     summary = {"files": files, "phases": len(sol.events) + 1,
                "final_l": sol.final_collision_terms.tolist()}
@@ -267,9 +272,10 @@ def cmd_verify(cfg: dict, args) -> int:
     for entry in suites:
         if not isinstance(entry, dict) or "name" not in entry:
             raise ConfigError("each suite entry needs a 'name'")
-        opts = {k: v for k, v in entry.items() if k not in ("name", "instances")}
+        opts = {k: v for k, v in entry.items()
+                if k not in ("name", "instances", "tol", "level")}
         for name in ("tol", "level"):
-            value = _option(args, {}, name)
+            value = _option(args, entry, name)
             if value is not None:
                 opts[name] = value
         res = comparison.run_suite(entry["name"],

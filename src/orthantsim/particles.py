@@ -201,13 +201,12 @@ def _block_phases(qp, qm, y, i0, a, T):
     The moving block {i, ..., k} travels at the common speed a / S with
     S = 1 + q-_i/q+_{i+1} + ...; collision slopes inside the block come from
     the triangular system read off the defining equations.  Particles below
-    rank i stay idle even when initially tied with it.
+    rank i stay idle even when initially tied with it.  Returns the phase
+    ends (times, Y rows, L rows; the start row y is not repeated), events
+    as (tau, block before, block after) and the block consistency residual.
     """
     n = len(y)
-    times = [0.0]
-    Yr = [y.copy()]
-    Lr = [np.zeros(n - 1)]
-    events: list[PhaseEvent] = []
+    times, Yr, Lr, events = [], [], [], []
     y = y.copy()
     l = np.zeros(n - 1)
     t = 0.0
@@ -240,16 +239,15 @@ def _block_phases(qp, qm, y, i0, a, T):
             dt_hit = np.inf
         t_next = min(t + dt_hit, T)
         dt = t_next - t
-        y = y.copy()
         y[i0:k + 1] += beta * dt
-        l = l + lam * dt
+        l += lam * dt
         if t_next < T:
             y[i0:k + 1] = y[k + 1]  # snap the collision exactly
             before = tuple(range(i0 + 1, k + 2))
             k += 1
             while k + 1 < n and y[k + 1] == y[i0]:
                 k += 1
-            events.append(PhaseEvent(t_next, before, tuple(range(i0 + 1, k + 2))))
+            events.append((t_next, before, tuple(range(i0 + 1, k + 2))))
         times.append(t_next)
         Yr.append(y.copy())
         Lr.append(l.copy())
@@ -257,34 +255,28 @@ def _block_phases(qp, qm, y, i0, a, T):
     return times, Yr, Lr, events, consistency
 
 
-def _cp_segment(q: CollisionParams, y, i0, alpha, T):
+def _cp_segment(shares, mirrored, y, i0, alpha, T):
     """One linear segment of competing-particle dynamics, any slope sign.
 
-    Negative slopes reduce to positive ones through the negate-and-reverse
-    map; the resulting phases are mapped back onto the original ranks.
+    ``shares`` is the (q+, q-) array pair of the system and ``mirrored`` that
+    of its rank-reversed system (the values of ``invert_system``).  Negative
+    slopes reduce to positive ones through the negate-and-reverse map; the
+    resulting phases are mapped back onto the original ranks.
     """
-    n = q.n_particles
+    n = len(y)
     if alpha == 0.0:
-        return ([0.0, T], [y.copy(), y.copy()],
-                [np.zeros(n - 1), np.zeros(n - 1)], [], 0.0)
+        return [T], [y.copy()], [np.zeros(n - 1)], [], 0.0
     if alpha > 0.0:
-        return _block_phases(np.asarray(q.qplus), np.asarray(q.qminus),
-                             y, i0, alpha, T)
-    qt = invert_system(q)
-    y_rev = (-y)[::-1].copy()
-    times, Yr, Lr, events, cons = _block_phases(
-        np.asarray(qt.qplus), np.asarray(qt.qminus),
-        y_rev, n - 1 - i0, -alpha, T,
-    )
-    Yr = [(-row)[::-1] for row in Yr]
-    Lr = [row[::-1].copy() for row in Lr]
-    events = [
-        PhaseEvent(e.tau,
-                   tuple(sorted(n - r + 1 for r in e.active_before)),
-                   tuple(sorted(n - r + 1 for r in e.active_after)))
-        for e in events
-    ]
-    return times, Yr, Lr, events, cons
+        return _block_phases(*shares, y, i0, alpha, T)
+    times, Yr, Lr, events, cons = _block_phases(*mirrored, (-y)[::-1],
+                                                n - 1 - i0, -alpha, T)
+
+    def flip(ranks):
+        return tuple(sorted(n - r + 1 for r in ranks))
+
+    return (times, [(-row)[::-1] for row in Yr], [row[::-1] for row in Lr],
+            [(tau, flip(before), flip(after)) for tau, before, after in events],
+            cons)
 
 
 def _positions(q: CollisionParams, X: np.ndarray, L: np.ndarray) -> np.ndarray:
@@ -295,12 +287,10 @@ def _positions(q: CollisionParams, X: np.ndarray, L: np.ndarray) -> np.ndarray:
     return X + np.asarray(q.qplus) * Lfull[:, :n] - np.asarray(q.qminus) * Lfull[:, 1:]
 
 
-def _cp_diagnostics(q: CollisionParams, times, Y, L, X_at) -> dict:
-    X = X_at(times)
-    w = alphas(q)
+def _cp_diagnostics(q: CollisionParams, Y, X, identity_residual) -> dict:
     return {
-        "max_identity_residual": float(np.abs(Y - _positions(q, X, L)).max()),
-        "alpha_weight_residual": float(np.abs((Y - X) @ w).max()),
+        "max_identity_residual": float(identity_residual),
+        "alpha_weight_residual": float(np.abs((Y - X) @ alphas(q)).max()),
         "min_ordering_margin": float(np.diff(Y, axis=1).min()) if Y.shape[1] > 1 else 0.0,
     }
 
@@ -356,7 +346,9 @@ def solve_competing(q: CollisionParams, X, n: int | None = None,
     Zu = sk.Z.values_at(times)
     Yu = _positions(q, Xu, Lu)
     Y = SampledPath(times, Yu)
-    diag = _cp_diagnostics(q, times, Yu, Lu, lambda ts: X.values_at(ts))
+    # Yu satisfies the position identity by construction, so report the gap
+    # solve's own Z - W - RL residual
+    diag = _cp_diagnostics(q, Yu, Xu, sk.diagnostics["max_identity_residual"])
     diag["gap_residual"] = float(np.abs(np.diff(Yu, axis=1) - Zu).max())
     diag["method"] = f"gap-{method}"
     diag.update({k: sk.diagnostics[k] for k in ("iterations", "level")
@@ -371,10 +363,13 @@ def _solve_competing_regular(q: CollisionParams, X: RegularPath) -> ParticleSyst
         raise DimensionError("driver dimension must match the particle count")
     y0 = _check_w_point(X.start, n)
     consistency = 0.0
+    shares = (np.asarray(q.qplus), np.asarray(q.qminus))
+    mirrored = (shares[1][::-1], shares[0][::-1])
 
     def segment(y, i0, slope, dur):
         nonlocal consistency
-        seg_t, seg_Y, seg_L, seg_events, cons = _cp_segment(q, y, i0, slope, dur)
+        seg_t, seg_Y, seg_L, seg_events, cons = _cp_segment(shares, mirrored, y,
+                                                            i0, slope, dur)
         consistency = max(consistency, cons)
         return seg_t, seg_Y, seg_L, seg_events
 
@@ -382,7 +377,9 @@ def _solve_competing_regular(q: CollisionParams, X: RegularPath) -> ParticleSyst
     Y = SampledPath(tall, Yall)
     L = SampledPath(tall, Lall)
     Z = SampledPath(tall, np.diff(Yall, axis=1))
-    diag = _cp_diagnostics(q, tall, Yall, Lall, X.values_at)
+    Xv = X.values_at(tall)
+    diag = _cp_diagnostics(q, Yall, Xv,
+                           np.abs(Yall - _positions(q, Xv, Lall)).max())
     diag["block_consistency_residual"] = consistency
     diag["method"] = "regular-exact"
     return ParticleSystemSolution(Y, L, Z, events, diag)

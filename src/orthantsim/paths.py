@@ -154,11 +154,18 @@ class RegularPath:
 
     @cached_property
     def vertices(self) -> np.ndarray:
-        """Path values at the breakpoints, shape (segments + 1, dim)."""
-        out = np.tile(self.start, (len(self.breakpoints), 1))
-        deltas = self.slopes * np.diff(self.breakpoints)
-        for k, (axis, d) in enumerate(zip(self.axes, deltas)):
-            out[k + 1:, axis - 1] += d
+        """Path values at the breakpoints, shape (segments + 1, dim).
+
+        One running sum over a step table: row 0 is the start, row k + 1
+        moves segment k's axis.  The other entries are -0.0, which leaves
+        every value (a -0.0 start coordinate included) bit for bit as is.
+        """
+        m = len(self.axes)
+        steps = np.full((m + 1, self.dim), -0.0)
+        steps[0] = self.start
+        steps[np.arange(1, m + 1), np.asarray(self.axes) - 1] = (
+            self.slopes * np.diff(self.breakpoints))
+        out = np.cumsum(steps, axis=0)
         out.setflags(write=False)
         return out
 

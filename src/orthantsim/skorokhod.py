@@ -33,6 +33,11 @@ from .paths import RegularPath, SampledPath, sample_brownian, BrownianSpec
 from .paths import standard_regular_approximation, write_path_csv
 
 HIT_TIE_RTOL = 1e-12
+# The boundary rates u = [R]_J^{-1} [e_i]_J come from a block of R with unit
+# diagonal, so they carry no units and a fixed floor needs no scale.
+NEGATIVE_RATE_TOL = 1e-9
+# Grid oracle iterates must not decrease by more than this times max |X|.
+GRID_MONOTONE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -89,60 +94,44 @@ def _check_start(x: np.ndarray, d: int) -> np.ndarray:
     return x
 
 
+def _members(mask: np.ndarray) -> tuple[int, ...]:
+    return tuple(int(j) + 1 for j in np.flatnonzero(mask))
+
+
 def _segment_arrays(Rm: np.ndarray, x: np.ndarray, i0: int, alpha: float,
                     T: float):
-    """Exact single-segment solve; returns vertex arrays, events, idle flags.
+    """Exact single-segment solve; returns phase ends, events, idle flags.
 
     Driving path is x + alpha*e_i*t on [0, T].  For alpha >= 0 the path never
     leaves the orthant and (Z, L) = (X, 0).  For alpha < 0 the active set J
     of components pinned at the boundary only grows; within a phase the
     boundary terms grow linearly at rate |alpha| [R]_J^{-1} [e_i]_J and the
     free components decrease linearly, until the first of them hits zero.
+    Times, Z rows and L rows are those at the end of each phase (the start
+    row x is not repeated); events are (tau, active before, active after).
     """
-    d = Rm.shape[0]
-    if alpha >= 0.0:
-        z_end = x.copy()
-        z_end[i0] += alpha * T
-        times = [0.0, T]
-        Zr = [x.copy(), z_end]
-        Lr = [np.zeros(d), np.zeros(d)]
-        return times, Zr, Lr, [], []
+    z = x.copy()
+    l = np.zeros(Rm.shape[0])
+    if alpha >= 0.0 or (z[i0] > 0.0 and z[i0] / -alpha >= T):
+        z[i0] += alpha * T
+        return [T], [z], [l], [], []
 
     a = -alpha
-    times = [0.0]
-    Zr = [x.copy()]
-    Lr = [np.zeros(d)]
-    events: list[PhaseEvent] = []
-    idle: list[int] = []
-    z = x.copy()
-    l = np.zeros(d)
+    times, Zr, Lr, events, idle = [], [], [], [], []
     t = 0.0
-
-    def members(mask: np.ndarray) -> tuple[int, ...]:
-        return tuple(int(j) + 1 for j in np.flatnonzero(mask))
-
     if z[i0] > 0.0:
-        t_hit = z[i0] / a
-        if t_hit >= T:
-            z_end = z.copy()
-            z_end[i0] += alpha * T
-            times.append(T)
-            Zr.append(z_end)
-            Lr.append(l.copy())
-            return times, Zr, Lr, events, idle
-        before = members(z == 0.0)
-        z = z.copy()
+        t = z[i0] / a
+        before = _members(z == 0.0)
         z[i0] = 0.0
-        t = t_hit
         times.append(t)
         Zr.append(z.copy())
         Lr.append(l.copy())
-        events.append(PhaseEvent(t, before, members(z == 0.0)))
+        events.append((t, before, _members(z == 0.0)))
 
     guard = 0
     while t < T:
         guard += 1
-        if guard > d + 2:
+        if guard > Rm.shape[0] + 2:
             raise ConvergenceError("phase loop exceeded the d+1 bound",
                                    details={"t": t, "z": z.tolist()})
         on = z == 0.0
@@ -152,7 +141,7 @@ def _segment_arrays(Rm: np.ndarray, x: np.ndarray, i0: int, alpha: float,
         ei[np.searchsorted(J, i0)] = 1.0
         u = np.linalg.solve(Rm[np.ix_(J, J)], ei)
         # [R]_J^{-1}[e_i]_J >= 0 in exact arithmetic; clip roundoff dust
-        if u.min() < -1e-9:
+        if u.min() < -NEGATIVE_RATE_TOL:
             raise ConvergenceError("negative boundary rate from M-matrix solve",
                                    details={"u": u.tolist()})
         u = np.maximum(u, 0.0)
@@ -172,15 +161,13 @@ def _segment_arrays(Rm: np.ndarray, x: np.ndarray, i0: int, alpha: float,
             dt_min = np.inf
         t_next = min(t + dt_min, T)
         dt = t_next - t
-        z = z.copy()
         if len(Jc):
             z[Jc] = np.maximum(z[Jc] + zslope * dt, 0.0)
-        l = l.copy()
         l[J] += lam * dt
         if t_next < T:
             hitters = Jc[falling][dts <= dt_min * (1.0 + HIT_TIE_RTOL)]
             z[hitters] = 0.0
-            events.append(PhaseEvent(t_next, members(on), members(z == 0.0)))
+            events.append((t_next, _members(on), _members(z == 0.0)))
         times.append(t_next)
         Zr.append(z.copy())
         Lr.append(l.copy())
@@ -189,12 +176,11 @@ def _segment_arrays(Rm: np.ndarray, x: np.ndarray, i0: int, alpha: float,
 
 
 def solve_linear_segment(R: ReflectionMatrix, x, i: int, alpha: float,
-                         T: float, active0=None) -> SkorokhodSolution:
+                         T: float) -> SkorokhodSolution:
     """Exact Skorohod solution for the driving path x + alpha*e_i*t on [0, T].
 
-    ``i`` is 1-based.  ``active0``, when given, must agree with the boundary
-    set read off from x (all components equal to zero); it is accepted for
-    restart plumbing and validated, never trusted over x.
+    ``i`` is 1-based; the boundary set is read off from x (the components
+    equal to zero).
     """
     d = R.dim
     x = _check_start(x, d)
@@ -202,13 +188,6 @@ def solve_linear_segment(R: ReflectionMatrix, x, i: int, alpha: float,
         raise ParameterError(f"axis index {i} out of 1..{d}")
     if T <= 0:
         raise ParameterError("horizon T must be positive")
-    if active0 is not None:
-        zero = {int(j) + 1 for j in np.flatnonzero(x == 0.0)}
-        extra = set(int(j) for j in active0) - zero
-        if extra:
-            raise DomainError(
-                f"active0 members {sorted(extra)} have nonzero coordinates"
-            )
     sol = solve_regular(R, RegularPath(x, [0.0, T], (i,), [alpha]))
     sol.diagnostics["phases"] = len(sol.events) + 1
     return sol
@@ -218,32 +197,27 @@ def _stitch(X: RegularPath, row0: np.ndarray, width: int, segment):
     """Chain single-segment solves along X's pieces by memoryless restart.
 
     ``segment(row, axis0, slope, duration)`` solves one piece from the state
-    ``row`` and returns (times, rows, boundary rows, events), all from 0; the
-    pieces are shifted and joined into the same four outputs for all of X.
+    ``row`` and returns its phase ends (times, rows, boundary rows) and its
+    events (tau, before, after), all local to the piece; they are shifted
+    and joined into the times, rows, boundary rows and events of all of X.
     """
-    times = [np.asarray([0.0])]
-    rows = [row0[None, :].copy()]
-    Lrows = [np.zeros((1, width))]
+    bp = X.breakpoints.tolist()
+    times = [0.0]
+    rows = [row0]
+    Lrows = [np.zeros(width)]
     events: list[PhaseEvent] = []
-    row = row0
-    l_offset = np.zeros(width)
-    for k, (axis, slope, dur) in enumerate(zip(X.axes, X.slopes,
-                                               np.diff(X.breakpoints))):
-        t_offset = float(X.breakpoints[k])
-        seg_t, seg_rows, seg_L, seg_events = segment(row, axis - 1, float(slope),
-                                                     float(dur))
-        seg_rows = np.asarray(seg_rows)
-        seg_L = np.asarray(seg_L)
-        shifted = t_offset + np.asarray(seg_t)[1:]
-        shifted[-1] = X.breakpoints[k + 1]  # kill accumulated rounding
-        times.append(shifted)
-        rows.append(seg_rows[1:])
-        Lrows.append(l_offset + seg_L[1:])
-        events.extend(PhaseEvent(t_offset + e.tau, e.active_before, e.active_after)
-                      for e in seg_events)
-        row = seg_rows[-1]
-        l_offset = l_offset + seg_L[-1]
-    return np.concatenate(times), np.vstack(rows), np.vstack(Lrows), tuple(events)
+    for k, (axis, slope) in enumerate(zip(X.axes, X.slopes.tolist())):
+        t0 = bp[k]
+        seg_t, seg_rows, seg_L, seg_events = segment(rows[-1], axis - 1, slope,
+                                                     bp[k + 1] - t0)
+        l_offset = Lrows[-1]
+        times.extend(t0 + t for t in seg_t)
+        times[-1] = bp[k + 1]  # kill accumulated rounding
+        rows.extend(seg_rows)
+        Lrows.extend(l_offset + l for l in seg_L)
+        events.extend(PhaseEvent(t0 + tau, before, after)
+                      for tau, before, after in seg_events)
+    return np.array(times), np.array(rows), np.array(Lrows), tuple(events)
 
 
 def _solution_diagnostics(R: ReflectionMatrix, Z: SampledPath, L: SampledPath,
@@ -311,7 +285,7 @@ def solve_grid_oracle(R: ReflectionMatrix, X: SampledPath, tol: float = 1e-8,
         np.maximum(G, 0.0, out=G)
         diff = G - L
         delta = float(np.abs(diff).max())
-        if diff.min() < -1e-12 * scale:
+        if diff.min() < -GRID_MONOTONE_RTOL * scale:
             monotone = False
         L = G
         sup_changes.append(delta)

@@ -320,3 +320,45 @@ def test_zero_config_value_is_rejected(tmp_path, capsys, name):
                        "--out", str(tmp_path / "run"))
     assert code == 1
     assert repr(name) in json.loads(err)["message"]
+
+
+METHOD_CONFIGS = {
+    "solve": {
+        "matrix": [[1.0]],
+        "path": {"kind": "regular", "start": [1.0],
+                 "breakpoints": [0.0, 2.0], "axes": [1], "slopes": [-1.0]}},
+    "simulate-srbm": {
+        "matrix": [[1.0]], "mu": [0.0], "covariance": [[1.0]], "z0": [0.5],
+        "horizon": 1.0, "steps": 10, "seed": 1},
+    "simulate-cbp": {"cbp": {
+        "g": [0.0, 0.0], "sigma2": [1.0, 1.0], "q": {"symmetric": 2},
+        "y0": [0.0, 0.1], "horizon": 1.0, "steps": 10, "seed": 1}},
+}
+
+
+@pytest.mark.parametrize("command", sorted(METHOD_CONFIGS))
+def test_unknown_config_method_is_rejected(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, dict(METHOD_CONFIGS[command], method="bogus"))
+    code, out, err = run(capsys, command, "--config", cfg,
+                         "--out", str(tmp_path / "run"))
+    assert code == 1
+    assert out == ""
+    assert "'method'" in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize("command", sorted(METHOD_CONFIGS))
+def test_config_method_grid_is_accepted(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, dict(METHOD_CONFIGS[command], method="grid"))
+    code, _, _ = run(capsys, command, "--config", cfg,
+                     "--out", str(tmp_path / "run"))
+    assert code == 0
+
+
+@pytest.mark.parametrize("name", ["level", "tol"])
+def test_zero_suite_entry_value_is_rejected(tmp_path, capsys, name):
+    cfg = write_config(tmp_path, {"suites": [
+        {"name": "initial_shift", "instances": 1, "steps": 50, name: 0}]})
+    code, out, err = run(capsys, "verify", "--config", cfg)
+    assert code == 1
+    assert out == ""
+    assert repr(name) in json.loads(err)["message"]

@@ -23,8 +23,19 @@ from orthantsim.particles import (
     subsystem_spec,
     write_solution,
 )
-from orthantsim.paths import RegularPath, SampledPath, brownian_components
-from orthantsim.skorokhod import simulate_srbm, solve_grid_oracle, solve_regular
+from orthantsim.comparison import random_cbp_spec
+from orthantsim.paths import (
+    RegularPath,
+    SampledPath,
+    brownian_components,
+    difference_path,
+)
+from orthantsim.skorokhod import (
+    simulate_srbm,
+    solve_continuous,
+    solve_grid_oracle,
+    solve_regular,
+)
 
 
 def single_axis_path(y0, i, alpha, T):
@@ -514,3 +525,16 @@ def test_particle_csv_layout():
     write_solution(sol, buf, ev)
     assert buf.getvalue().splitlines()[0] == "t,y1,y2,y3,l12,l23,z1,z2"
     json.loads(ev.getvalue())
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_sampled_route_reports_the_gap_solve_residual(seed):
+    # positions are rebuilt from L by the identity itself, so the residual
+    # that says something is the gap Skorohod solve's own Z - W - RL
+    spec = random_cbp_spec(np.random.default_rng(seed), 4, steps=200)
+    sol = simulate_cbp(spec)
+    gap = solve_continuous(reflection_matrix_from_params(spec.q),
+                           difference_path(driving_path_for(spec)), spec.steps)
+    residual = gap.diagnostics["max_identity_residual"]
+    assert residual > 0.0
+    assert sol.diagnostics["max_identity_residual"] == residual

@@ -358,3 +358,39 @@ def test_brownian_spec_roundtrip():
     assert back.dim == spec.dim and back.seed == spec.seed
     assert np.array_equal(back.drift, spec.drift)
     assert np.array_equal(back.covariance, spec.covariance)
+
+
+def running_sum_vertices(X):
+    """Breakpoint values built one segment at a time."""
+    rows = [X.start.copy()]
+    for axis, slope, dur in zip(X.axes, X.slopes, np.diff(X.breakpoints)):
+        row = rows[-1].copy()
+        row[axis - 1] += slope * dur
+        rows.append(row)
+    return np.array(rows)
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+    assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("d, m", [(1, 50), (2, 1000), (5, 3000), (10, 10_000)])
+def test_vertices_match_a_running_sum(d, m):
+    rng = np.random.default_rng(d * 1000 + m)
+    X = RegularPath(rng.uniform(0.0, 2.0, d),
+                    np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 0.1, m))]),
+                    tuple(rng.integers(1, d + 1, m)), rng.normal(0.0, 3.0, m))
+    assert_same_bits(X.vertices, running_sum_vertices(X))
+
+
+@pytest.mark.parametrize("start, slopes", [
+    ([-0.0, 1.0, 0.0], [1.0, -2.0, 0.5]),    # -0.0 start on a moved axis
+    ([1.0, -0.0, 0.0], [1.0, -0.0, 0.5]),    # -0.0 start never moved
+    ([0.0, 1.0, -0.0], [-0.0, -0.0, -0.0]),  # -0.0 slopes
+    ([-0.0, -0.0, -0.0], [0.0, -0.0, 0.0]),
+])
+def test_vertices_keep_signed_zeros(start, slopes):
+    X = RegularPath(start, [0.0, 1.0, 2.5, 3.0], (1, 2, 1), slopes)
+    assert_same_bits(X.vertices, running_sum_vertices(X))

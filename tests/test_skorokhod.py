@@ -95,13 +95,6 @@ def test_bad_axis_rejected():
         solve_linear_segment(R_HALF, [0.0, 0.0], 3, -1.0, 1.0)
 
 
-def test_active0_must_match_boundary():
-    with pytest.raises(DomainError):
-        solve_linear_segment(R_HALF, [0.0, 1.0], 1, -1.0, 1.0, active0=(2,))
-    sol = solve_linear_segment(R_HALF, [0.0, 1.0], 1, -1.0, 1.0, active0=(1,))
-    assert sol.diagnostics["phases"] >= 1
-
-
 def test_within_phase_monotonicity():
     # alpha < 0 from the boundary: L nondecreasing, Z nonincreasing
     rng = np.random.default_rng(2)
