@@ -21,7 +21,7 @@ from .errors import (
     ConvergenceError,
     OrthantSimError,
 )
-from .mmatrix import ReflectionMatrix, validate_reflection_m_matrix
+from .mmatrix import RADIUS_MARGIN, ReflectionMatrix, validate_reflection_m_matrix
 from .paths import (
     BrownianSpec,
     RegularPath,
@@ -38,10 +38,9 @@ from .particles import (
     solve_competing,
 )
 from .skorokhod import (
+    GRID_TOL,
     simulate_srbm,
-    solve_continuous,
-    solve_grid_oracle,
-    solve_regular,
+    solve,
     write_solution,
 )
 
@@ -78,7 +77,7 @@ def _option(args, cfg: dict, name: str, default=None):
     A given flag or config value must be positive: 0 is rejected, not read
     as "unset".
     """
-    value, source = getattr(args, name), f"--{name}"
+    value, source = getattr(args, name, None), f"--{name}"
     if value is None:
         value, source = cfg.get(name), f"config {name!r}"
     if value is None:
@@ -124,7 +123,7 @@ def cmd_validate(cfg: dict, args) -> int:
         raise ConfigError("config needs 'matrix' and/or 'collision_params'")
     if "matrix" in cfg:
         res = validate_reflection_m_matrix(np.asarray(cfg["matrix"], dtype=float),
-                                           tol=_option(args, {}, "tol", 1e-8))
+                                           tol=_option(args, {}, "tol", RADIUS_MARGIN))
         report["matrix"] = {
             "accepted": res.accepted,
             "reason": res.reason,
@@ -164,26 +163,22 @@ def cmd_solve(cfg: dict, args) -> int:
     out = _out_dir(cfg, args)
     method = _method(args, cfg)
     level = _option(args, cfg, "level")
-    tol = _option(args, cfg, "tol", 1e-8)
+    tol = _option(args, cfg, "tol", GRID_TOL)
     path = _load_path(cfg.get("path"), Path(args.config).parent)
     summary = {"method": method}
+    # the grid oracle needs a sampled path: sample a regular one on a grid
+    regrid = path
+    grid_points = int(cfg.get("grid_points", 2000))
+    if isinstance(path, RegularPath):
+        grid = np.linspace(0.0, path.horizon, grid_points + 1)
+        regrid = SampledPath(grid, path.values_at(grid))
+    driver = regrid if method == "grid" else path
 
     if "matrix" in cfg:
         R = ReflectionMatrix(np.asarray(cfg["matrix"], dtype=float))
-        grid_points = int(cfg.get("grid_points", 2000))
-        if isinstance(path, RegularPath):
-            grid = np.linspace(0.0, path.horizon, grid_points + 1)
-            regrid = SampledPath(grid, path.values_at(grid))
-            sol = (solve_regular(R, path) if method == "exact"
-                   else solve_grid_oracle(R, regrid, tol=tol))
-        else:
-            regrid = path
-            sol = (solve_continuous(R, path,
-                                    len(path.times) - 1 if level is None else level)
-                   if method == "exact"
-                   else solve_grid_oracle(R, path, tol=tol))
+        sol = solve(R, driver, method, level, tol)
         if cfg.get("compare_methods"):
-            other = solve_grid_oracle(R, regrid, tol=tol)
+            other = solve(R, regrid, "grid", tol=tol)
             ts = other.Z.times
             summary["sup_difference"] = float(
                 np.abs(sol.Z.values_at(ts) - other.Z.values).max())
@@ -191,7 +186,7 @@ def cmd_solve(cfg: dict, args) -> int:
         summary["final_l"] = sol.final_boundary_terms.tolist()
     elif "collision_params" in cfg:
         q = CollisionParams.from_jsonable(cfg["collision_params"])
-        sol = solve_competing(q, path, n=level, method=method, tol=tol)
+        sol = solve_competing(q, driver, n=level, method=method, tol=tol)
         summary["files"] = _write_solution(sol, out, "particles")
         summary["final_l"] = sol.final_collision_terms.tolist()
     else:
@@ -215,7 +210,7 @@ def cmd_simulate_srbm(cfg: dict, args) -> int:
         int(args.seed if args.seed is not None else cfg["seed"]),
         method=_method(args, cfg),
         level=_option(args, cfg, "level"),
-        tol=_option(args, cfg, "tol", 1e-8),
+        tol=_option(args, cfg, "tol", GRID_TOL),
     )
     files = _write_solution(sol, out, "srbm")
     _emit({"files": files, "phases": len(sol.events) + 1,
@@ -230,7 +225,8 @@ def cmd_simulate_cbp(cfg: dict, args) -> int:
         spec_cfg["seed"] = args.seed
     spec = CbpSpec.from_jsonable(spec_cfg)
     level = _option(args, cfg, "level")
-    sol = simulate_cbp(spec, method=_method(args, cfg), level=level)
+    sol = simulate_cbp(spec, _method(args, cfg), level,
+                       _option(args, cfg, "tol", GRID_TOL))
     files = _write_solution(sol, out, "cbp")
     summary = {"files": files, "phases": len(sol.events) + 1,
                "final_l": sol.final_collision_terms.tolist()}
@@ -278,9 +274,10 @@ def cmd_verify(cfg: dict, args) -> int:
             value = _option(args, entry, name)
             if value is not None:
                 opts[name] = value
-        res = comparison.run_suite(entry["name"],
-                                   int(entry.get("instances", 1)),
-                                   seed, **opts)
+        instances = int(entry.get("instances", 1))
+        if instances < 1:
+            raise ConfigError(f"suite 'instances' must be >= 1, got {instances}")
+        res = comparison.run_suite(entry["name"], instances, seed, **opts)
         results.append(res.to_jsonable())
         all_passed &= res.passed
     report = {"passed": all_passed, "seed": seed, "suites": results}
@@ -302,11 +299,8 @@ def _build_parser() -> _Parser:
     for name, fn in COMMANDS.items():
         p = sub.add_parser(name, help=fn.__doc__)
         p.add_argument("--config", required=True, help="JSON config file")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", default=None, help="output directory/file")
-        p.add_argument("--method", choices=["exact", "grid"], default=None)
-        p.add_argument("--level", type=int, default=None)
-        p.add_argument("--tol", type=float, default=None)
+        for flag in COMMAND_FLAGS[name]:
+            p.add_argument(f"--{flag}", **FLAGS[flag])
     return parser
 
 
@@ -317,6 +311,20 @@ COMMANDS = {
     "simulate-cbp": cmd_simulate_cbp,
     "approximate": cmd_approximate,
     "verify": cmd_verify,
+}
+
+# flag -> argparse options; each command takes only the flags it reads, and
+# any other flag exits 1
+FLAGS = {"seed": {"type": int}, "out": {"help": "output directory/file"},
+         "method": {"choices": ["exact", "grid"]}, "level": {"type": int},
+         "tol": {"type": float}}
+COMMAND_FLAGS = {
+    "validate": ("tol",),
+    "solve": ("out", "method", "level", "tol"),
+    "simulate-srbm": ("seed", "out", "method", "level", "tol"),
+    "simulate-cbp": ("seed", "out", "method", "level", "tol"),
+    "approximate": ("out", "level"),
+    "verify": ("seed", "out", "level", "tol"),
 }
 
 

@@ -36,8 +36,10 @@ from .particles import (
     subsystem_spec,
 )
 from .skorokhod import (
+    GRID_TOL,
     SkorokhodSolution,
-    solve_grid_oracle,
+    solve,
+    solve_continuous,
     solve_regular,
 )
 
@@ -169,8 +171,7 @@ def _coupled_route(X, Xbar) -> str:
 
 
 def check_skorokhod_comparison(R: ReflectionMatrix, Rbar: ReflectionMatrix,
-                               X, Xbar, tol: float | None = None,
-                               grid_tol: float = 1e-8) -> ComparisonReport:
+                               X, Xbar, tol: float | None = None) -> ComparisonReport:
     """Coupled monotonicity of the Skorohod solution and boundary terms.
 
     Hypotheses: R <= Rbar entrywise (both in the M-matrix class), starts in
@@ -189,23 +190,17 @@ def check_skorokhod_comparison(R: ReflectionMatrix, Rbar: ReflectionMatrix,
              "both drivers must start in the orthant")
 
     route = _coupled_route(X, Xbar)
-    if route == "exact":
-        sol, bar = solve_regular(R, X), solve_regular(Rbar, Xbar)
-        if tol is None:
-            tol = EXACT_TOL
-    else:
-        sol = solve_grid_oracle(R, X, tol=grid_tol)
-        bar = solve_grid_oracle(Rbar, Xbar, tol=grid_tol)
-        if tol is None:
-            tol = GRID_TOL_BASE + 2.0 * (_grid_residual(sol) + _grid_residual(bar))
+    sol, bar = solve(R, X, route), solve(Rbar, Xbar, route)
+    if tol is None:
+        tol = (EXACT_TOL if route == "exact" else
+               GRID_TOL_BASE + 2.0 * (_grid_residual(sol) + _grid_residual(bar)))
     m = _Margins()
     _pair_margins(m, sol, bar, ("Z<=Zbar", "dL>=dLbar"))
     return m.report(tol, route=route)
 
 
 def check_particle_comparison(q: CollisionParams, qbar: CollisionParams,
-                              X, Xbar, tol: float | None = None,
-                              grid_tol: float = 1e-8) -> ComparisonReport:
+                              X, Xbar, tol: float | None = None) -> ComparisonReport:
     """Coupled monotonicity of ranked particle positions.
 
     Hypotheses: increment domination of the drivers, ordered starts, and
@@ -224,15 +219,10 @@ def check_particle_comparison(q: CollisionParams, qbar: CollisionParams,
              "both drivers must start in the ordered cone")
 
     route = _coupled_route(X, Xbar)
-    if route == "exact":
-        sol, bar = solve_competing(q, X), solve_competing(qbar, Xbar)
-        if tol is None:
-            tol = EXACT_TOL
-    else:
-        sol = solve_competing(q, X, method="grid", tol=grid_tol)
-        bar = solve_competing(qbar, Xbar, method="grid", tol=grid_tol)
-        if tol is None:
-            tol = GRID_TOL_BASE + 2.0 * grid_tol
+    sol = solve_competing(q, X, method=route)
+    bar = solve_competing(qbar, Xbar, method=route)
+    if tol is None:
+        tol = EXACT_TOL if route == "exact" else GRID_TOL_BASE + 2.0 * GRID_TOL
     m = _Margins()
     _pair_margins(m, sol, bar, ("Y<=Ybar",))
     return m.report(tol, route=route)
@@ -263,7 +253,7 @@ def check_removal_corollaries(spec: CbpSpec, lo: int, hi: int,
     if not (1 <= lo < hi <= n):
         raise PreconditionError(f"need 1 <= lo < hi <= N, got {lo}..{hi} of {n}")
     X = driving_path_for(spec)
-    Xn = standard_regular_approximation(X, spec.steps if level is None else level)
+    Xn = standard_regular_approximation(X, level)
     full = solve_competing(spec.q, Xn)
     sub = solve_competing(subsystem_spec(spec, lo, hi).q,
                           Xn.restrict_components(lo, hi))
@@ -290,8 +280,7 @@ def check_skorokhod_removal(R: ReflectionMatrix, X, members,
     _require(len(members) >= 1 and all(1 <= v <= R.dim for v in members),
              "members must be a nonempty subset of 1..d")
     if isinstance(X, SampledPath):
-        X = standard_regular_approximation(
-            X, len(X.times) - 1 if level is None else level)
+        X = standard_regular_approximation(X, level)
     idx = np.asarray(members, dtype=int) - 1
     Rsub = ReflectionMatrix(R.entries[np.ix_(idx, idx)])
     full = solve_regular(R, X)
@@ -316,7 +305,7 @@ def _shifted_driver(X: SampledPath, offset: np.ndarray,
 
 def _gap_relation_margins(m: _Margins, q: CollisionParams, X: SampledPath,
                           offset: np.ndarray, rate: np.ndarray | None,
-                          nlev: int) -> None:
+                          level: int | None) -> None:
     """Gap/collision-term comparison run directly in gap space.
 
     The gap corollaries reduce to the Skorohod comparison for the differenced
@@ -327,8 +316,8 @@ def _gap_relation_margins(m: _Margins, q: CollisionParams, X: SampledPath,
     W = difference_path(X)
     Wbar = _shifted_driver(W, offset, rate)
     R = reflection_matrix_from_params(q)
-    sol = solve_regular(R, standard_regular_approximation(W, nlev))
-    bar = solve_regular(R, standard_regular_approximation(Wbar, nlev))
+    sol = solve_continuous(R, W, level)
+    bar = solve_continuous(R, Wbar, level)
     _pair_margins(m, sol, bar, ("Z<=Zbar", "dL>=dLbar"))
 
 
@@ -345,7 +334,6 @@ def check_initial_shift(spec: CbpSpec, y0bar=None, z0bar=None,
         raise PreconditionError("need y0bar (part i) and/or z0bar (part ii)")
     n = spec.n_particles
     X = driving_path_for(spec)
-    nlev = spec.steps if level is None else level
     y0 = np.asarray(spec.y0)
     m = _Margins()
     details = {}
@@ -355,8 +343,8 @@ def check_initial_shift(spec: CbpSpec, y0bar=None, z0bar=None,
         _require(y0bar.size == n and bool(np.all(np.diff(y0bar) >= 0)),
                  "y0bar must be an ordered vector of matching size")
         _require(bool(np.all(y0 <= y0bar)), "y0 <= y0bar fails")
-        base = solve_competing(spec.q, standard_regular_approximation(X, nlev))
-        Xbar = standard_regular_approximation(_shifted_driver(X, y0bar - y0), nlev)
+        base = solve_competing(spec.q, standard_regular_approximation(X, level))
+        Xbar = standard_regular_approximation(_shifted_driver(X, y0bar - y0), level)
         bar = solve_competing(spec.q, Xbar)
         _pair_margins(m, base, bar, ("Y<=Ybar",))
         details["part_i"] = True
@@ -367,7 +355,7 @@ def check_initial_shift(spec: CbpSpec, y0bar=None, z0bar=None,
         _require(z0bar.size == n - 1 and bool(np.all(z0bar >= 0)),
                  "z0bar must be a nonnegative vector of size N-1")
         _require(bool(np.all(z0 <= z0bar)), "Z(0) <= z0bar fails")
-        _gap_relation_margins(m, spec.q, X, z0bar - z0, None, nlev)
+        _gap_relation_margins(m, spec.q, X, z0bar - z0, None, level)
         details["part_ii"] = True
 
     return m.report(tol, **details)
@@ -388,7 +376,6 @@ def check_parameter_monotonicity(spec: CbpSpec, qbar: CollisionParams | None = N
     n = spec.n_particles
     g = np.asarray(spec.g)
     X = driving_path_for(spec)
-    nlev = spec.steps if level is None else level
     m = _Margins()
     details = {}
 
@@ -411,14 +398,14 @@ def check_parameter_monotonicity(spec: CbpSpec, qbar: CollisionParams | None = N
         Xbar_raw = X
 
     if drift_dom:
-        base = solve_competing(spec.q, standard_regular_approximation(X, nlev))
-        bar = solve_competing(qb, standard_regular_approximation(Xbar_raw, nlev))
+        base = solve_competing(spec.q, standard_regular_approximation(X, level))
+        bar = solve_competing(qb, standard_regular_approximation(Xbar_raw, level))
         _pair_margins(m, base, bar, ("Y<=Ybar",))
         details["positions"] = True
     if gbar is not None and gap_dom and qbar is None:
         # the gap corollary fixes the collision parameters
         _gap_relation_margins(m, spec.q, X, np.zeros(n - 1), np.diff(gbar - g),
-                              nlev)
+                              level)
         details["gaps"] = True
 
     return m.report(tol, **details)
@@ -706,6 +693,8 @@ def run_suite(name: str, instances: int, seed: int, **options) -> SuiteResult:
     """Run a named randomized suite with per-instance derived seeds."""
     if name not in SUITES:
         raise ParameterError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+    if instances < 1:
+        raise ParameterError(f"a suite needs at least one instance, got {instances}")
     runner = SUITES[name]
     results = []
     for idx in range(instances):

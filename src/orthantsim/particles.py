@@ -35,11 +35,12 @@ from .paths import (
     write_path_csv,
 )
 from .skorokhod import (
+    GRID_TOL,
     PhaseEvent,
+    _check_method,
     _stitch,
-    simulate_srbm,
+    solve,
     solve_continuous,
-    solve_grid_oracle,
     write_solution,  # noqa: F401  (one writer serves both solution types)
 )
 
@@ -314,32 +315,25 @@ def solve_regular_linear(q: CollisionParams, y0, i: int, alpha: float,
 
 
 def solve_competing(q: CollisionParams, X, n: int | None = None,
-                    method: str = "exact", tol: float = 1e-8) -> ParticleSystemSolution:
+                    method: str = "exact", tol: float = GRID_TOL) -> ParticleSystemSolution:
     """General solver through the gap-process Skorohod reduction.
 
-    Regular drivers are solved exactly, one axis-parallel segment at a time
-    with the memoryless restart; the gap process of that solution is the
-    Skorohod solution for the differenced driver.  Sampled drivers go through
-    the gap problem explicitly: the regular approximation at level ``n``
-    (default: one subinterval per grid step) with ``method="exact"``, or the
-    fixed-point grid oracle with ``method="grid"``; positions are then
-    recovered from the boundary terms and cross-checked against the
+    Regular drivers are solved exactly (only ``method="exact"`` applies), one
+    axis-parallel segment at a time with the memoryless restart; the gap
+    process of that solution is the Skorohod solution for the differenced
+    driver.  Sampled drivers go through the gap problem explicitly, by
+    ``skorokhod.solve`` with ``method``, level ``n`` and ``tol``; positions
+    are then recovered from the boundary terms and cross-checked against the
     alpha-weight identity.
     """
     if isinstance(X, RegularPath):
+        _check_method(X, method)
         return _solve_competing_regular(q, X)
     nsys = q.n_particles
     if X.dim != nsys:
         raise DimensionError("driver dimension must match the particle count")
     _check_w_point(X.values[0])
-    R = reflection_matrix_from_params(q)
-    W = difference_path(X)
-    if method == "exact":
-        sk = solve_continuous(R, W, len(X.times) - 1 if n is None else n)
-    elif method == "grid":
-        sk = solve_grid_oracle(R, W, tol=tol)
-    else:
-        raise ParameterError(f"unknown method {method!r}; use 'exact' or 'grid'")
+    sk = solve(reflection_matrix_from_params(q), difference_path(X), method, n, tol)
     times = np.union1d(sk.Z.times, X.times)
     Xu = X.values_at(times)
     Lu = sk.L.values_at(times)
@@ -446,23 +440,18 @@ class CbpSpec:
         )
 
 
-def driving_path_for(spec: CbpSpec, zero_noise: bool = False) -> SampledPath:
+def driving_path_for(spec: CbpSpec) -> SampledPath:
     """The spec's rank drivers y_k + g_k t + sigma_k B_k on the sample grid."""
-    n = spec.n_particles
-    if zero_noise:
-        times = np.linspace(0.0, spec.horizon, spec.steps + 1)
-        B = SampledPath(times, np.zeros((spec.steps + 1, n)))
-    else:
-        B = brownian_components(n, spec.horizon, spec.steps, spec.seed,
-                                spec.stream_offset)
+    B = brownian_components(spec.n_particles, spec.horizon, spec.steps,
+                            spec.seed, spec.stream_offset)
     return cbp_driving_path(spec.y0, spec.g, np.sqrt(spec.sigma2), B)
 
 
 def simulate_cbp(spec: CbpSpec, method: str = "exact", level: int | None = None,
-                 zero_noise: bool = False) -> ParticleSystemSolution:
+                 tol: float = GRID_TOL) -> ParticleSystemSolution:
     """Simulate competing Brownian particles; deterministic per seed."""
-    X = driving_path_for(spec, zero_noise=zero_noise)
-    sol = solve_competing(spec.q, X, n=level, method=method)
+    sol = solve_competing(spec.q, driving_path_for(spec), n=level,
+                          method=method, tol=tol)
     sol.diagnostics["seed"] = spec.seed
     return sol
 
@@ -490,15 +479,16 @@ def subsystem_spec(spec: CbpSpec, lo: int, hi: int) -> CbpSpec:
 def gap_srbm(spec: CbpSpec, level: int | None = None):
     """The spec's gap process as an exact SRBM solve at ``level`` (default steps).
 
-    The noise sigma_{k+1} B_{k+1} - sigma_k B_k reuses the particles' per-rank
-    streams, so the result matches ``simulate_cbp(spec)``'s gaps pathwise.
+    The driver diff(y0) + diff(g) t + sigma_{k+1} B_{k+1} - sigma_k B_k reuses
+    the particles' per-rank streams, so the result matches
+    ``simulate_cbp(spec)``'s gaps pathwise.
     """
-    mu, A = gap_drift_and_covariance(spec.g, spec.sigma2)
     B = brownian_components(spec.n_particles, spec.horizon, spec.steps,
                             spec.seed, spec.stream_offset)
     sig = np.sqrt(spec.sigma2)
-    noise = SampledPath(B.times,
-                        sig[1:] * B.values[:, 1:] - sig[:-1] * B.values[:, :-1])
-    return simulate_srbm(reflection_matrix_from_params(spec.q), mu, A,
-                         np.diff(spec.y0), spec.horizon, spec.steps, spec.seed,
-                         method="exact", level=level, noise=noise)
+    noise = sig[1:] * B.values[:, 1:] - sig[:-1] * B.values[:, :-1]
+    W = SampledPath(B.times, np.diff(spec.y0) + np.diff(spec.g) * B.times[:, None]
+                    + noise)
+    sol = solve_continuous(reflection_matrix_from_params(spec.q), W, level)
+    sol.diagnostics["seed"] = spec.seed
+    return sol

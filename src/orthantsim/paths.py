@@ -353,14 +353,18 @@ def difference_path(X: SampledPath) -> SampledPath:
     return SampledPath(X.times, X.values[:, 1:] - X.values[:, :-1])
 
 
-def standard_regular_approximation(X: SampledPath, n: int) -> RegularPath:
+def standard_regular_approximation(X: SampledPath,
+                                   n: int | None = None) -> RegularPath:
     """Axis-sweep approximation of a sampled path at level n.
 
     [0, T] is split into n equal subintervals; within each, the d components
     are swept one at a time in axis order 1..d, each moving linearly to its
     value at the subinterval's right endpoint.  The output interpolates X at
-    all the anchor times kT/n and has n*d segments.
+    all the anchor times kT/n and has n*d segments.  ``n=None`` takes one
+    subinterval per grid step of X.
     """
+    if n is None:
+        n = len(X.times) - 1
     if n < 1:
         raise ParameterError("approximation level n must be >= 1")
     d = X.dim

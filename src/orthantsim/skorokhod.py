@@ -8,6 +8,7 @@ nondecreasing from 0 and growing only while Z_i = 0.  This module provides:
   driving paths, built from the closed-form single-segment solution;
 * an independent fixed-point oracle on a time grid;
 * the continuous-path route (regular approximation + exact solve);
+* ``solve``, which picks one of these routes for a driving path;
 * memoryless restart, and Monte Carlo SRBM simulation.
 
 Solutions are piecewise linear and carried exactly by ``SampledPath`` objects
@@ -38,6 +39,8 @@ HIT_TIE_RTOL = 1e-12
 NEGATIVE_RATE_TOL = 1e-9
 # Grid oracle iterates must not decrease by more than this times max |X|.
 GRID_MONOTONE_RTOL = 1e-12
+# The grid oracle stops once a sweep changes L by less than this.
+GRID_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -260,7 +263,7 @@ def solve_regular(R: ReflectionMatrix, X: RegularPath) -> SkorokhodSolution:
     return SkorokhodSolution(Z, L, events, diag)
 
 
-def solve_grid_oracle(R: ReflectionMatrix, X: SampledPath, tol: float = 1e-8,
+def solve_grid_oracle(R: ReflectionMatrix, X: SampledPath, tol: float = GRID_TOL,
                       max_iter: int = 10_000) -> SkorokhodSolution:
     """Fixed-point grid solution, independent of the event-driven solver.
 
@@ -309,16 +312,38 @@ def solve_grid_oracle(R: ReflectionMatrix, X: SampledPath, tol: float = 1e-8,
                              (), diag)
 
 
-def solve_continuous(R: ReflectionMatrix, X: SampledPath, n: int) -> SkorokhodSolution:
+def solve_continuous(R: ReflectionMatrix, X: SampledPath,
+                     n: int | None = None) -> SkorokhodSolution:
     """Exact solve of the level-n regular approximation of X.
 
     By continuity of the Skorohod map the result converges uniformly to the
-    solution for X as n grows.
+    solution for X as n grows.  ``n=None`` anchors at every grid time of X.
     """
-    sol = solve_regular(R, standard_regular_approximation(X, n))
-    sol.diagnostics["level"] = n
-    sol.diagnostics["method"] = "continuous"
+    Xn = standard_regular_approximation(X, n)
+    sol = solve_regular(R, Xn)
+    sol.diagnostics.update(level=len(Xn.axes) // Xn.dim, method="continuous")
     return sol
+
+
+def _check_method(X, method: str) -> None:
+    """Raise ``ParameterError`` unless ``method`` applies to the driver X."""
+    if method != "exact" and (method != "grid" or isinstance(X, RegularPath)):
+        raise ParameterError(f"method {method!r} cannot solve a {type(X).__name__}; "
+                             "use 'exact', or 'grid' for a sampled path")
+
+
+def solve(R: ReflectionMatrix, X, method: str = "exact", level: int | None = None,
+          tol: float = GRID_TOL) -> SkorokhodSolution:
+    """Skorohod solution for X: exact for a ``RegularPath``; for a sampled
+    path, ``solve_continuous`` at ``level`` (``method="exact"``) or the grid
+    oracle at ``tol`` (``method="grid"``).
+    """
+    _check_method(X, method)
+    if isinstance(X, RegularPath):
+        return solve_regular(R, X)
+    if method == "exact":
+        return solve_continuous(R, X, level)
+    return solve_grid_oracle(R, X, tol=tol)
 
 
 def restart_inputs(R: ReflectionMatrix, X, sol: SkorokhodSolution, T: float):
@@ -349,33 +374,15 @@ def restart_inputs(R: ReflectionMatrix, X, sol: SkorokhodSolution, T: float):
 
 def simulate_srbm(R: ReflectionMatrix, mu, A, z0, horizon: float, steps: int,
                   seed: int, method: str = "exact", level: int | None = None,
-                  tol: float = 1e-8, max_iter: int = 10_000,
-                  noise: SampledPath | None = None) -> SkorokhodSolution:
-    """Sample and reflect a Brownian driving path from z0.
+                  tol: float = GRID_TOL) -> SkorokhodSolution:
+    """Sample a Brownian driving path from z0 and reflect it with ``solve``.
 
-    ``method="exact"`` solves via the regular approximation (level defaults
-    to the step count, anchoring at every grid time); ``method="grid"`` uses
-    the fixed-point oracle.  Passing ``noise`` (a zero-drift path on its own
-    grid) replaces sampling: the driver becomes z0 + mu*t + noise(t), which
-    supports coupled-noise experiments.  Deterministic per seed.
+    ``method``, ``level`` and ``tol`` are those of ``solve``; the level
+    defaults to the step count.  Deterministic per seed.
     """
     z0 = _check_start(z0, R.dim)
-    mu = np.asarray(mu, dtype=float).ravel()
-    if noise is None:
-        B = sample_brownian(BrownianSpec(R.dim, mu, np.asarray(A, dtype=float),
-                                         horizon, steps, seed))
-        driving = SampledPath(B.times, z0 + B.values)
-    else:
-        if noise.dim != R.dim:
-            raise DimensionError("noise dimension must match the matrix")
-        driving = SampledPath(noise.times,
-                              z0 + mu * noise.times[:, None] + noise.values)
-    if method == "exact":
-        sol = solve_continuous(R, driving, steps if level is None else level)
-    elif method == "grid":
-        sol = solve_grid_oracle(R, driving, tol=tol, max_iter=max_iter)
-    else:
-        raise ParameterError(f"unknown method {method!r}; use 'exact' or 'grid'")
+    B = sample_brownian(BrownianSpec(R.dim, mu, A, horizon, steps, seed))
+    sol = solve(R, SampledPath(B.times, z0 + B.values), method, level, tol)
     sol.diagnostics["seed"] = seed
     return sol
 

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from orthantsim.cli import main
+from orthantsim.paths import RegularPath, SampledPath
+from orthantsim.particles import CbpSpec, CollisionParams, simulate_cbp, solve_competing
 
 
 def write_config(tmp_path, obj, name="config.json"):
@@ -300,12 +302,29 @@ def test_solve_malformed_csv_path_exits_one(tmp_path, capsys, text, detail):
 
 # ------------------------------------------------------ positive overrides
 
-@pytest.mark.parametrize("flag", ["--level", "--tol"])
-def test_zero_override_is_rejected(tmp_path, capsys, flag):
-    cfg = write_config(tmp_path, {
+METHOD_CONFIGS = {
+    "solve": {
+        "matrix": [[1.0]],
+        "path": {"kind": "regular", "start": [1.0],
+                 "breakpoints": [0.0, 2.0], "axes": [1], "slopes": [-1.0]}},
+    "simulate-srbm": {
         "matrix": [[1.0]], "mu": [0.0], "covariance": [[1.0]], "z0": [0.5],
-        "horizon": 1.0, "steps": 10, "seed": 1})
-    code, _, err = run(capsys, "simulate-srbm", "--config", cfg,
+        "horizon": 1.0, "steps": 10, "seed": 1},
+    "simulate-cbp": {"cbp": {
+        "g": [0.0, 0.0], "sigma2": [1.0, 1.0], "q": {"symmetric": 2},
+        "y0": [0.0, 0.1], "horizon": 1.0, "steps": 10, "seed": 1}},
+}
+
+
+@pytest.mark.parametrize("command, flag", [
+    pytest.param("simulate-srbm", "--level", id="--level"),
+    pytest.param("simulate-srbm", "--tol", id="--tol"),
+    pytest.param("simulate-cbp", "--level", id="simulate-cbp---level"),
+    pytest.param("simulate-cbp", "--tol", id="simulate-cbp---tol"),
+])
+def test_zero_override_is_rejected(tmp_path, capsys, command, flag):
+    cfg = write_config(tmp_path, METHOD_CONFIGS[command])
+    code, _, err = run(capsys, command, "--config", cfg,
                        "--out", str(tmp_path / "run"), flag, "0")
     assert code == 1
     assert flag in json.loads(err)["message"]
@@ -320,20 +339,6 @@ def test_zero_config_value_is_rejected(tmp_path, capsys, name):
                        "--out", str(tmp_path / "run"))
     assert code == 1
     assert repr(name) in json.loads(err)["message"]
-
-
-METHOD_CONFIGS = {
-    "solve": {
-        "matrix": [[1.0]],
-        "path": {"kind": "regular", "start": [1.0],
-                 "breakpoints": [0.0, 2.0], "axes": [1], "slopes": [-1.0]}},
-    "simulate-srbm": {
-        "matrix": [[1.0]], "mu": [0.0], "covariance": [[1.0]], "z0": [0.5],
-        "horizon": 1.0, "steps": 10, "seed": 1},
-    "simulate-cbp": {"cbp": {
-        "g": [0.0, 0.0], "sigma2": [1.0, 1.0], "q": {"symmetric": 2},
-        "y0": [0.0, 0.1], "horizon": 1.0, "steps": 10, "seed": 1}},
-}
 
 
 @pytest.mark.parametrize("command", sorted(METHOD_CONFIGS))
@@ -362,3 +367,104 @@ def test_zero_suite_entry_value_is_rejected(tmp_path, capsys, name):
     assert code == 1
     assert out == ""
     assert repr(name) in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize("instances", [0, -3])
+def test_verify_rejects_a_suite_without_instances(tmp_path, capsys, instances):
+    cfg = write_config(tmp_path, {"suites": [
+        {"name": "initial_shift", "instances": instances}]})
+    code, out, err = run(capsys, "verify", "--config", cfg)
+    assert code == 1
+    assert out == ""
+    assert "'instances' must be >= 1" in json.loads(err)["message"]
+
+
+# ------------------------------------------------------- per-command flags
+
+FLAG_VALUES = {"seed": "3", "out": "unused", "method": "grid", "level": "2",
+               "tol": "1"}
+READ_FLAGS = {
+    "validate": ("tol",),
+    "solve": ("out", "method", "level", "tol"),
+    "simulate-srbm": ("seed", "out", "method", "level", "tol"),
+    "simulate-cbp": ("seed", "out", "method", "level", "tol"),
+    "approximate": ("out", "level"),
+    "verify": ("seed", "out", "level", "tol"),
+}
+UNREAD_FLAGS = [(command, flag) for command, read in sorted(READ_FLAGS.items())
+                for flag in FLAG_VALUES if flag not in read]
+FLAG_CONFIGS = dict(METHOD_CONFIGS, **{
+    "validate": {"matrix": [[1.0]]},
+    "approximate": {"path": {"kind": "brownian", "dim": 1, "drift": [0.0],
+                             "covariance": [[1.0]], "horizon": 1.0,
+                             "steps": 4, "seed": 1}},
+    "verify": {"suites": [{"name": "counterexample", "instances": 1}]},
+})
+
+
+@pytest.mark.parametrize("command, flag", UNREAD_FLAGS,
+                         ids=[f"{c}-{f}" for c, f in UNREAD_FLAGS])
+def test_unread_flag_is_rejected(tmp_path, capsys, command, flag):
+    cfg = write_config(tmp_path, FLAG_CONFIGS[command])
+    argv = [command, "--config", cfg]
+    if command == "solve":
+        argv += ["--out", str(tmp_path / "run")]
+    code, _, _ = run(capsys, *argv)
+    assert code == 0  # the config alone runs
+    code, out, err = run(capsys, *argv, f"--{flag}", FLAG_VALUES[flag])
+    assert code == 1
+    assert out == ""
+    message = json.loads(err)["message"]
+    assert "unrecognized arguments" in message and f"--{flag}" in message
+
+
+# ------------------------------------------------------ simulate-cbp --tol
+
+CBP_4 = {"g": [0.2, -0.1, 0.0, -0.3], "sigma2": [1.0, 0.7, 1.3, 0.9],
+         "q": {"qplus": [0.5, 0.6, 0.45, 0.7], "qminus": [0.4, 0.55, 0.3, 0.5]},
+         "y0": [0.0, 0.1, 0.1, 0.4], "horizon": 1.0, "steps": 150, "seed": 4}
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_simulate_cbp_tol_reaches_the_grid_oracle(tmp_path, capsys, source):
+    if source == "flag":
+        cfg = write_config(tmp_path, {"cbp": CBP_4})
+        extra = ["--method", "grid", "--tol", "1e-12"]
+    else:
+        cfg = write_config(tmp_path, {"cbp": CBP_4, "method": "grid", "tol": 1e-12})
+        extra = []
+    code, out, _ = run(capsys, "simulate-cbp", "--config", cfg,
+                       "--out", str(tmp_path / "run"), *extra)
+    assert code == 0
+    spec = CbpSpec.from_jsonable(CBP_4)
+    tight = simulate_cbp(spec, "grid", tol=1e-12)
+    assert json.loads(out)["final_l"] == tight.final_collision_terms.tolist()
+    loose = simulate_cbp(spec, "grid")
+    assert tight.diagnostics["iterations"] > loose.diagnostics["iterations"]
+    assert tight.final_collision_terms.tolist() != \
+        loose.final_collision_terms.tolist()
+
+
+# ------------------------------------------- solve: one regrid for both systems
+
+def test_solve_particles_grid_regrids_a_regular_path(tmp_path, capsys):
+    path = {"kind": "regular", "start": [0.0, 0.2, 0.5],
+            "breakpoints": [0.0, 0.4, 0.9, 1.5, 2.0],
+            "axes": [1, 3, 2, 1], "slopes": [1.5, -1.0, 0.7, -0.6]}
+    qparams = {"qplus": [0.5, 0.6, 0.3], "qminus": [0.4, 0.7, 0.5]}
+    cfg = write_config(tmp_path, {"collision_params": qparams, "path": path,
+                                  "grid_points": 64})
+    code, out, _ = run(capsys, "solve", "--config", cfg,
+                       "--out", str(tmp_path / "run"), "--method", "grid")
+    assert code == 0
+    rows = (tmp_path / "run" / "particles.csv").read_text().splitlines()[1:]
+    assert len(rows) == 64 + 1
+    X = RegularPath.from_jsonable(path)
+    grid = np.linspace(0.0, X.horizon, 64 + 1)
+    want = solve_competing(CollisionParams.from_jsonable(qparams),
+                           SampledPath(grid, X.values_at(grid)), method="grid")
+    table = np.array([[float(v) for v in row.split(",")] for row in rows])
+    assert np.array_equal(table[:, 0], want.Y.times)
+    assert np.array_equal(table[:, 1:],
+                          np.hstack([want.Y.values, want.L.values, want.Z.values]))
+    assert json.loads(out)["final_l"] == want.final_collision_terms.tolist()

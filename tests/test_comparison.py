@@ -325,6 +325,12 @@ def test_unknown_suite():
         run_suite("nope", 1, 0)
 
 
+@pytest.mark.parametrize("instances", [0, -3])
+def test_suite_needs_an_instance(instances):
+    with pytest.raises(ParameterError, match="instance"):
+        run_suite("initial_shift", instances, 0)
+
+
 def test_suite_reports_are_seeded_and_reproducible():
     a = run_suite("particle_comparison", 5, seed=77)
     b = run_suite("particle_comparison", 5, seed=77)

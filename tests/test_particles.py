@@ -28,10 +28,10 @@ from orthantsim.paths import (
     RegularPath,
     SampledPath,
     brownian_components,
+    cbp_driving_path,
     difference_path,
 )
 from orthantsim.skorokhod import (
-    simulate_srbm,
     solve_continuous,
     solve_grid_oracle,
     solve_regular,
@@ -437,7 +437,10 @@ def test_cbp_zero_noise_separated_drifts():
     spec = CbpSpec(g=(0.5, -0.2, 0.1), sigma2=(1.0, 1.0, 1.0),
                    q=CollisionParams.symmetric(3), y0=(0.0, 5.0, 10.0),
                    horizon=1.0, steps=50, seed=0)
-    sol = simulate_cbp(spec, zero_noise=True)
+    times = np.linspace(0.0, spec.horizon, spec.steps + 1)
+    X = cbp_driving_path(spec.y0, spec.g, np.sqrt(spec.sigma2),
+                         SampledPath(times, np.zeros((spec.steps + 1, 3))))
+    sol = solve_competing(spec.q, X)
     ts = np.linspace(0, 1, 11)
     want = np.asarray(spec.y0) + np.outer(ts, spec.g)
     assert np.abs(sol.Y.values_at(ts) - want).max() < 1e-12
@@ -447,18 +450,24 @@ def test_cbp_zero_noise_separated_drifts():
 def test_cbp_gap_matches_srbm_on_shared_noise():
     spec = spec_for(seed=31, n=4, steps=200)
     cbp = simulate_cbp(spec)
-    mu, A = gap_drift_and_covariance(spec.g, spec.sigma2)
+    mu, _ = gap_drift_and_covariance(spec.g, spec.sigma2)
     R = reflection_matrix_from_params(spec.q)
     B = brownian_components(spec.n_particles, spec.horizon, spec.steps,
                             spec.seed, spec.stream_offset)
     sig = np.sqrt(spec.sigma2)
-    noise = SampledPath(B.times, sig[1:] * B.values[:, 1:]
-                        - sig[:-1] * B.values[:, :-1])
-    srbm = simulate_srbm(R, mu, A, np.diff(spec.y0), spec.horizon, spec.steps,
-                         spec.seed, noise=noise)
+    noise = sig[1:] * B.values[:, 1:] - sig[:-1] * B.values[:, :-1]
+    W = SampledPath(B.times, np.diff(spec.y0) + mu * B.times[:, None] + noise)
+    srbm = solve_continuous(R, W)
     ts = np.union1d(cbp.Z.times, srbm.Z.times)
     assert np.abs(cbp.Z.values_at(ts) - srbm.Z.values_at(ts)).max() < 1e-8
     assert np.abs(cbp.L.values_at(ts) - srbm.L.values_at(ts)).max() < 1e-8
+
+
+@pytest.mark.parametrize("method", ["grid", "bogus"])
+def test_regular_driver_takes_only_the_exact_method(method):
+    X = single_axis_path([0.0, 0.2, 0.5], 2, 1.0, 1.0)
+    with pytest.raises(ParameterError, match=f"{method!r} cannot solve"):
+        solve_competing(CollisionParams.symmetric(3), X, method=method)
 
 
 def test_cbp_ordering_margin():

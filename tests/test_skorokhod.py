@@ -16,6 +16,7 @@ from orthantsim.paths import RegularPath, SampledPath, brownian_components
 from orthantsim.skorokhod import (
     restart_inputs,
     simulate_srbm,
+    solve,
     solve_continuous,
     solve_grid_oracle,
     solve_linear_segment,
@@ -264,6 +265,48 @@ def test_continuous_converges_to_oracle():
         sol = solve_continuous(R_HALF, X, n)
         errs.append(np.abs(sol.Z.values_at(X.times) - ref.Z.values).max())
     assert errs[-1] < errs[0]
+
+
+def test_continuous_default_level_is_one_per_grid_step():
+    X = brownian_components(2, 1.0, 37, seed=3)
+    X = SampledPath(X.times, X.values + np.array([0.4, 0.2]))
+    sol = solve_continuous(R_HALF, X)
+    assert sol.diagnostics["level"] == len(X.times) - 1
+    same = solve_continuous(R_HALF, X, len(X.times) - 1)
+    assert np.array_equal(sol.Z.values, same.Z.values)
+    assert np.array_equal(sol.L.values, same.L.values)
+
+
+# --------------------------------------------------------------------- solve
+
+def test_solve_dispatches_on_path_kind_and_method():
+    X = random_regular_path(np.random.default_rng(4), 2)
+    ts = np.linspace(0.0, 1.0, 41)
+    sampled = SampledPath(ts, X.values_at(ts))
+    pairs = [
+        (solve(R_HALF, X), solve_regular(R_HALF, X)),
+        (solve(R_HALF, sampled, level=7), solve_continuous(R_HALF, sampled, 7)),
+        (solve(R_HALF, sampled, "grid", tol=1e-11),
+         solve_grid_oracle(R_HALF, sampled, tol=1e-11)),
+    ]
+    for got, want in pairs:
+        assert got.diagnostics["method"] == want.diagnostics["method"]
+        assert np.array_equal(got.Z.times, want.Z.times)
+        assert np.array_equal(got.Z.values, want.Z.values)
+        assert np.array_equal(got.L.values, want.L.values)
+        assert got.events == want.events
+
+
+@pytest.mark.parametrize("kind, method", [("regular", "grid"),
+                                          ("regular", "bogus"),
+                                          ("sampled", "bogus")])
+def test_solve_rejects_a_method_that_does_not_apply(kind, method):
+    X = random_regular_path(np.random.default_rng(4), 2)
+    if kind == "sampled":
+        ts = np.linspace(0.0, 1.0, 11)
+        X = SampledPath(ts, X.values_at(ts))
+    with pytest.raises(ParameterError, match=f"{method!r} cannot solve"):
+        solve(R_HALF, X, method)
 
 
 # ------------------------------------------------------------------- restart
