@@ -168,7 +168,10 @@ def cmd_solve(cfg: dict, args) -> int:
     summary = {"method": method}
     # the grid oracle needs a sampled path: sample a regular one on a grid
     regrid = path
-    grid_points = int(cfg.get("grid_points", 2000))
+    grid_points = cfg.get("grid_points", 2000)
+    if type(grid_points) is not int or grid_points < 1:
+        raise ConfigError("config 'grid_points' must be an integer >= 1, "
+                          f"got {grid_points!r}")
     if isinstance(path, RegularPath):
         grid = np.linspace(0.0, path.horizon, grid_points + 1)
         regrid = SampledPath(grid, path.values_at(grid))

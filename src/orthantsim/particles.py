@@ -196,24 +196,42 @@ def _check_w_point(y, n=None) -> np.ndarray:
     return y
 
 
-def _block_phases(qp, qm, y, i0, a, T):
-    """Exact phases for a positive-slope axis driver (a > 0).
+def _block_phases(qp, qm, y, i0, alpha, T):
+    """Exact phases when only rank i0 is driven, at the rate alpha.
 
-    The moving block {i, ..., k} travels at the common speed a / S with
-    S = 1 + q-_i/q+_{i+1} + ...; collision slopes inside the block come from
-    the triangular system read off the defining equations.  Particles below
-    rank i stay idle even when initially tied with it.  Returns the phase
-    ends (times, Y rows, L rows; the start row y is not repeated), events
-    as (tau, block before, block after) and the block consistency residual.
+    The moving block starts at rank i0 and grows in the direction of travel:
+    towards higher ranks for alpha > 0, towards lower ranks for alpha < 0.
+    With r_m the ratio of the shares of the near and the far particle of the
+    m-th pair the block has crossed, it travels at the common speed
+    |alpha| / S with S = 1 + r_1 + r_1 r_2 + ...; collision slopes inside the
+    block come from the triangular system read off the defining equations.
+    Particles behind rank i0 stay idle even when initially tied with it.
+    Moves are rounded as s * (s * y + d) with s the sign of alpha, so a
+    downward move is bit for bit the negated upward move of the rank-reversed
+    system (-0.0 where y - d gives +0.0).  Returns the phase ends (times, Y
+    rows, L rows; the start row y is not repeated), events as (tau, block
+    before, block after) and the block consistency residual.
     """
     n = len(y)
-    times, Yr, Lr, events = [], [], [], []
+    s = 1 if alpha > 0.0 else -1
+    a = abs(alpha)
     y = y.copy()
+    if alpha == 0.0 or not 0 <= i0 + s < n or (
+            y[i0 + s] != y[i0] and (y[i0 + s] - y[i0]) / alpha >= T):
+        if alpha != 0.0:  # free: no collision within T
+            y[i0] = s * (s * y[i0] + a * T)
+        return [T], [y], [np.zeros(n - 1)], [], 0.0
+    # pair p joins ranks p and p+1; near/far are the shares of its particle
+    # nearer to and farther from i0, and pairs lists them in crossing order
+    near, far = (qm[:-1], qp[1:]) if s > 0 else (qp[1:], qm[:-1])
+    pairs = range(i0, n - 1) if s > 0 else range(i0 - 1, -1, -1)
+    times, Yr, Lr, events = [], [], [], []
     l = np.zeros(n - 1)
     t = 0.0
-    k = i0
-    while k + 1 < n and y[k + 1] == y[i0]:
-        k += 1
+    front = i0  # the block runs from i0 to front
+    while 0 <= front + s < n and y[front + s] == y[i0]:
+        front += s
+    block = slice(min(i0, front), max(i0, front) + 1)
     guard = 0
     consistency = 0.0
     while t < T:
@@ -221,63 +239,41 @@ def _block_phases(qp, qm, y, i0, a, T):
         if guard > n + 2:
             raise ConvergenceError("block phase loop exceeded the N+1 bound",
                                    details={"t": t, "y": y.tolist()})
+        crossed = pairs[:abs(front - i0)]
         S = 1.0
         c = 1.0
-        for m in range(i0 + 1, k + 1):
-            c *= qm[m - 1] / qp[m]
+        for p in crossed:
+            c *= near[p] / far[p]
             S += c
         beta = a / S
         lam = np.zeros(n - 1)
-        if k > i0:
-            lam[i0] = (a - beta) / qm[i0]
-            for m in range(i0 + 1, k):
-                lam[m] = (qp[m] * lam[m - 1] - beta) / qm[m]
+        if crossed:
+            prev = crossed[0]
+            lam[prev] = (a - beta) / near[prev]
+            for p in crossed[1:]:
+                lam[p] = (far[prev] * lam[prev] - beta) / near[p]
+                prev = p
             consistency = max(consistency,
-                              abs(qp[k] * lam[k - 1] - beta) / max(a, 1.0))
-        if k + 1 < n:
-            dt_hit = (y[k + 1] - y[i0]) / beta
-        else:
-            dt_hit = np.inf
+                              abs(far[prev] * lam[prev] - beta) / max(a, 1.0))
+        ahead = front + s
+        dt_hit = s * (y[ahead] - y[i0]) / beta if 0 <= ahead < n else np.inf
         t_next = min(t + dt_hit, T)
         dt = t_next - t
-        y[i0:k + 1] += beta * dt
+        y[block] = s * (s * y[block] + beta * dt)
         l += lam * dt
         if t_next < T:
-            y[i0:k + 1] = y[k + 1]  # snap the collision exactly
-            before = tuple(range(i0 + 1, k + 2))
-            k += 1
-            while k + 1 < n and y[k + 1] == y[i0]:
-                k += 1
-            events.append((t_next, before, tuple(range(i0 + 1, k + 2))))
+            y[block] = y[ahead]  # snap the collision exactly
+            front = ahead
+            while 0 <= front + s < n and y[front + s] == y[i0]:
+                front += s
+            before, block = block, slice(min(i0, front), max(i0, front) + 1)
+            events.append((t_next, tuple(range(before.start + 1, before.stop + 1)),
+                           tuple(range(block.start + 1, block.stop + 1))))
         times.append(t_next)
         Yr.append(y.copy())
         Lr.append(l.copy())
         t = t_next
     return times, Yr, Lr, events, consistency
-
-
-def _cp_segment(shares, mirrored, y, i0, alpha, T):
-    """One linear segment of competing-particle dynamics, any slope sign.
-
-    ``shares`` is the (q+, q-) array pair of the system and ``mirrored`` that
-    of its rank-reversed system (the values of ``invert_system``).  Negative
-    slopes reduce to positive ones through the negate-and-reverse map; the
-    resulting phases are mapped back onto the original ranks.
-    """
-    n = len(y)
-    if alpha == 0.0:
-        return [T], [y.copy()], [np.zeros(n - 1)], [], 0.0
-    if alpha > 0.0:
-        return _block_phases(*shares, y, i0, alpha, T)
-    times, Yr, Lr, events, cons = _block_phases(*mirrored, (-y)[::-1],
-                                                n - 1 - i0, -alpha, T)
-
-    def flip(ranks):
-        return tuple(sorted(n - r + 1 for r in ranks))
-
-    return (times, [(-row)[::-1] for row in Yr], [row[::-1] for row in Lr],
-            [(tau, flip(before), flip(after)) for tau, before, after in events],
-            cons)
 
 
 def _positions(q: CollisionParams, X: np.ndarray, L: np.ndarray) -> np.ndarray:
@@ -356,25 +352,15 @@ def _solve_competing_regular(q: CollisionParams, X: RegularPath) -> ParticleSyst
     if X.dim != n:
         raise DimensionError("driver dimension must match the particle count")
     y0 = _check_w_point(X.start, n)
-    consistency = 0.0
-    shares = (np.asarray(q.qplus), np.asarray(q.qminus))
-    mirrored = (shares[1][::-1], shares[0][::-1])
-
-    def segment(y, i0, slope, dur):
-        nonlocal consistency
-        seg_t, seg_Y, seg_L, seg_events, cons = _cp_segment(shares, mirrored, y,
-                                                            i0, slope, dur)
-        consistency = max(consistency, cons)
-        return seg_t, seg_Y, seg_L, seg_events
-
-    tall, Yall, Lall, events = _stitch(X, y0, n - 1, segment)
+    tall, Yall, Lall, events, _, consistency = _stitch(
+        X, y0, n - 1, _block_phases, np.asarray(q.qplus), np.asarray(q.qminus))
     Y = SampledPath(tall, Yall)
     L = SampledPath(tall, Lall)
     Z = SampledPath(tall, np.diff(Yall, axis=1))
     Xv = X.values_at(tall)
     diag = _cp_diagnostics(q, Yall, Xv,
                            np.abs(Yall - _positions(q, Xv, Lall)).max())
-    diag["block_consistency_residual"] = consistency
+    diag["block_consistency_residual"] = max([0.0, *consistency])
     diag["method"] = "regular-exact"
     return ParticleSystemSolution(Y, L, Z, events, diag)
 

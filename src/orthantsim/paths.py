@@ -33,7 +33,8 @@ COVARIANCE_EIG_FLOOR = -1e-12
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=float)
+    """A read-only copy of a, so the caller's array stays theirs to write."""
+    a = np.array(a, dtype=float, order="C")
     a.setflags(write=False)
     return a
 

@@ -196,31 +196,44 @@ def solve_linear_segment(R: ReflectionMatrix, x, i: int, alpha: float,
     return sol
 
 
-def _stitch(X: RegularPath, row0: np.ndarray, width: int, segment):
+def _stitch(X: RegularPath, row0: np.ndarray, width: int, kernel, *params):
     """Chain single-segment solves along X's pieces by memoryless restart.
 
-    ``segment(row, axis0, slope, duration)`` solves one piece from the state
-    ``row`` and returns its phase ends (times, rows, boundary rows) and its
-    events (tau, before, after), all local to the piece; they are shifted
-    and joined into the times, rows, boundary rows and events of all of X.
+    ``kernel(*params, row, axis0, slope, duration)`` solves one piece from
+    the state ``row`` and returns its phase ends (times, rows, boundary rows),
+    its events (tau, before, after), all local to the piece, and one extra
+    value.  They are shifted and joined into the times, rows, boundary rows
+    and events of all of X; the phase count and the extra value of each
+    piece are returned as lists.  A phase end that rounds onto the previous
+    time, or onto the piece's end before its last phase, keeps its event but
+    adds no row, so the times stay strictly increasing.
     """
     bp = X.breakpoints.tolist()
     times = [0.0]
     rows = [row0]
     Lrows = [np.zeros(width)]
     events: list[PhaseEvent] = []
+    phase_counts, extras = [], []
     for k, (axis, slope) in enumerate(zip(X.axes, X.slopes.tolist())):
-        t0 = bp[k]
-        seg_t, seg_rows, seg_L, seg_events = segment(rows[-1], axis - 1, slope,
-                                                     bp[k + 1] - t0)
+        t0, t1 = bp[k], bp[k + 1]
+        seg_t, seg_rows, seg_L, seg_events, extra = kernel(*params, rows[-1], axis - 1,
+                                                           slope, t1 - t0)
         l_offset = Lrows[-1]
-        times.extend(t0 + t for t in seg_t)
-        times[-1] = bp[k + 1]  # kill accumulated rounding
-        rows.extend(seg_rows)
-        Lrows.extend(l_offset + l for l in seg_L)
+        for t, row, l in zip(seg_t[:-1], seg_rows, seg_L):
+            t += t0
+            if times[-1] < t < t1:
+                times.append(t)
+                rows.append(row)
+                Lrows.append(l_offset + l)
+        times.append(t1)  # the last phase ends on the breakpoint
+        rows.append(seg_rows[-1])
+        Lrows.append(l_offset + seg_L[-1])
         events.extend(PhaseEvent(t0 + tau, before, after)
                       for tau, before, after in seg_events)
-    return np.array(times), np.array(rows), np.array(Lrows), tuple(events)
+        phase_counts.append(len(seg_events) + 1)
+        extras.append(extra)
+    return (np.array(times), np.array(rows), np.array(Lrows), tuple(events),
+            phase_counts, extras)
 
 
 def _solution_diagnostics(R: ReflectionMatrix, Z: SampledPath, L: SampledPath,
@@ -243,21 +256,12 @@ def solve_regular(R: ReflectionMatrix, X: RegularPath) -> SkorokhodSolution:
     if X.dim != R.dim:
         raise DimensionError("path dimension must match the matrix dimension")
     z0 = _check_start(X.start, R.dim)
-    idle: set[int] = set()
-    phase_counts = []
-
-    def segment(z, i0, slope, dur):
-        seg_t, seg_Z, seg_L, seg_events, seg_idle = _segment_arrays(
-            R.entries, z, i0, slope, dur)
-        idle.update(seg_idle)
-        phase_counts.append(len(seg_events) + 1)
-        return seg_t, seg_Z, seg_L, seg_events
-
-    times, Zv, Lv, events = _stitch(X, z0, R.dim, segment)
+    times, Zv, Lv, events, phase_counts, idle = _stitch(X, z0, R.dim,
+                                                        _segment_arrays, R.entries)
     Z = SampledPath(times, Zv)
     L = SampledPath(times, Lv)
     diag = _solution_diagnostics(R, Z, L, X.values_at)
-    diag["idle_boundary_components"] = sorted(idle)
+    diag["idle_boundary_components"] = sorted(set().union(*idle))
     diag["phase_counts"] = phase_counts
     diag["method"] = "regular-exact"
     return SkorokhodSolution(Z, L, events, diag)

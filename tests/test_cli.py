@@ -127,6 +127,34 @@ def test_solve_dual_route_difference(tmp_path, capsys):
     assert json.loads(out)["sup_difference"] < 5e-3
 
 
+def test_solve_hit_rounding_onto_a_breakpoint_exits_zero(tmp_path, capsys):
+    # the collision lands at 0.6 + 0.39999999999999997 == 1.0
+    cfg = write_config(tmp_path, {
+        "collision_params": {"symmetric": 2},
+        "path": {"kind": "regular", "start": [0.1, 0.3],
+                 "breakpoints": [0.0, 0.6, 1.0], "axes": [1, 2],
+                 "slopes": [0.0, -0.5]}})
+    code, out, _ = run(capsys, "solve", "--config", cfg,
+                       "--out", str(tmp_path / "cp"))
+    assert code == 0
+    assert json.loads(out)["phases"] == 2
+    events = json.loads((tmp_path / "cp" / "particles_events.json").read_text())
+    assert [(e["active_before"], e["active_after"]) for e in events] == [([2], [1, 2])]
+
+
+@pytest.mark.parametrize("grid_points", [1.7, 0, -3])
+def test_solve_rejects_a_bad_grid_point_count(tmp_path, capsys, grid_points):
+    cfg = write_config(tmp_path, {
+        "matrix": [[1.0]], "grid_points": grid_points,
+        "path": {"kind": "regular", "start": [0.5],
+                 "breakpoints": [0.0, 1.0], "axes": [1], "slopes": [-1.0]}})
+    code, out, err = run(capsys, "solve", "--config", cfg, "--method", "grid",
+                         "--out", str(tmp_path / "x"))
+    assert code == 1
+    assert out == ""
+    assert "'grid_points'" in json.loads(err)["message"]
+
+
 def test_solve_requires_system_block(tmp_path, capsys):
     cfg = write_config(tmp_path, {
         "path": {"kind": "regular", "start": [0.0],

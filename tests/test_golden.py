@@ -33,6 +33,9 @@ REGULAR_2D = {"kind": "regular", "start": [0.3, 0.1],
 REGULAR_3P = {"kind": "regular", "start": [0.0, 0.2, 0.5],
               "breakpoints": [0.0, 0.4, 0.9, 1.5, 2.0],
               "axes": [1, 3, 2, 1], "slopes": [1.5, -1.0, 0.7, -0.6]}
+# a downward block that lands on 0 ends at y2 = -0.0, which the CSV keeps
+REGULAR_2P_DOWN = {"kind": "regular", "start": [-1.0, 0.5], "breakpoints": [0.0, 1.0],
+                   "axes": [2], "slopes": [-0.5]}
 # sampled paths read through the CSV source
 CSV_2D = ("t,x1,x2\n0,0.2,0.4\n0.25,0.05,0.3\n0.5,-0.1,0.1\n0.75,0.1,-0.2\n"
           "1,-0.2,0.05\n1.25,-0.3,0.2\n1.5,0.1,-0.1\n")
@@ -84,6 +87,8 @@ CASES = {
     "solve_particles_regular": ("solve", {"collision_params": QPARAMS_3,
                                           "path": REGULAR_3P},
                                 ["--method", "exact"]),
+    "solve_particles_regular_down": ("solve", {"collision_params": {"symmetric": 2},
+                                               "path": REGULAR_2P_DOWN}, []),
     "solve_particles_csv_exact": ("solve", {"collision_params": QPARAMS_3,
                                             "path": {"kind": "csv",
                                                      "file": "path3.csv"}},
@@ -115,6 +120,7 @@ EXPECTED = {
     'solve_particles_csv_exact': '4888c024d6b3551cd55750011c257ef13aac5d4954ad5a4858ddead3c6de54cf',
     'solve_particles_csv_grid': 'c7e8371a5c615f6ec10f5488bcb8a5da5d7a47f065dfb5f4273f2ee4d1e16fdb',
     'solve_particles_regular': 'c11fbd931fde59f4a0cbea761aaf7efb4296540b68c2582dcfa672da53087e67',
+    'solve_particles_regular_down': '77082b173b7f3a40b09a6e39962a283b81ed100e23b7bccc168fe5d79387e1c8',
     'solve_regular_exact': '8e0fc96363e13dd9c831c9d16e5cf49779548128bb69c96428a319e0a1245fc0',
     'solve_regular_grid': '2eb7f20d9507cca7d7cfb94baba316e9d00c8572db2a66d6945d6062211edccf',
     'validate': '710b66017c0b9fd99bea5fef031ded580496db1f8842fa704355541b46c0e228',

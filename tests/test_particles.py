@@ -240,22 +240,72 @@ def test_block_speed_nonincreasing_across_phases():
     assert all(a >= b - 1e-12 for a, b in zip(speeds[moving], speeds[moving][1:]))
 
 
+def assert_same_bits(a, b):
+    assert a.shape == b.shape
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+    assert a.tobytes() == b.tobytes()
+
+
 def test_negative_slope_matches_manual_inversion():
+    """A downward solve is the rank-reversed upward solve, bit for bit.
+
+    Dyadic starts and slopes make ties, exact collisions and blocks that
+    land exactly on 0 (with equal shares the block speeds are dyadic too);
+    the zero signs of Y must match the negated mirror.
+    """
     rng = np.random.default_rng(21)
-    for _ in range(15):
+    cases = [  # tied blocks that land on 0 at T
+        (CollisionParams.symmetric(2), np.array([0.5, 0.5]), 2, -1.0),
+        (CollisionParams.symmetric(3), np.array([-1.0, 0.25, 0.25]), 3, -0.5),
+    ]
+    for case in range(80):
         n = int(rng.integers(2, 6))
-        q = random_params(rng, n)
-        y0 = np.cumsum(rng.uniform(0, 0.4, n))
-        i = int(rng.integers(1, n + 1))
-        alpha = -float(rng.uniform(0.2, 2.0))
+        q = CollisionParams.symmetric(n) if case % 4 == 0 else random_params(rng, n)
+        if case % 2:
+            y0 = np.cumsum(rng.uniform(0, 0.4, n))
+            alpha = -float(rng.uniform(0.2, 2.0))
+        else:
+            y0 = np.cumsum(rng.integers(0, 3, n) / 4.0) - 0.5  # ties
+            alpha = -float(rng.integers(0, 5)) / 4.0  # 0.0 included
+        cases.append((q, y0, int(rng.integers(1, n + 1)), alpha))
+    for q, y0, i, alpha in cases:
+        n = q.n_particles
         sol = solve_regular_linear(q, y0, i, alpha, 1.0)
         mirror = solve_regular_linear(invert_system(q), (-y0)[::-1],
                                       n - i + 1, -alpha, 1.0)
-        ts = np.union1d(sol.Y.times, mirror.Y.times)
-        assert np.abs(sol.Y.values_at(ts)
-                      + mirror.Y.values_at(ts)[:, ::-1]).max() < 1e-12
-        assert np.abs(sol.L.values_at(ts)
-                      - mirror.L.values_at(ts)[:, ::-1]).max() < 1e-12
+        assert_same_bits(sol.Y.times, mirror.Y.times)
+        assert_same_bits(sol.Y.values, -mirror.Y.values[:, ::-1])
+        assert_same_bits(sol.L.values, mirror.L.values[:, ::-1])
+
+        def flip(ranks):
+            return tuple(sorted(n - r + 1 for r in ranks))
+
+        assert [(e.tau, e.active_before, e.active_after) for e in sol.events] == [
+            (e.tau, flip(e.active_before), flip(e.active_after))
+            for e in mirror.events]
+
+
+def test_downward_landing_on_zero_keeps_its_sign():
+    sol = solve_regular_linear(CollisionParams.symmetric(2), [-1.0, 0.5], 2,
+                               -0.5, 1.0)
+    buf = io.StringIO()
+    sol.to_csv(buf)
+    assert buf.getvalue().splitlines()[-1] == "1,-1,-0,0,1"
+
+
+@pytest.mark.parametrize("X", [
+    # the hit lands at 0.6 + 0.39999999999999997 == 1.0, the breakpoint
+    RegularPath([0.1, 0.3], [0.0, 0.6, 1.0], (1, 2), [0.0, -0.5]),
+    # the hit lands at 0.5 + 1e-17 == 0.5, the segment start
+    RegularPath([0.0, 1e-17], [0.0, 0.5, 1.0], (2, 1), [0.0, 1.0]),
+], ids=["onto-breakpoint", "onto-segment-start"])
+def test_hit_time_rounding_onto_a_neighbouring_row_solves(X):
+    sol = solve_competing(CollisionParams.symmetric(2), X)
+    assert np.diff(sol.Y.times).min() > 0.0
+    assert sol.Y.times[-1] == X.horizon
+    assert sol.diagnostics["max_identity_residual"] <= 1e-12
+    assert [set(e.active_before) < set(e.active_after) for e in sol.events] == [True]
+    assert_skorokhod_certificate(CollisionParams.symmetric(2), X, sol)
 
 
 def test_ordering_and_identities_random():

@@ -394,3 +394,35 @@ def test_vertices_match_a_running_sum(d, m):
 def test_vertices_keep_signed_zeros(start, slopes):
     X = RegularPath(start, [0.0, 1.0, 2.5, 3.0], (1, 2, 1), slopes)
     assert_same_bits(X.vertices, running_sum_vertices(X))
+
+
+def assert_copied(obj, attr, arr):
+    """The caller's array stays writeable and writing to it leaves obj alone."""
+    frozen = getattr(obj, attr)
+    before = frozen.copy()
+    assert arr.flags.writeable
+    assert not frozen.flags.writeable
+    arr += 1.0
+    assert np.array_equal(getattr(obj, attr), before)
+
+
+def test_sampled_path_copies_what_it_freezes():
+    t, v = np.array([0.0, 0.5, 1.0]), np.array([[0.0], [1.0], [0.5]])
+    X = SampledPath(t, v)
+    assert_copied(X, "times", t)
+    assert_copied(X, "values", v)
+
+
+def test_regular_path_copies_what_it_freezes():
+    s, bp, sl = np.array([0.0, 1.0]), np.array([0.0, 0.5, 1.0]), np.array([1.0, -1.0])
+    X = RegularPath(s, bp, (2, 1), sl)
+    assert_copied(X, "start", s)
+    assert_copied(X, "breakpoints", bp)
+    assert_copied(X, "slopes", sl)
+
+
+def test_brownian_spec_copies_what_it_freezes():
+    mu, A = np.array([0.0, 1.0]), np.eye(2)
+    spec = BrownianSpec(2, mu, A, 1.0, 10, 3)
+    assert_copied(spec, "drift", mu)
+    assert_copied(spec, "covariance", A)

@@ -381,6 +381,23 @@ def test_idle_boundary_component_flagged():
     assert np.array_equal(sol.Z.values[-1], [0.0, 0.0])
 
 
+@pytest.mark.parametrize("X", [
+    # the hit lands at 0.6 + 0.39999999999999997 == 1.0, the breakpoint
+    RegularPath([0.3 - 0.1], [0.0, 0.6, 1.0], (1, 1), [0.0, -0.5]),
+    # the hit lands at 0.5 + 1e-17 == 0.5, the segment start
+    RegularPath([1e-17], [0.0, 0.5, 1.0], (1, 1), [0.0, -1.0]),
+    # the hit time 5e-324 / 2 underflows to 0
+    RegularPath([5e-324], [0.0, 0.5, 1.0], (1, 1), [0.0, -2.0]),
+], ids=["onto-breakpoint", "onto-segment-start", "underflow"])
+def test_hit_time_rounding_onto_a_neighbouring_row_solves(X):
+    sol = solve_regular(ReflectionMatrix(np.eye(1)), X)
+    assert np.diff(sol.Z.times).min() > 0.0
+    assert sol.Z.times[-1] == X.horizon
+    assert sol.diagnostics["max_identity_residual"] <= 1e-12
+    assert [(e.active_before, e.active_after) for e in sol.events] == [((), (1,))]
+    assert sol.diagnostics["phase_counts"] == [1, 2]
+
+
 # ---------------------------------------------------------------------- SRBM
 
 def test_srbm_zero_noise_drift_inside():
