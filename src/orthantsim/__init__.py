@@ -5,6 +5,8 @@ Monte Carlo simulation of reflected Brownian motion and competing Brownian
 particles, and executable pathwise comparison checks.
 """
 
+import types
+
 from .comparison import (
     ComparisonReport,
     check_initial_shift,
@@ -63,50 +65,6 @@ from .skorokhod import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BrownianSpec",
-    "CbpSpec",
-    "CollisionParams",
-    "ComparisonReport",
-    "IndexSet",
-    "OrthantSimError",
-    "ParticleSystemSolution",
-    "ReflectionMatrix",
-    "RegularPath",
-    "SampledPath",
-    "SkorokhodSolution",
-    "alphas",
-    "brownian_components",
-    "cbp_driving_path",
-    "check_initial_shift",
-    "check_matrix_lemmas",
-    "check_parameter_monotonicity",
-    "check_particle_comparison",
-    "check_removal_corollaries",
-    "check_skorokhod_comparison",
-    "check_skorokhod_removal",
-    "counterexample_positive_offdiag",
-    "coupled_regular_approximation",
-    "difference_path",
-    "gap_drift_and_covariance",
-    "increments_dominated",
-    "invert_system",
-    "neumann_inverse",
-    "principal_submatrix",
-    "reflection_matrix_from_params",
-    "restart_inputs",
-    "run_suite",
-    "sample_brownian",
-    "simulate_cbp",
-    "simulate_srbm",
-    "solve_competing",
-    "solve_continuous",
-    "solve_grid_oracle",
-    "solve_linear_segment",
-    "solve_regular",
-    "solve_regular_linear",
-    "spectral_radius_nonneg",
-    "standard_regular_approximation",
-    "subsystem_spec",
-    "validate_reflection_m_matrix",
-]
+# the names imported above are the public API
+__all__ = sorted(name for name, value in globals().items() if not (
+    name.startswith("_") or isinstance(value, types.ModuleType)))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -74,16 +75,18 @@ def _emit(obj) -> None:
 def _option(args, cfg: dict, name: str, default=None):
     """``--level``/``--tol`` if given, else the config's value or ``default``.
 
-    A given flag or config value must be positive: 0 is rejected, not read
-    as "unset".
+    A level must be an integer >= 1 and a tol a real number > 0; a bool, a
+    string or 0 is rejected, not read as "unset".
     """
     value, source = getattr(args, name, None), f"--{name}"
     if value is None:
         value, source = cfg.get(name), f"config {name!r}"
     if value is None:
         return default
-    if value <= 0:
-        raise ConfigError(f"{source} must be positive, got {value}")
+    kind = int if name == "level" else Real
+    if isinstance(value, bool) or not isinstance(value, kind) or not value > 0:
+        raise ConfigError(f"{source} must be a positive {kind.__name__.lower()}, "
+                          f"got {value!r}")
     return value
 
 
@@ -246,8 +249,7 @@ def cmd_approximate(cfg: dict, args) -> int:
     path = _load_path(cfg.get("path"), Path(args.config).parent)
     if isinstance(path, RegularPath):
         raise ConfigError("approximate expects a sampled path source")
-    level = _option(args, cfg, "level", 1)
-    reg = standard_regular_approximation(path, int(level))
+    reg = standard_regular_approximation(path, _option(args, cfg, "level", 1))
     obj = reg.to_jsonable()
     obj["kind"] = "regular"
     if args.out:

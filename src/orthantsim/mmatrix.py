@@ -23,6 +23,7 @@ from .errors import (
     MatrixValidationError,
     PreconditionError,
 )
+from .paths import _ArrayValue
 
 DIAGONAL_TOL = 1e-10
 RADIUS_MARGIN = 1e-8
@@ -146,8 +147,8 @@ def validate_reflection_m_matrix(M, tol: float = RADIUS_MARGIN) -> ValidationRep
     return ValidationReport(True, None, rho)
 
 
-@dataclass(frozen=True)
-class ReflectionMatrix:
+@dataclass(frozen=True, eq=False)
+class ReflectionMatrix(_ArrayValue):
     """Validated reflection nonsingular M-matrix; immutable after construction."""
 
     entries: np.ndarray

@@ -14,7 +14,9 @@ ranks k and k+1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -208,9 +210,10 @@ def _block_phases(qp, qm, y, i0, alpha, T):
     Particles behind rank i0 stay idle even when initially tied with it.
     Moves are rounded as s * (s * y + d) with s the sign of alpha, so a
     downward move is bit for bit the negated upward move of the rank-reversed
-    system (-0.0 where y - d gives +0.0).  Returns the phase ends (times, Y
-    rows, L rows; the start row y is not repeated), events as (tau, block
-    before, block after) and the block consistency residual.
+    system (-0.0 where y - d gives +0.0).  y is a float list, left as is.
+    Returns the phase ends (times, Y rows, L rows, as float lists; the start
+    row y is not repeated, and a free piece returns only its end row), events
+    as (tau, block before, block after) and the block consistency residual.
     """
     n = len(y)
     s = 1 if alpha > 0.0 else -1
@@ -220,13 +223,15 @@ def _block_phases(qp, qm, y, i0, alpha, T):
             y[i0 + s] != y[i0] and (y[i0 + s] - y[i0]) / alpha >= T):
         if alpha != 0.0:  # free: no collision within T
             y[i0] = s * (s * y[i0] + a * T)
-        return [T], [y], [np.zeros(n - 1)], [], 0.0
+            if 0 <= i0 + s < n and s * (y[i0 + s] - y[i0]) < 0.0:
+                y[i0] = y[i0 + s]  # the gap / |alpha| rounded up onto T
+        return (), [y], (), (), 0.0
     # pair p joins ranks p and p+1; near/far are the shares of its particle
     # nearer to and farther from i0, and pairs lists them in crossing order
     near, far = (qm[:-1], qp[1:]) if s > 0 else (qp[1:], qm[:-1])
     pairs = range(i0, n - 1) if s > 0 else range(i0 - 1, -1, -1)
     times, Yr, Lr, events = [], [], [], []
-    l = np.zeros(n - 1)
+    l = [0.0] * (n - 1)
     t = 0.0
     front = i0  # the block runs from i0 to front
     while 0 <= front + s < n and y[front + s] == y[i0]:
@@ -238,7 +243,7 @@ def _block_phases(qp, qm, y, i0, alpha, T):
         guard += 1
         if guard > n + 2:
             raise ConvergenceError("block phase loop exceeded the N+1 bound",
-                                   details={"t": t, "y": y.tolist()})
+                                   details={"t": t, "y": y})
         crossed = pairs[:abs(front - i0)]
         S = 1.0
         c = 1.0
@@ -246,29 +251,31 @@ def _block_phases(qp, qm, y, i0, alpha, T):
             c *= near[p] / far[p]
             S += c
         beta = a / S
-        lam = np.zeros(n - 1)
+        lam, carry = [], a  # carry: the push passed on across each pair
+        for p in crossed:
+            lam.append((carry - beta) / near[p])
+            carry = far[p] * lam[-1]
         if crossed:
-            prev = crossed[0]
-            lam[prev] = (a - beta) / near[prev]
-            for p in crossed[1:]:
-                lam[p] = (far[prev] * lam[prev] - beta) / near[p]
-                prev = p
-            consistency = max(consistency,
-                              abs(far[prev] * lam[prev] - beta) / max(a, 1.0))
+            consistency = max(consistency, abs(carry - beta) / max(a, 1.0))
         ahead = front + s
-        dt_hit = s * (y[ahead] - y[i0]) / beta if 0 <= ahead < n else np.inf
+        # a subnormal |alpha| can make beta 0.0: the block then never arrives
+        dt_hit = s * (y[ahead] - y[i0]) / beta if 0 <= ahead < n and beta else math.inf
         t_next = min(t + dt_hit, T)
         dt = t_next - t
-        y[block] = s * (s * y[block] + beta * dt)
-        l += lam * dt
+        y[block] = [s * (s * v + beta * dt) for v in y[block]]
+        for p, r in zip(crossed, lam):
+            if r > 0.0:  # a rate below 0 is roundoff of a subnormal |alpha|
+                l[p] += r * dt
         if t_next < T:
-            y[block] = y[ahead]  # snap the collision exactly
+            y[block] = [y[ahead]] * (block.stop - block.start)  # snap the collision
             front = ahead
             while 0 <= front + s < n and y[front + s] == y[i0]:
                 front += s
             before, block = block, slice(min(i0, front), max(i0, front) + 1)
             events.append((t_next, tuple(range(before.start + 1, before.stop + 1)),
                            tuple(range(block.start + 1, block.stop + 1))))
+        elif 0 <= ahead < n and s * (y[ahead] - y[i0]) < 0.0:
+            y[block] = [y[ahead]] * (block.stop - block.start)  # rounded past it
         times.append(t_next)
         Yr.append(y.copy())
         Lr.append(l.copy())
@@ -353,7 +360,7 @@ def _solve_competing_regular(q: CollisionParams, X: RegularPath) -> ParticleSyst
         raise DimensionError("driver dimension must match the particle count")
     y0 = _check_w_point(X.start, n)
     tall, Yall, Lall, events, _, consistency = _stitch(
-        X, y0, n - 1, _block_phases, np.asarray(q.qplus), np.asarray(q.qminus))
+        X, y0, n - 1, partial(_block_phases, q.qplus, q.qminus))
     Y = SampledPath(tall, Yall)
     L = SampledPath(tall, Lall)
     Z = SampledPath(tall, np.diff(Yall, axis=1))

@@ -13,7 +13,7 @@ Axis indices are 1-based everywhere in the public API.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -39,8 +39,29 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class SampledPath:
+class _ArrayValue:
+    """``==`` and ``hash`` for a frozen dataclass whose fields may be arrays.
+
+    The compared fields are read as values, an array by its dtype, shape and
+    bytes; so -0.0 and 0.0 differ, as they do in the solvers' output.
+    """
+
+    def _value_key(self) -> tuple:
+        return tuple((v.dtype.str, v.shape, v.tobytes()) if isinstance(v, np.ndarray)
+                     else v for v in (getattr(self, f.name) for f in fields(self)
+                                      if f.compare))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._value_key() == other._value_key()
+
+    def __hash__(self):
+        return hash(self._value_key())
+
+
+@dataclass(frozen=True, eq=False)
+class SampledPath(_ArrayValue):
     """Continuous path represented by values on a time grid.
 
     ``times`` is strictly increasing with ``times[0] == 0``; ``values`` has
@@ -106,8 +127,8 @@ class SampledPath:
         return cls(times, values)
 
 
-@dataclass(frozen=True)
-class RegularPath:
+@dataclass(frozen=True, eq=False)
+class RegularPath(_ArrayValue):
     """Piecewise-linear path with axis-parallel pieces.
 
     Segment k runs over [breakpoints[k], breakpoints[k+1]] and moves only
@@ -124,7 +145,7 @@ class RegularPath:
         x0 = np.asarray(self.start, dtype=float).ravel()
         bp = np.asarray(self.breakpoints, dtype=float)
         sl = np.asarray(self.slopes, dtype=float)
-        axes = tuple(int(a) for a in self.axes)
+        axes = tuple(map(int, self.axes))
         if x0.size < 1:
             raise DimensionError("start vector must be nonempty")
         if bp.ndim != 1 or len(bp) < 2:
@@ -135,7 +156,7 @@ class RegularPath:
             raise ParameterError("breakpoints must be strictly increasing")
         if len(axes) != len(bp) - 1 or len(sl) != len(bp) - 1:
             raise DimensionError("need one axis and slope per segment")
-        if any(a < 1 or a > x0.size for a in axes):
+        if min(axes) < 1 or max(axes) > x0.size:
             raise ParameterError(f"axis indices must lie in 1..{x0.size}")
         if not (np.all(np.isfinite(x0)) and np.all(np.isfinite(bp))
                 and np.all(np.isfinite(sl))):
@@ -230,8 +251,8 @@ class RegularPath:
                    tuple(obj["axes"]), np.asarray(obj["slopes"]))
 
 
-@dataclass(frozen=True)
-class BrownianSpec:
+@dataclass(frozen=True, eq=False)
+class BrownianSpec(_ArrayValue):
     """Parameters of a Brownian driving path on a uniform grid."""
 
     dim: int

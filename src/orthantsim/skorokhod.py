@@ -18,7 +18,10 @@ whose grids are the solver's event/breakpoint times.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import chain
 
 import numpy as np
 
@@ -29,7 +32,7 @@ from .errors import (
     ParameterError,
     RangeError,
 )
-from .mmatrix import ReflectionMatrix
+from .mmatrix import ReflectionMatrix, spectral_radius_nonneg
 from .paths import RegularPath, SampledPath, sample_brownian, BrownianSpec
 from .paths import standard_regular_approximation, write_path_csv
 
@@ -97,80 +100,88 @@ def _check_start(x: np.ndarray, d: int) -> np.ndarray:
     return x
 
 
-def _members(mask: np.ndarray) -> tuple[int, ...]:
-    return tuple(int(j) + 1 for j in np.flatnonzero(mask))
+def _members(z: list) -> tuple[int, ...]:
+    return tuple(j + 1 for j, v in enumerate(z) if v == 0.0)
 
 
-def _segment_arrays(Rm: np.ndarray, x: np.ndarray, i0: int, alpha: float,
+def _boundary_rates(Rm: np.ndarray, J: tuple[int, ...], i0: int):
+    """Free set Jc, u = [R]_J^{-1}[e_i]_J (roundoff clipped) and R[Jc,J] u."""
+    Jc = [j for j in range(len(Rm)) if j not in J]
+    ei = np.zeros(len(J))
+    ei[J.index(i0)] = 1.0
+    cols = Rm.take(J, axis=1)  # C-ordered: how BLAS rounds R[Jc,J] u depends on it
+    u = np.linalg.solve(cols.take(J, axis=0), ei)
+    # [R]_J^{-1}[e_i]_J >= 0 in exact arithmetic; clip roundoff dust
+    if u.min() < -NEGATIVE_RATE_TOL:
+        raise ConvergenceError("negative boundary rate from M-matrix solve",
+                               details={"u": u.tolist()})
+    u = np.maximum(u, 0.0)
+    return Jc, u.tolist(), (cols.take(Jc, axis=0) @ u).tolist()
+
+
+def _segment_arrays(Rm: np.ndarray, rates: dict, x: list, i0: int, alpha: float,
                     T: float):
     """Exact single-segment solve; returns phase ends, events, idle flags.
 
-    Driving path is x + alpha*e_i*t on [0, T].  For alpha >= 0 the path never
-    leaves the orthant and (Z, L) = (X, 0).  For alpha < 0 the active set J
-    of components pinned at the boundary only grows; within a phase the
+    Driving path is x + alpha*e_i*t on [0, T].  If alpha >= 0, or x_i does
+    not reach 0 before T, the path never leaves the orthant: (Z, L) = (X, 0)
+    and only the end row is returned.  Otherwise the active set J of
+    components pinned at the boundary only grows; within a phase the
     boundary terms grow linearly at rate |alpha| [R]_J^{-1} [e_i]_J and the
     free components decrease linearly, until the first of them hits zero.
-    Times, Z rows and L rows are those at the end of each phase (the start
-    row x is not repeated); events are (tau, active before, active after).
+    The rates per (J, i) are cached in ``rates``.  x is a float list, left
+    as is; times, Z rows and L rows (float lists) are those at the end of
+    each phase, x not repeated; events are (tau, active before, after).
     """
     z = x.copy()
-    l = np.zeros(Rm.shape[0])
     if alpha >= 0.0 or (z[i0] > 0.0 and z[i0] / -alpha >= T):
         z[i0] += alpha * T
-        return [T], [z], [l], [], []
+        if z[i0] < 0.0:  # x_i / |alpha| rounded up onto T: x_i reaches 0 at T
+            z[i0] = 0.0
+        return (), [z], (), (), ()
 
     a = -alpha
+    d = len(z)
+    l = [0.0] * d
     times, Zr, Lr, events, idle = [], [], [], [], []
     t = 0.0
     if z[i0] > 0.0:
         t = z[i0] / a
-        before = _members(z == 0.0)
+        before = _members(z)
         z[i0] = 0.0
         times.append(t)
         Zr.append(z.copy())
         Lr.append(l.copy())
-        events.append((t, before, _members(z == 0.0)))
+        events.append((t, before, _members(z)))
 
     guard = 0
     while t < T:
         guard += 1
-        if guard > Rm.shape[0] + 2:
+        if guard > d + 2:
             raise ConvergenceError("phase loop exceeded the d+1 bound",
-                                   details={"t": t, "z": z.tolist()})
-        on = z == 0.0
-        J = np.flatnonzero(on)
-        Jc = np.flatnonzero(~on)
-        ei = np.zeros(len(J))
-        ei[np.searchsorted(J, i0)] = 1.0
-        u = np.linalg.solve(Rm[np.ix_(J, J)], ei)
-        # [R]_J^{-1}[e_i]_J >= 0 in exact arithmetic; clip roundoff dust
-        if u.min() < -NEGATIVE_RATE_TOL:
-            raise ConvergenceError("negative boundary rate from M-matrix solve",
-                                   details={"u": u.tolist()})
-        u = np.maximum(u, 0.0)
-        lam = a * u
-        idle.extend(int(j) + 1 for j, r in zip(J, lam) if r == 0.0 and j != i0)
-        if len(Jc):
-            zslope = a * (Rm[np.ix_(Jc, J)] @ u)  # <= 0
-            falling = zslope < 0.0
-            if falling.any():
-                dts = z[Jc[falling]] / (-zslope[falling])
-                dt_min = float(dts.min())
-            else:
-                dt_min = np.inf
-        else:
-            zslope = np.zeros(0)
-            falling = np.zeros(0, dtype=bool)
-            dt_min = np.inf
+                                   details={"t": t, "z": z})
+        J = tuple(j for j, v in enumerate(z) if v == 0.0)
+        if (J, i0) not in rates:
+            rates[J, i0] = _boundary_rates(Rm, J, i0)
+        Jc, u, w = rates[J, i0]
+        lam = [a * v for v in u]
+        idle.extend(j + 1 for j, r in zip(J, lam) if r == 0.0 and j != i0)
+        zslope = [a * v for v in w]  # <= 0
+        dts = [(j, z[j] / -s) for j, s in zip(Jc, zslope) if s < 0.0]
+        dt_min = min([dt for _, dt in dts], default=math.inf)
         t_next = min(t + dt_min, T)
         dt = t_next - t
-        if len(Jc):
-            z[Jc] = np.maximum(z[Jc] + zslope * dt, 0.0)
-        l[J] += lam * dt
+        for j, s in zip(Jc, zslope):
+            v = z[j] + s * dt
+            z[j] = v if v > 0.0 else 0.0  # as np.maximum(v, 0.0), -0.0 included
+        for j, r in zip(J, lam):
+            l[j] += r * dt
         if t_next < T:
-            hitters = Jc[falling][dts <= dt_min * (1.0 + HIT_TIE_RTOL)]
-            z[hitters] = 0.0
-            events.append((t_next, _members(on), _members(z == 0.0)))
+            cut = dt_min * (1.0 + HIT_TIE_RTOL)
+            for j, dtj in dts:
+                if dtj <= cut:
+                    z[j] = 0.0
+            events.append((t_next, tuple(j + 1 for j in J), _members(z)))
         times.append(t_next)
         Zr.append(z.copy())
         Lr.append(l.copy())
@@ -196,54 +207,49 @@ def solve_linear_segment(R: ReflectionMatrix, x, i: int, alpha: float,
     return sol
 
 
-def _stitch(X: RegularPath, row0: np.ndarray, width: int, kernel, *params):
+def _stitch(X: RegularPath, row0: np.ndarray, width: int, kernel):
     """Chain single-segment solves along X's pieces by memoryless restart.
 
-    ``kernel(*params, row, axis0, slope, duration)`` solves one piece from
-    the state ``row`` and returns its phase ends (times, rows, boundary rows),
-    its events (tau, before, after), all local to the piece, and one extra
-    value.  They are shifted and joined into the times, rows, boundary rows
-    and events of all of X; the phase count and the extra value of each
-    piece are returned as lists.  A phase end that rounds onto the previous
-    time, or onto the piece's end before its last phase, keeps its event but
-    adds no row, so the times stay strictly increasing.
+    ``kernel(row, axis0, slope, duration)`` solves one piece from the float
+    list ``row``, which it leaves as is, and returns its phase ends (times,
+    rows, boundary rows of ``width`` entries), its events (tau, before,
+    after), all local to the piece, and one extra value; a free piece
+    returns only its end row, and L stays as it is.  The times, rows and
+    boundary rows of all of X are each built as one array at the end, and
+    the phase count and extra value of each piece are returned as lists.  A
+    phase end that rounds onto the previous time, or onto the piece's end
+    before its last phase, keeps its event but adds no row.
     """
     bp = X.breakpoints.tolist()
-    times = [0.0]
-    rows = [row0]
-    Lrows = [np.zeros(width)]
+    rows = [row0.tolist()]
+    times, Lrows, Lstarts = [0.0], [[0.0] * width], [0]
     events: list[PhaseEvent] = []
     phase_counts, extras = [], []
-    for k, (axis, slope) in enumerate(zip(X.axes, X.slopes.tolist())):
-        t0, t1 = bp[k], bp[k + 1]
-        seg_t, seg_rows, seg_L, seg_events, extra = kernel(*params, rows[-1], axis - 1,
+    for axis, slope, t0, t1 in zip(X.axes, X.slopes.tolist(), bp, bp[1:]):
+        seg_t, seg_rows, seg_L, seg_events, extra = kernel(rows[-1], axis - 1,
                                                            slope, t1 - t0)
-        l_offset = Lrows[-1]
-        for t, row, l in zip(seg_t[:-1], seg_rows, seg_L):
-            t += t0
-            if times[-1] < t < t1:
-                times.append(t)
-                rows.append(row)
-                Lrows.append(l_offset + l)
+        if seg_L:
+            offset = Lrows[-1]
+            for t, row, l in zip(seg_t[:-1], seg_rows, seg_L):
+                t += t0
+                if times[-1] < t < t1:
+                    times.append(t)
+                    rows.append(row)
+                    Lstarts.append(len(times) - 1)
+                    Lrows.append([a + b for a, b in zip(offset, l)])
+            Lstarts.append(len(times))
+            Lrows.append([a + b for a, b in zip(offset, seg_L[-1])])
+            events.extend(PhaseEvent(t0 + tau, before, after)
+                          for tau, before, after in seg_events)
         times.append(t1)  # the last phase ends on the breakpoint
         rows.append(seg_rows[-1])
-        Lrows.append(l_offset + seg_L[-1])
-        events.extend(PhaseEvent(t0 + tau, before, after)
-                      for tau, before, after in seg_events)
         phase_counts.append(len(seg_events) + 1)
         extras.append(extra)
-    return (np.array(times), np.array(rows), np.array(Lrows), tuple(events),
-            phase_counts, extras)
-
-
-def _solution_diagnostics(R: ReflectionMatrix, Z: SampledPath, L: SampledPath,
-                          driver_at) -> dict:
-    X = driver_at(Z.times)
-    resid = np.abs(Z.values - X - L.values @ R.entries.T).max()
-    return {
-        "max_identity_residual": float(resid),
-        "min_z": float(Z.values.min()),
-    }
+    n = len(times)
+    Z = np.fromiter(chain.from_iterable(rows), float, n * len(row0)).reshape(n, -1)
+    # L is constant between pushes: each row stands until the next one starts
+    L = np.repeat(np.array(Lrows), np.diff(Lstarts, append=n), axis=0)
+    return np.array(times), Z, L, tuple(events), phase_counts, extras
 
 
 def solve_regular(R: ReflectionMatrix, X: RegularPath) -> SkorokhodSolution:
@@ -256,14 +262,14 @@ def solve_regular(R: ReflectionMatrix, X: RegularPath) -> SkorokhodSolution:
     if X.dim != R.dim:
         raise DimensionError("path dimension must match the matrix dimension")
     z0 = _check_start(X.start, R.dim)
-    times, Zv, Lv, events, phase_counts, idle = _stitch(X, z0, R.dim,
-                                                        _segment_arrays, R.entries)
+    times, Zv, Lv, events, phase_counts, idle = _stitch(
+        X, z0, R.dim, partial(_segment_arrays, R.entries, {}))
     Z = SampledPath(times, Zv)
     L = SampledPath(times, Lv)
-    diag = _solution_diagnostics(R, Z, L, X.values_at)
-    diag["idle_boundary_components"] = sorted(set().union(*idle))
-    diag["phase_counts"] = phase_counts
-    diag["method"] = "regular-exact"
+    resid = np.abs(Z.values - X.values_at(Z.times) - L.values @ R.entries.T).max()
+    diag = {"max_identity_residual": float(resid), "min_z": float(Z.values.min()),
+            "idle_boundary_components": sorted(set().union(*idle)),
+            "phase_counts": phase_counts, "method": "regular-exact"}
     return SkorokhodSolution(Z, L, events, diag)
 
 
@@ -299,9 +305,12 @@ def solve_grid_oracle(R: ReflectionMatrix, X: SampledPath, tol: float = GRID_TOL
         if delta < tol:
             break
     else:
+        rho = spectral_radius_nonneg(R.q_matrix())
         raise ConvergenceError(
-            f"grid fixed point not converged after {max_iter} iterations",
-            details={"last_sup_change": sup_changes[-1]},
+            f"grid fixed point not converged within the cap of {max_iter} sweeps "
+            f"at rho(Q) = {rho:.6g}",
+            details={"last_sup_change": sup_changes[-1], "spectral_radius": rho,
+                     "max_iter": max_iter},
         )
     Z = Xv + L @ R.entries.T
     diag = {

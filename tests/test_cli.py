@@ -430,6 +430,24 @@ FLAG_CONFIGS = dict(METHOD_CONFIGS, **{
 })
 
 
+MISTYPED = [(command, name, value)
+            for command, names in (("simulate-srbm", ("level", "tol")),
+                                   ("approximate", ("level",)))
+            for name in names
+            for value in ((True, 1.7, "x") if name == "level" else (True, "x"))]
+
+
+@pytest.mark.parametrize("command, name, value", MISTYPED)
+def test_mistyped_config_value_is_rejected(tmp_path, capsys, command, name, value):
+    # a bool, float or string must not reach the solver as a level or tol
+    cfg = write_config(tmp_path, dict(FLAG_CONFIGS[command], **{name: value}))
+    code, out, err = run(capsys, command, "--config", cfg,
+                         "--out", str(tmp_path / "run"))
+    assert code == 1
+    assert out == ""
+    assert repr(name) in json.loads(err)["message"]
+
+
 @pytest.mark.parametrize("command, flag", UNREAD_FLAGS,
                          ids=[f"{c}-{f}" for c, f in UNREAD_FLAGS])
 def test_unread_flag_is_rejected(tmp_path, capsys, command, flag):
@@ -496,3 +514,19 @@ def test_solve_particles_grid_regrids_a_regular_path(tmp_path, capsys):
     assert np.array_equal(table[:, 1:],
                           np.hstack([want.Y.values, want.L.values, want.Z.values]))
     assert json.loads(out)["final_l"] == want.final_collision_terms.tolist()
+
+
+def test_grid_oracle_at_its_sweep_cap_exits_solver(tmp_path, capsys):
+    t = np.linspace(0.0, 1.0, 1000)
+    with open(tmp_path / "path.csv", "w") as fh:
+        SampledPath(t, np.column_stack([0.5 - 2 * t] * 2)).to_csv(fh)
+    cfg = write_config(tmp_path, {"matrix": [[1.0, -0.999], [-0.999, 1.0]],
+                                  "path": {"kind": "csv", "file": "path.csv"},
+                                  "method": "grid"})
+    code, out, err = run(capsys, "solve", "--config", cfg,
+                         "--out", str(tmp_path / "run"))
+    assert code == 3
+    assert out == ""
+    error = json.loads(err)  # one JSON line, no traceback
+    assert error["error"] == "solver"
+    assert "rho(Q) = 0.999" in error["message"] and "10000" in error["message"]

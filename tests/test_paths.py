@@ -12,6 +12,7 @@ from orthantsim.errors import (
     ParameterError,
     RangeError,
 )
+from orthantsim.mmatrix import ReflectionMatrix
 from orthantsim.paths import (
     BrownianSpec,
     RegularPath,
@@ -426,3 +427,21 @@ def test_brownian_spec_copies_what_it_freezes():
     spec = BrownianSpec(2, mu, A, 1.0, 10, 3)
     assert_copied(spec, "drift", mu)
     assert_copied(spec, "covariance", A)
+
+
+VALUE_OBJECTS = {
+    "SampledPath": lambda v: SampledPath([0.0, 1.0], [[0.5], [v]]),
+    "RegularPath": lambda v: RegularPath([0.5], [0.0, 1.0], (1,), [v]),
+    "BrownianSpec": lambda v: BrownianSpec(1, [v], [[1.0]], 1.0, 10, 3),
+    "ReflectionMatrix": lambda v: ReflectionMatrix([[1.0, v], [v, 1.0]]),
+}
+
+
+@pytest.mark.parametrize("make", VALUE_OBJECTS.values(), ids=list(VALUE_OBJECTS))
+def test_value_objects_compare_and_hash_by_value(make):
+    a, b, other = make(-0.25), make(-0.25), make(-0.5)
+    assert a == b and hash(a) == hash(b)
+    assert a != other and not a == other
+    assert len({a, b, other}) == 2 and {a: 1}[b] == 1
+    assert a != "a value of another type"
+    assert make(0.0) != make(-0.0)  # bytes differ, as in the solvers' output

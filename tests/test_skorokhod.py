@@ -228,6 +228,16 @@ def test_grid_oracle_iteration_budget():
         solve_grid_oracle(ReflectionMatrix([[1.0]]), X, tol=1e-10, max_iter=1)
 
 
+def test_grid_oracle_sweep_cap_names_rho_and_cap():
+    R = ReflectionMatrix([[1.0, -0.999], [-0.999, 1.0]])
+    t = np.linspace(0.0, 1.0, 1000)
+    X = SampledPath(t, np.column_stack([0.5 - 2 * t] * 2))
+    with pytest.raises(ConvergenceError, match=r"10000 sweeps at rho\(Q\) = 0\.999") as exc:
+        solve_grid_oracle(R, X)
+    assert exc.value.details["max_iter"] == 10_000
+    assert exc.value.details["spectral_radius"] == pytest.approx(0.999, rel=1e-9)
+
+
 # ----------------------------------------------------------- solve_continuous
 
 def test_continuous_exact_on_refined_regular():
