@@ -3,9 +3,10 @@
 Each case runs one ``orthantsim`` command on a fixed config and seed in an
 empty directory and hashes its exit code, its stdout and every file it
 writes.  The expected digests pin the output bytes of all six commands,
-both solver methods and all nine ``verify`` suites, so a refactor that must
-not change behaviour can be checked byte for byte.  They were recorded with
-Python 3.11 and numpy 2.4 on x86-64; another BLAS or numpy build may change
+both solver methods, all nine ``verify`` suites and an SRBM run that pushes
+on about one piece in ten, so a refactor that must not change behaviour can
+be checked byte for byte.  They were recorded with Python 3.11 and numpy 2.4
+on x86-64; another BLAS or numpy build may change
 last bits of the sampled noise and so the digests.
 
 ``python tests/test_golden.py`` prints the digests of the current code.
@@ -44,6 +45,13 @@ CSV_3P = ("t,x1,x2,x3\n0,0,0.1,0.3\n0.25,0.2,0.05,0.25\n0.5,0.35,0.1,0.1\n"
 SRBM = {"matrix": MATRIX_3D, "mu": [-0.2, 0.1, -0.3],
         "covariance": [[1.0, 0.2, 0.0], [0.2, 0.8, -0.1], [0.0, -0.1, 1.2]],
         "z0": [0.2, 0.0, 0.4], "horizon": 1.0, "steps": 200, "seed": 11}
+# rows sum to 0.9, so rho(Q) = 0.9; from 0 with drift -0.5 about one piece in
+# ten pushes
+MATRIX_6D_PUSH = [[1.0 if j == i else -[0.3, 0.25, 0.15, 0.12, 0.08][(j - i - 1) % 6]
+                   for j in range(6)] for i in range(6)]
+SRBM_PUSH = {"matrix": MATRIX_6D_PUSH, "mu": [-0.5] * 6,
+             "covariance": [[float(i == j) for j in range(6)] for i in range(6)],
+             "z0": [0.0] * 6, "horizon": 1.0, "steps": 300, "seed": 7}
 CBP = {"g": [0.2, -0.1, 0.0, -0.3], "sigma2": [1.0, 0.7, 1.3, 0.9],
        "q": {"qplus": [0.5, 0.6, 0.45, 0.7], "qminus": [0.4, 0.55, 0.3, 0.5]},
        "y0": [0.0, 0.1, 0.1, 0.4], "horizon": 1.0, "steps": 150, "seed": 4}
@@ -99,6 +107,8 @@ CASES = {
                                  ["--method", "grid"]),
     "simulate_srbm_exact": ("simulate-srbm", SRBM, ["--seed", "5"]),
     "simulate_srbm_grid": ("simulate-srbm", SRBM, ["--method", "grid"]),
+    "simulate_srbm_exact_push_dense": ("simulate-srbm", SRBM_PUSH,
+                                       ["--method", "exact"]),
     "simulate_cbp_exact_gap_check": ("simulate-cbp",
                                      {"cbp": CBP, "gap_check": True}, []),
     "simulate_cbp_grid": ("simulate-cbp", CBP,
@@ -113,6 +123,7 @@ EXPECTED = {
     'simulate_cbp_exact_gap_check': 'a4c282e46db3dc59f92e283a69f47469c8c636702fc76e6ce4ea046a3552948c',
     'simulate_cbp_grid': 'e7789c67eef5c3fed4ca4e08bd35300311d93b4ca6e3d13765f523f518dc9bb2',
     'simulate_srbm_exact': 'bae8e510287f0ca7dbd49d46262756e0b60384908e362467248acd8bc5c5af92',
+    'simulate_srbm_exact_push_dense': 'c0d6439a41ca1d91a5da5dd8993c8df1485ebe552d5b34ac8ef0fc3405a90702',
     'simulate_srbm_grid': 'cbab18666cb3149e5fd0256c383ed4747951171b696ca6d513afb0ea39fb9df2',
     'solve_brownian_exact': '96f6bc31d9e5d5accffb49322423ab7ba3f528aa1ca7445981d82b5f060bf177',
     'solve_csv_exact': 'cf8f42c70a227aaf6b23038bc80e5484169bd3047b3ba0b66a8b7e5c3cc4c259',
