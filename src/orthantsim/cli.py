@@ -72,21 +72,25 @@ def _emit(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
 
 
-def _option(args, cfg: dict, name: str, default=None):
-    """``--level``/``--tol`` if given, else the config's value or ``default``.
+def _option(args, cfg: dict, name: str, default=None, required=False):
+    """``--name`` if given, else the config's value, else ``default``.
 
-    A level must be an integer >= 1 and a tol a real number > 0; a bool, a
-    string or 0 is rejected, not read as "unset".
+    A tol must be a real > 0, a seed an integer >= 0, and a level, instances
+    or steps an integer >= 1; a bool, a string, a float for an integer, a
+    value out of bounds or a missing ``required`` one raises ``ConfigError``.
     """
     value, source = getattr(args, name, None), f"--{name}"
     if value is None:
         value, source = cfg.get(name), f"config {name!r}"
-    if value is None:
+    if value is None and not required:
         return default
-    kind = int if name == "level" else Real
-    if isinstance(value, bool) or not isinstance(value, kind) or not value > 0:
-        raise ConfigError(f"{source} must be a positive {kind.__name__.lower()}, "
-                          f"got {value!r}")
+    if name == "tol":
+        rule, ok = "> 0 and of type real", isinstance(value, Real) and value > 0
+    else:
+        least = 0 if name == "seed" else 1
+        rule, ok = f">= {least} and of type int", isinstance(value, int) and value >= least
+    if isinstance(value, bool) or not ok:
+        raise ConfigError(f"{source} must be {rule}, got {value!r}")
     return value
 
 
@@ -212,8 +216,8 @@ def cmd_simulate_srbm(cfg: dict, args) -> int:
         np.asarray(cfg["covariance"], dtype=float),
         np.asarray(cfg["z0"], dtype=float),
         float(cfg["horizon"]),
-        int(cfg["steps"]),
-        int(args.seed if args.seed is not None else cfg["seed"]),
+        _option(args, cfg, "steps", required=True),
+        _option(args, cfg, "seed", required=True),
         method=_method(args, cfg),
         level=_option(args, cfg, "level"),
         tol=_option(args, cfg, "tol", GRID_TOL),
@@ -267,7 +271,7 @@ def cmd_verify(cfg: dict, args) -> int:
     suites = cfg.get("suites")
     if not isinstance(suites, list) or not suites:
         raise ConfigError("config needs a nonempty 'suites' list")
-    seed = int(args.seed if args.seed is not None else cfg.get("seed", 0))
+    seed = _option(args, cfg, "seed", 0)
     results = []
     all_passed = True
     for entry in suites:
@@ -279,10 +283,8 @@ def cmd_verify(cfg: dict, args) -> int:
             value = _option(args, entry, name)
             if value is not None:
                 opts[name] = value
-        instances = int(entry.get("instances", 1))
-        if instances < 1:
-            raise ConfigError(f"suite 'instances' must be >= 1, got {instances}")
-        res = comparison.run_suite(entry["name"], instances, seed, **opts)
+        res = comparison.run_suite(entry["name"], _option(args, entry, "instances", 1),
+                                   seed, **opts)
         results.append(res.to_jsonable())
         all_passed &= res.passed
     report = {"passed": all_passed, "seed": seed, "suites": results}

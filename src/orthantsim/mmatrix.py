@@ -90,7 +90,8 @@ def spectral_radius_nonneg(Q, tol: float = 1e-10, max_iter: int = 100_000) -> fl
     the positive diagonal removes the cycling that plain power iteration
     exhibits on bipartite matrices such as zero-diagonal tridiagonals.
     Collatz-Wielandt ratios give a rigorous bracket [lo, hi] around the
-    Perron root; iteration stops once hi - lo < tol.
+    Perron root; iteration stops once hi - lo < tol.  A nilpotent Q, which
+    has no bracket the iteration could reach, is caught before it.
     """
     A = _as_square(Q)
     if tol <= 0:
@@ -98,8 +99,8 @@ def spectral_radius_nonneg(Q, tol: float = 1e-10, max_iter: int = 100_000) -> fl
     if A.min() < 0:
         raise ValueError("matrix must be entrywise nonnegative")
     d = A.shape[0]
-    if not A.any():
-        return 0.0
+    if not np.linalg.matrix_power(A > 0, d).any():
+        return 0.0  # Q^d = 0: the pattern of Q has no cycle (Q = 0 included)
     v = np.ones(d)
     lo_hi = None
     for _ in range(max_iter):

@@ -211,21 +211,21 @@ def _block_phases(qp, qm, y, i0, alpha, T):
     Moves are rounded as s * (s * y + d) with s the sign of alpha, so a
     downward move is bit for bit the negated upward move of the rank-reversed
     system (-0.0 where y - d gives +0.0).  y is a float list, left as is.
-    Returns the phase ends (times, Y rows, L rows, as float lists; the start
-    row y is not repeated, and a free piece returns only its end row), events
-    as (tau, block before, block after) and the block consistency residual.
+    A free piece (no collision within T) returns the new y_i0, one float;
+    any other returns its phase ends (times, Y rows, L rows, as float lists,
+    y not repeated), events as (tau, block before, block after) and the
+    block consistency residual.
     """
     n = len(y)
     s = 1 if alpha > 0.0 else -1
     a = abs(alpha)
-    y = y.copy()
     if alpha == 0.0 or not 0 <= i0 + s < n or (
             y[i0 + s] != y[i0] and (y[i0 + s] - y[i0]) / alpha >= T):
-        if alpha != 0.0:  # free: no collision within T
-            y[i0] = s * (s * y[i0] + a * T)
-            if 0 <= i0 + s < n and s * (y[i0 + s] - y[i0]) < 0.0:
-                y[i0] = y[i0 + s]  # the gap / |alpha| rounded up onto T
-        return (), [y], (), (), 0.0
+        v = s * (s * y[i0] + a * T) if alpha else y[i0]  # free: no collision in T
+        if 0 <= i0 + s < n and s * (y[i0 + s] - v) < 0.0:
+            v = y[i0 + s]  # the gap / |alpha| rounded up onto T
+        return v
+    y = y.copy()
     # pair p joins ranks p and p+1; near/far are the shares of its particle
     # nearer to and farther from i0, and pairs lists them in crossing order
     near, far = (qm[:-1], qp[1:]) if s > 0 else (qp[1:], qm[:-1])

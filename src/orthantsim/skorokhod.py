@@ -21,7 +21,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain
 
 import numpy as np
 
@@ -121,25 +120,23 @@ def _boundary_rates(Rm: np.ndarray, J: tuple[int, ...], i0: int):
 
 def _segment_arrays(Rm: np.ndarray, rates: dict, x: list, i0: int, alpha: float,
                     T: float):
-    """Exact single-segment solve; returns phase ends, events, idle flags.
+    """Exact single-segment solve; returns a float or phase ends and events.
 
     Driving path is x + alpha*e_i*t on [0, T].  If alpha >= 0, or x_i does
     not reach 0 before T, the path never leaves the orthant: (Z, L) = (X, 0)
-    and only the end row is returned.  Otherwise the active set J of
-    components pinned at the boundary only grows; within a phase the
-    boundary terms grow linearly at rate |alpha| [R]_J^{-1} [e_i]_J and the
-    free components decrease linearly, until the first of them hits zero.
-    The rates per (J, i) are cached in ``rates``.  x is a float list, left
-    as is; times, Z rows and L rows (float lists) are those at the end of
-    each phase, x not repeated; events are (tau, active before, after).
+    and only the new x_i, one float (0.0 if it rounds below 0), is returned.
+    Otherwise the active set J of components pinned at the boundary only
+    grows; within a phase the boundary terms grow linearly at rate
+    |alpha| [R]_J^{-1} [e_i]_J and the free components decrease linearly,
+    until the first of them hits zero.  The rates per (J, i) are cached in
+    ``rates``.  x is a float list, left as is; times, Z rows and L rows
+    (float lists) are those at the end of each phase, x not repeated; events
+    are (tau, active before, after), and idle flags close the tuple.
     """
+    if alpha >= 0.0 or (x[i0] > 0.0 and x[i0] / -alpha >= T):
+        v = x[i0] + alpha * T
+        return 0.0 if v < 0.0 else v  # x_i / |alpha| rounded up onto T
     z = x.copy()
-    if alpha >= 0.0 or (z[i0] > 0.0 and z[i0] / -alpha >= T):
-        z[i0] += alpha * T
-        if z[i0] < 0.0:  # x_i / |alpha| rounded up onto T: x_i reaches 0 at T
-            z[i0] = 0.0
-        return (), [z], (), (), ()
-
     a = -alpha
     d = len(z)
     l = [0.0] * d
@@ -211,45 +208,60 @@ def _stitch(X: RegularPath, row0: np.ndarray, width: int, kernel):
     """Chain single-segment solves along X's pieces by memoryless restart.
 
     ``kernel(row, axis0, slope, duration)`` solves one piece from the float
-    list ``row``, which it leaves as is, and returns its phase ends (times,
-    rows, boundary rows of ``width`` entries), its events (tau, before,
-    after), all local to the piece, and one extra value; a free piece
-    returns only its end row, and L stays as it is.  The times, rows and
-    boundary rows of all of X are each built as one array at the end, and
-    the phase count and extra value of each piece are returned as lists.  A
-    phase end that rounds onto the previous time, or onto the piece's end
-    before its last phase, keeps its event but adds no row.
+    list ``row``, left as is.  A free piece returns the new ``row[axis0]``,
+    one float; any other its phase ends (times, rows, boundary rows of
+    ``width`` entries), events (tau, before, after), all local to the piece,
+    and one extra value.  A phase end that rounds onto the previous time, or
+    onto the piece's end before its last phase, keeps its event but adds no
+    row.  With no arithmetic, Z is forward-filled from the last row that set
+    each entry and L repeats each row until the next push.  Also returns each
+    piece's phase count and the extra values of the phased pieces.
     """
     bp = X.breakpoints.tolist()
-    rows = [row0.tolist()]
-    times, Lrows, Lstarts = [0.0], [[0.0] * width], [0]
-    events: list[PhaseEvent] = []
-    phase_counts, extras = [], []
+    z = row0.tolist()
+    free, phased = [], []  # the end value of each free piece; phased pieces
+    rows, Lrows, rows_at = [z.copy()], [[0.0] * width], [0]  # rows set in full
+    pos, phase_times, events, extras = [], [], [], []
+    phase_counts = [1] * len(X.axes)
     for axis, slope, t0, t1 in zip(X.axes, X.slopes.tolist(), bp, bp[1:]):
-        seg_t, seg_rows, seg_L, seg_events, extra = kernel(rows[-1], axis - 1,
-                                                           slope, t1 - t0)
-        if seg_L:
-            offset = Lrows[-1]
-            for t, row, l in zip(seg_t[:-1], seg_rows, seg_L):
-                t += t0
-                if times[-1] < t < t1:
-                    times.append(t)
-                    rows.append(row)
-                    Lstarts.append(len(times) - 1)
-                    Lrows.append([a + b for a, b in zip(offset, l)])
-            Lstarts.append(len(times))
-            Lrows.append([a + b for a, b in zip(offset, seg_L[-1])])
-            events.extend(PhaseEvent(t0 + tau, before, after)
-                          for tau, before, after in seg_events)
-        times.append(t1)  # the last phase ends on the breakpoint
-        rows.append(seg_rows[-1])
-        phase_counts.append(len(seg_events) + 1)
+        out = kernel(z, axis - 1, slope, t1 - t0)
+        if isinstance(out, float):
+            z[axis - 1] = out
+            free.append(out)
+            continue
+        seg_t, seg_rows, seg_L, seg_events, extra = out
+        k = len(free) + len(phased)
+        last, offset = t0, Lrows[-1]
+        for t, row, l in zip(seg_t[:-1], seg_rows, seg_L):
+            t += t0
+            if last < t < t1:
+                last = t
+                rows_at.append(k + 1 + len(phase_times))
+                pos.append(k + 1)
+                phase_times.append(t)
+                rows.append(row)
+                Lrows.append([a + b for a, b in zip(offset, l)])
+        rows_at.append(k + 1 + len(phase_times))
+        rows.append(seg_rows[-1])  # the last phase ends on the breakpoint
+        Lrows.append([a + b for a, b in zip(offset, seg_L[-1])])
+        z = seg_rows[-1].copy()
+        events.extend(PhaseEvent(t0 + tau, before, after)
+                      for tau, before, after in seg_events)
+        phase_counts[k] = len(seg_events) + 1
+        phased.append(k)
         extras.append(extra)
+    times = np.insert(X.breakpoints + 0.0, pos, phase_times)  # a -0.0 start is +0.0
     n = len(times)
-    Z = np.fromiter(chain.from_iterable(rows), float, n * len(row0)).reshape(n, -1)
+    V, I = np.empty((n, len(z))), np.zeros((n, len(z)), np.intp)
+    V[rows_at], I[rows_at] = rows, np.array(rows_at)[:, None]
+    free_rows = np.delete(np.arange(n), rows_at)
+    free_axes = np.delete(np.array(X.axes), phased) - 1
+    V[free_rows, free_axes], I[free_rows, free_axes] = free, free_rows
+    np.maximum.accumulate(I, axis=0, out=I)
     # L is constant between pushes: each row stands until the next one starts
-    L = np.repeat(np.array(Lrows), np.diff(Lstarts, append=n), axis=0)
-    return np.array(times), Z, L, tuple(events), phase_counts, extras
+    L = np.repeat(np.array(Lrows), np.diff(rows_at, append=n), axis=0)
+    return (times, np.take_along_axis(V, I, axis=0), L, tuple(events),
+            phase_counts, extras)
 
 
 def solve_regular(R: ReflectionMatrix, X: RegularPath) -> SkorokhodSolution:

@@ -49,6 +49,15 @@ def test_validate_matrix_and_params(tmp_path, capsys):
     assert rep["matrix"]["accepted"] and rep["collision_params"]["accepted"]
 
 
+def test_validate_accepts_a_nilpotent_q(tmp_path, capsys):
+    # rho(Q) = 0 for a triangular R; power iteration alone never brackets it
+    cfg = write_config(tmp_path, {"matrix": [[1.0, 0.0], [-0.5, 1.0]]})
+    code, out, _ = run(capsys, "validate", "--config", cfg)
+    assert code == 0
+    assert json.loads(out)["matrix"] == {"accepted": True, "reason": None,
+                                         "spectral_radius": 0.0}
+
+
 def test_validate_rejects_bad_matrix(tmp_path, capsys):
     cfg = write_config(tmp_path, {"matrix": [[1.0, 0.4], [0.3, 1.0]]})
     code, out, _ = run(capsys, "validate", "--config", cfg)
@@ -405,6 +414,67 @@ def test_verify_rejects_a_suite_without_instances(tmp_path, capsys, instances):
     assert code == 1
     assert out == ""
     assert "'instances' must be >= 1" in json.loads(err)["message"]
+
+
+SRBM_1D = {"matrix": [[1.0]], "mu": [0.0], "covariance": [[1.0]], "z0": [0.5],
+           "horizon": 1.0, "steps": 10, "seed": 1}
+VERIFY_1 = {"suites": [{"name": "counterexample", "instances": 1}], "seed": 1}
+INTEGER_OPTIONS = [("simulate-srbm", "steps"), ("simulate-srbm", "seed"),
+                   ("verify", "instances"), ("verify", "seed")]
+
+
+def integer_option_config(command, name, value):
+    if command == "simulate-srbm":
+        return dict(SRBM_1D, **{name: value})
+    if name == "seed":
+        return dict(VERIFY_1, seed=value)
+    return {"suites": [dict(VERIFY_1["suites"][0], instances=value)]}
+
+
+@pytest.mark.parametrize("command, name", INTEGER_OPTIONS)
+@pytest.mark.parametrize("value", [1.7, True, "x"])
+def test_mistyped_integer_option_is_rejected(tmp_path, capsys, command, name, value):
+    # read with int() these would run as 1 (1.7, true) or end in a traceback
+    cfg = write_config(tmp_path, integer_option_config(command, name, value))
+    code, out, err = run(capsys, command, "--config", cfg,
+                         "--out", str(tmp_path / "run"))
+    assert code == 1
+    assert out == ""
+    assert repr(name) in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize("command, name, value", [
+    ("simulate-srbm", "steps", 0), ("simulate-srbm", "seed", -1),
+    ("verify", "seed", -1)])
+def test_integer_option_below_its_bound_is_rejected(tmp_path, capsys, command,
+                                                    name, value):
+    cfg = write_config(tmp_path, integer_option_config(command, name, value))
+    code, out, err = run(capsys, command, "--config", cfg,
+                         "--out", str(tmp_path / "run"))
+    assert code == 1
+    assert out == ""
+    assert f"{name!r} must be >= " in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize("command, name", INTEGER_OPTIONS)
+def test_integer_option_at_its_bound_is_accepted(tmp_path, capsys, command, name):
+    least = 0 if name == "seed" else 1
+    cfg = write_config(tmp_path, integer_option_config(command, name, least))
+    code, _, _ = run(capsys, command, "--config", cfg, "--out", str(tmp_path / "run"))
+    assert code == 0
+
+
+def test_simulate_srbm_without_a_seed_is_rejected(tmp_path, capsys):
+    cfg = dict(SRBM_1D)
+    del cfg["seed"]
+    code, out, err = run(capsys, "simulate-srbm", "--config", write_config(tmp_path, cfg),
+                         "--out", str(tmp_path / "run"))
+    assert code == 1
+    assert out == ""
+    assert "'seed'" in json.loads(err)["message"]
+    code, _, _ = run(capsys, "simulate-srbm", "--config", write_config(tmp_path, cfg),
+                     "--out", str(tmp_path / "run"), "--seed", "0")
+    assert code == 0
 
 
 # ------------------------------------------------------- per-command flags

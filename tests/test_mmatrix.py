@@ -88,6 +88,22 @@ def test_radius_zero_matrix():
     assert spectral_radius_nonneg(np.zeros((3, 3))) == 0.0
 
 
+@pytest.mark.parametrize("Q", [
+    [[0.0, 0.0], [0.5, 0.0]],
+    [[0.0, 0.3, 0.2, 0.0], [0.0, 0.0, 0.7, 0.1], [0.0, 0.0, 0.0, 0.9],
+     [0.0, 0.0, 0.0, 0.0]],
+    [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1e-12, 0.0, 0.0]],  # no bracket is reached
+])
+def test_radius_of_a_nilpotent_matrix_is_zero(Q):
+    # an acyclic positive pattern gives Q^d = 0; power iteration never brackets it
+    assert spectral_radius_nonneg(Q) == 0.0
+
+
+def test_triangular_reflection_matrix_is_accepted():
+    R = ReflectionMatrix([[1.0, 0.0], [-0.5, 1.0]])
+    assert validate_reflection_m_matrix(R.entries).spectral_radius == 0.0
+
+
 @pytest.mark.parametrize("off,expected", [(0.5, 0.5), (0.9, 0.9)])
 def test_radius_cross_matrix(off, expected):
     got = spectral_radius_nonneg([[0, off], [off, 0]], tol=1e-12)
@@ -259,7 +275,7 @@ def product_lemma_case(draw):
 
 
 @given(product_lemma_case())
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=120, deadline=None, derandomize=True)
 def test_block_product_bound(case):
     # [A]_{IJ}[B]_{JK} <= [AB]_{IK} for nonnegative A, B
     A, B, I, J, K = case
@@ -282,7 +298,7 @@ def ordered_product_case(draw):
 
 
 @given(ordered_product_case())
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=120, deadline=None, derandomize=True)
 def test_ordered_product_bound(case):
     # A >= B >= 0, C >= D >= 0 implies AC >= BD >= 0
     A, B, C, D = case
@@ -291,7 +307,7 @@ def test_ordered_product_bound(case):
 
 
 @given(st.integers(1, 5), st.data())
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=120, deadline=None, derandomize=True)
 def test_vector_product_bound(d, data):
     # [Aa]_J >= [A]_J [a]_J for nonnegative A, a
     A = data.draw(nonneg_matrix(d, d))
