@@ -6,8 +6,8 @@ writes.  The expected digests pin the output bytes of all six commands,
 both solver methods, all nine ``verify`` suites and an SRBM run that pushes
 on about one piece in ten, so a refactor that must not change behaviour can
 be checked byte for byte.  They were recorded with Python 3.11 and numpy 2.4
-on x86-64; another BLAS or numpy build may change
-last bits of the sampled noise and so the digests.
+on x86-64; another BLAS or numpy build may change last bits of the sampled
+noise and so the digests.
 
 ``python tests/test_golden.py`` prints the digests of the current code.
 """
