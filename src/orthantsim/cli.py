@@ -27,7 +27,6 @@ from .paths import (
     BrownianSpec,
     RegularPath,
     SampledPath,
-    read_path_csv,
     sample_brownian,
     standard_regular_approximation,
 )
@@ -75,9 +74,10 @@ def _emit(obj) -> None:
 def _option(args, cfg: dict, name: str, default=None, required=False):
     """``--name`` if given, else the config's value, else ``default``.
 
-    A tol must be a real > 0, a seed an integer >= 0, and a level, instances
-    or steps an integer >= 1; a bool, a string, a float for an integer, a
-    value out of bounds or a missing ``required`` one raises ``ConfigError``.
+    A tol must be a real > 0, a seed an integer >= 0, and any other option
+    (level, steps, instances, ...) an integer >= 1; a bool, a string, a
+    float for an integer, a value out of bounds or a missing ``required``
+    one raises ``ConfigError``.  ``args`` may be None for a nested block.
     """
     value, source = getattr(args, name, None), f"--{name}"
     if value is None:
@@ -112,12 +112,14 @@ def _load_path(cfg, base: Path):
         file = base / cfg["file"]
         try:
             with open(file) as fh:
-                return SampledPath(*read_path_csv(fh))
+                return SampledPath.from_csv(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read path CSV {file}: {exc}") from exc
         except OrthantSimError as exc:
             raise ConfigError(f"malformed path CSV {file}: {exc}") from exc
     if kind == "brownian":
+        for name in ("dim", "steps", "seed"):
+            _option(None, cfg, name, required=True)
         return sample_brownian(BrownianSpec.from_jsonable(cfg))
     raise ConfigError(f"unknown path kind {cfg['kind']!r}")
 
@@ -175,10 +177,7 @@ def cmd_solve(cfg: dict, args) -> int:
     summary = {"method": method}
     # the grid oracle needs a sampled path: sample a regular one on a grid
     regrid = path
-    grid_points = cfg.get("grid_points", 2000)
-    if type(grid_points) is not int or grid_points < 1:
-        raise ConfigError("config 'grid_points' must be an integer >= 1, "
-                          f"got {grid_points!r}")
+    grid_points = _option(args, cfg, "grid_points", 2000)
     if isinstance(path, RegularPath):
         grid = np.linspace(0.0, path.horizon, grid_points + 1)
         regrid = SampledPath(grid, path.values_at(grid))
@@ -231,8 +230,8 @@ def cmd_simulate_srbm(cfg: dict, args) -> int:
 def cmd_simulate_cbp(cfg: dict, args) -> int:
     out = _out_dir(cfg, args)
     spec_cfg = dict(cfg.get("cbp", cfg))
-    if args.seed is not None:
-        spec_cfg["seed"] = args.seed
+    spec_cfg["seed"] = _option(args, spec_cfg, "seed", required=True)
+    _option(None, spec_cfg, "steps", required=True)
     spec = CbpSpec.from_jsonable(spec_cfg)
     level = _option(args, cfg, "level")
     sol = simulate_cbp(spec, _method(args, cfg), level,
@@ -274,12 +273,13 @@ def cmd_verify(cfg: dict, args) -> int:
     seed = _option(args, cfg, "seed", 0)
     results = []
     all_passed = True
+    checked = ("tol", "level", "steps", "n_max", "d_max", "grid")
     for entry in suites:
         if not isinstance(entry, dict) or "name" not in entry:
             raise ConfigError("each suite entry needs a 'name'")
         opts = {k: v for k, v in entry.items()
-                if k not in ("name", "instances", "tol", "level")}
-        for name in ("tol", "level"):
+                if k not in ("name", "instances", *checked)}
+        for name in checked:
             value = _option(args, entry, name)
             if value is not None:
                 opts[name] = value

@@ -45,6 +45,12 @@ from .skorokhod import (
 
 EXACT_TOL = 1e-9
 GRID_TOL_BASE = 1e-6
+GAP_SRBM_TOL = 1e-8  # |Z_cbp - Z_srbm|: one gap process solved two ways
+# the counterexample margin is 0.0 (r21 reproduced) or 1.0, cut in between
+COUNTEREXAMPLE_TOL = 1e-12
+COUNTEREXAMPLE_CUT = 0.5
+RHO_RANGE = (0.2, 0.85)  # rho(Q) of a random reflection matrix
+SHARE_RANGE = (0.15, 0.85)  # random collision shares
 
 
 @dataclass(frozen=True)
@@ -142,6 +148,13 @@ def _require(cond: bool, message: str) -> None:
         raise PreconditionError(message)
 
 
+def _require_qplus_dominated(q: CollisionParams, qbar: CollisionParams) -> None:
+    n = q.n_particles
+    _require(qbar.n_particles == n, "parameter sets must share the size")
+    _require(all(q.qplus[k] <= qbar.qplus[k] for k in range(1, n)),
+             "q+_n <= qbar+_n (n = 2..N) fails")
+
+
 def _coupled_route(X, Xbar) -> str:
     """``"exact"`` for two coupled regular drivers, ``"grid"`` for two sampled.
 
@@ -208,9 +221,7 @@ def check_particle_comparison(q: CollisionParams, qbar: CollisionParams,
     all recorded times.
     """
     n = q.n_particles
-    _require(qbar.n_particles == n, "parameter sets must share the size")
-    _require(all(q.qplus[k] <= qbar.qplus[k] for k in range(1, n)),
-             "q+_n <= qbar+_n (n = 2..N) fails")
+    _require_qplus_dominated(q, qbar)
     _require(X.dim == n and Xbar.dim == n,
              "drivers must match the particle count")
     start = X.values_at([0.0])[0]
@@ -256,7 +267,7 @@ def check_removal_corollaries(spec: CbpSpec, lo: int, hi: int,
     Xn = standard_regular_approximation(X, level)
     full = solve_competing(spec.q, Xn)
     sub = solve_competing(subsystem_spec(spec, lo, hi).q,
-                          Xn.restrict_components(lo, hi))
+                          Xn.restrict_members(tuple(range(lo, hi + 1))))
 
     positions, relations = _REMOVAL_POSITIONS[lo == 1, hi == n]
     m = _Margins()
@@ -268,7 +279,6 @@ def check_removal_corollaries(spec: CbpSpec, lo: int, hi: int,
 
 
 def check_skorokhod_removal(R: ReflectionMatrix, X, members,
-                            tol: float = EXACT_TOL,
                             level: int | None = None) -> ComparisonReport:
     """Dropping driver components relaxes the remaining reflected ones.
 
@@ -287,7 +297,7 @@ def check_skorokhod_removal(R: ReflectionMatrix, X, members,
     sub = solve_regular(Rsub, X.restrict_members(members))
     m = _Margins()
     _pair_margins(m, full, sub, ("Z<=Zbar", "dL>=dLbar"), cols=idx)
-    return m.report(tol, members=members)
+    return m.report(EXACT_TOL, members=members)
 
 
 def _shifted_driver(X: SampledPath, offset: np.ndarray,
@@ -381,9 +391,7 @@ def check_parameter_monotonicity(spec: CbpSpec, qbar: CollisionParams | None = N
 
     qb = qbar if qbar is not None else spec.q
     if qbar is not None:
-        _require(qbar.n_particles == n, "qbar must match the particle count")
-        _require(all(spec.q.qplus[k] <= qbar.qplus[k] for k in range(1, n)),
-                 "q+_n <= qbar+_n (n = 2..N) fails")
+        _require_qplus_dominated(spec.q, qbar)
 
     if gbar is not None:
         gbar = np.asarray(gbar, dtype=float)
@@ -457,44 +465,40 @@ def counterexample_positive_offdiag(r21: float,
 # ---------------------------------------------------------------------------
 # Randomized instance generation (seeded, reproducible)
 
-def random_reflection_matrix(rng: np.random.Generator, d: int,
-                             rho_range=(0.2, 0.85)) -> ReflectionMatrix:
+def random_reflection_matrix(rng: np.random.Generator, d: int) -> ReflectionMatrix:
     if d == 1:
         return ReflectionMatrix(np.eye(1))
     Q = rng.uniform(0.05, 1.0, (d, d))
     np.fill_diagonal(Q, 0.0)
-    Q *= rng.uniform(*rho_range) / spectral_radius_nonneg(Q)
+    Q *= rng.uniform(*RHO_RANGE) / spectral_radius_nonneg(Q)
     return ReflectionMatrix(np.eye(d) - Q)
 
 
-def random_dominated_matrix_pair(rng: np.random.Generator, d: int,
-                                 rho_range=(0.2, 0.85)):
+def random_dominated_matrix_pair(rng: np.random.Generator, d: int):
     """R <= Rbar entrywise, both valid: Qbar shrinks Q entrywise."""
-    R = random_reflection_matrix(rng, d, rho_range)
+    R = random_reflection_matrix(rng, d)
     Q = R.q_matrix()
     Rbar = ReflectionMatrix(np.eye(d) - rng.uniform(0.0, 1.0, (d, d)) * Q)
     return R, Rbar
 
 
 def random_dominated_sampled_pair(rng: np.random.Generator, d: int,
-                                  grid: int = 32, T: float = 1.0,
-                                  scale: float = 1.0):
-    """Sampled pair with X(0) <= Xbar(0) and dominated grid increments."""
-    times = np.linspace(0.0, T, grid + 1)
-    dt = T / grid
-    inc = rng.normal(0.0, scale * np.sqrt(dt), (grid, d))
+                                  grid: int = 32):
+    """Sampled pair on [0, 1] with X(0) <= Xbar(0) and dominated increments."""
+    times = np.linspace(0.0, 1.0, grid + 1)
+    dt = 1.0 / grid
+    inc = rng.normal(0.0, np.sqrt(dt), (grid, d))
     x0 = rng.uniform(0.0, 1.0, d)
     X = SampledPath(times, np.vstack([x0, x0 + np.cumsum(inc, axis=0)]))
-    extra = rng.uniform(0.0, scale * dt, (grid, d))
+    extra = rng.uniform(0.0, dt, (grid, d))
     shift = rng.uniform(0.0, 0.5, d)
     bump = np.vstack([np.zeros(d), np.cumsum(extra, axis=0)]) + shift
     return X, SampledPath(times, X.values + bump)
 
 
-def random_collision_params(rng: np.random.Generator, n: int,
-                            lo: float = 0.15, hi: float = 0.85) -> CollisionParams:
-    return CollisionParams.from_qminus(rng.uniform(lo, hi, n),
-                                       qplus1=rng.uniform(lo, hi))
+def random_collision_params(rng: np.random.Generator, n: int) -> CollisionParams:
+    return CollisionParams.from_qminus(rng.uniform(*SHARE_RANGE, n),
+                                       qplus1=rng.uniform(*SHARE_RANGE))
 
 
 def random_dominated_params(rng: np.random.Generator, n: int):
@@ -506,15 +510,14 @@ def random_dominated_params(rng: np.random.Generator, n: int):
     return q, qbar
 
 
-def random_cbp_spec(rng: np.random.Generator, n: int, steps: int = 1000,
-                    T: float = 1.0) -> CbpSpec:
+def random_cbp_spec(rng: np.random.Generator, n: int, steps: int = 1000) -> CbpSpec:
     y0 = np.cumsum(rng.uniform(0.0, 0.6, n))
     return CbpSpec(
         g=tuple(rng.uniform(-1.5, 1.5, n)),
         sigma2=tuple(rng.uniform(0.3, 2.0, n)),
         q=random_collision_params(rng, n),
         y0=tuple(y0),
-        horizon=T,
+        horizon=1.0,
         steps=steps,
         seed=int(rng.integers(0, 2**32)),
     )
@@ -619,8 +622,6 @@ def _removal_instance(rng, opts, two_sided: bool):
     if two_sided:
         lo = int(rng.integers(2, n))
         hi = int(rng.integers(lo + 1, n + 1))
-        if lo == 1 and hi == n:
-            hi = n - 1
     else:
         lo, hi = 1, int(rng.integers(2, n))
     return check_removal_corollaries(spec, lo, hi, **_corollary_options(opts))
@@ -663,17 +664,17 @@ def _gap_srbm_instance(rng, opts):
     m = _Margins()
     m.add(np.abs(cbp.Z.values_at(times) - srbm.Z.values_at(times)), times,
           "|Z_cbp - Z_srbm| <= tol")
-    return m.report(opts.get("tol", 1e-8))
+    return m.report(opts.get("tol", GAP_SRBM_TOL))
 
 
 def _counterexample_instance(rng, opts):
     r21 = float(opts.get("r21", rng.uniform(0.1, 1.0)))
     res = counterexample_positive_offdiag(r21)
-    expected = abs(res.max_violation - r21) <= 1e-12 and res.certified
+    expected = abs(res.max_violation - r21) <= COUNTEREXAMPLE_TOL and res.certified
     m = _Margins()
     m.add(np.asarray([[0.0 if expected else 1.0]]), np.asarray([1.0]),
           "counterexample certified")
-    return m.report(0.5, r21=r21)
+    return m.report(COUNTEREXAMPLE_CUT, r21=r21)
 
 
 SUITES = {

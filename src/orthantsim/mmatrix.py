@@ -11,7 +11,7 @@ All index sets and axis indices in the public API are 1-based.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,6 +27,9 @@ from .paths import _ArrayValue
 
 DIAGONAL_TOL = 1e-10
 RADIUS_MARGIN = 1e-8
+# Collatz-Wielandt bracket width at which the Perron root counts as found
+PERRON_TOL = 1e-10
+NEUMANN_MAX_TERMS = 100_000
 
 
 def _as_square(M) -> np.ndarray:
@@ -83,7 +86,7 @@ class ValidationReport:
     spectral_radius: float | None = None
 
 
-def spectral_radius_nonneg(Q, tol: float = 1e-10, max_iter: int = 100_000) -> float:
+def spectral_radius_nonneg(Q, tol: float = PERRON_TOL, max_iter: int = 100_000) -> float:
     """Perron root of an entrywise nonnegative matrix by power iteration.
 
     The iteration runs on Q + I (same eigenvectors, radius shifted by one);
@@ -118,6 +121,13 @@ def spectral_radius_nonneg(Q, tol: float = 1e-10, max_iter: int = 100_000) -> fl
     )
 
 
+def _q_part(A: np.ndarray) -> np.ndarray:
+    """Q = I - A with a zero diagonal and negative entries clipped to 0."""
+    Q = np.clip(np.eye(len(A)) - A, 0.0, None)
+    np.fill_diagonal(Q, 0.0)
+    return Q
+
+
 def validate_reflection_m_matrix(M, tol: float = RADIUS_MARGIN) -> ValidationReport:
     """Check membership in the reflection nonsingular M-matrix class.
 
@@ -127,7 +137,6 @@ def validate_reflection_m_matrix(M, tol: float = RADIUS_MARGIN) -> ValidationRep
     A = _as_square(M)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    d = A.shape[0]
     diag = np.diagonal(A)
     if np.any(np.abs(diag - 1.0) > DIAGONAL_TOL):
         k = int(np.argmax(np.abs(diag - 1.0)))
@@ -138,9 +147,7 @@ def validate_reflection_m_matrix(M, tol: float = RADIUS_MARGIN) -> ValidationRep
         return ValidationReport(
             False, f"positive off-diagonal entry at ({r + 1},{c + 1})"
         )
-    Q = np.clip(np.eye(d) - A, 0.0, None)
-    np.fill_diagonal(Q, 0.0)
-    rho = spectral_radius_nonneg(Q, tol=min(tol, 1e-10))
+    rho = spectral_radius_nonneg(_q_part(A), tol=min(tol, PERRON_TOL))
     if rho >= 1.0 - tol:
         return ValidationReport(
             False, f"spectral radius of I - R is {rho:.12g} >= 1 - {tol:g}", rho
@@ -153,11 +160,10 @@ class ReflectionMatrix(_ArrayValue):
     """Validated reflection nonsingular M-matrix; immutable after construction."""
 
     entries: np.ndarray
-    tol: float = field(default=RADIUS_MARGIN, compare=False)
 
     def __post_init__(self):
         A = _as_square(self.entries).copy()
-        report = validate_reflection_m_matrix(A, tol=self.tol)
+        report = validate_reflection_m_matrix(A)
         if not report.accepted:
             raise MatrixValidationError(report.reason)
         A.setflags(write=False)
@@ -169,13 +175,10 @@ class ReflectionMatrix(_ArrayValue):
 
     def q_matrix(self) -> np.ndarray:
         """The nonnegative part Q = I - R (zero diagonal)."""
-        Q = np.eye(self.dim) - self.entries
-        np.fill_diagonal(Q, 0.0)
-        return np.clip(Q, 0.0, None)
+        return _q_part(self.entries)
 
 
-def neumann_inverse(R: ReflectionMatrix, tol: float = 1e-12,
-                    max_terms: int = 100_000) -> np.ndarray:
+def neumann_inverse(R: ReflectionMatrix, tol: float = 1e-12) -> np.ndarray:
     """Inverse of R via the series I + Q + Q^2 + ...
 
     Truncates once the added term's max-norm drops below tol.  The result is
@@ -186,13 +189,13 @@ def neumann_inverse(R: ReflectionMatrix, tol: float = 1e-12,
     Q = R.q_matrix()
     total = np.eye(R.dim)
     term = np.eye(R.dim)
-    for _ in range(max_terms):
+    for _ in range(NEUMANN_MAX_TERMS):
         term = term @ Q
         total += term
         if np.abs(term).max() < tol:
             return total
     raise ConvergenceError(
-        f"Neumann series did not reach term norm {tol:g} in {max_terms} terms",
+        f"Neumann series did not reach term norm {tol:g} in {NEUMANN_MAX_TERMS} terms",
         details={"last_term_norm": float(np.abs(term).max())},
     )
 
@@ -251,11 +254,11 @@ def check_matrix_lemmas(R: ReflectionMatrix, Rbar: ReflectionMatrix,
     sub = principal_submatrix(R.entries, J, J)
     sub_report = validate_reflection_m_matrix(sub)
 
+    inv_R = np.linalg.inv(R.entries)
     inv_sub = np.linalg.inv(sub)
-    sub_of_inv = principal_submatrix(np.linalg.inv(R.entries), J, J)
+    sub_of_inv = principal_submatrix(inv_R, J, J)
     p1 = max(float((-inv_sub).max()), float((inv_sub - sub_of_inv).max()))
 
-    inv_R = np.linalg.inv(R.entries)
     inv_Rbar = np.linalg.inv(Rbar.entries)
     p3 = max(float((inv_Rbar - inv_R).max()), float((-inv_Rbar).max()))
 

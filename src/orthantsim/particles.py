@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import lru_cache, partial
+from numbers import Integral
 
 import numpy as np
 
@@ -87,6 +88,8 @@ class CollisionParams:
 
     @classmethod
     def symmetric(cls, n: int) -> "CollisionParams":
+        if not isinstance(n, Integral):
+            raise ParameterError(f"particle count must be an integer, got {n!r}")
         return cls((0.5,) * n, (0.5,) * n)
 
     @classmethod
@@ -102,7 +105,7 @@ class CollisionParams:
     @classmethod
     def from_jsonable(cls, obj) -> "CollisionParams":
         if "symmetric" in obj:
-            return cls.symmetric(int(obj["symmetric"]))
+            return cls.symmetric(obj["symmetric"])
         return cls(tuple(obj["qplus"]), tuple(obj["qminus"]))
 
 
@@ -113,8 +116,9 @@ def invert_system(q: CollisionParams) -> CollisionParams:
     return CollisionParams(qp, qm)
 
 
+@lru_cache(maxsize=128)  # both are values; validation is a power iteration
 def reflection_matrix_from_params(q: CollisionParams) -> ReflectionMatrix:
-    """Tridiagonal gap-process reflection matrix of size N-1."""
+    """Tridiagonal gap-process reflection matrix of size N-1, cached per q."""
     n = q.n_particles
     R = np.eye(n - 1)
     for k in range(n - 2):
@@ -305,16 +309,7 @@ def solve_regular_linear(q: CollisionParams, y0, i: int, alpha: float,
 
     Driver: X_i(t) = y_i + alpha*t, all other components constant.
     """
-    n = q.n_particles
-    y0 = _check_w_point(y0, n)
-    if not 1 <= i <= n:
-        raise ParameterError(f"rank index {i} out of 1..{n}")
-    if T <= 0:
-        raise ParameterError("horizon T must be positive")
-    sol = _solve_competing_regular(q, RegularPath(y0, [0.0, T], (i,), [alpha]))
-    sol.diagnostics["phases"] = len(sol.events) + 1
-    sol.diagnostics["method"] = "regular-linear-exact"
-    return sol
+    return _solve_competing_regular(q, RegularPath(y0, [0.0, T], (i,), [alpha]))
 
 
 def solve_competing(q: CollisionParams, X, n: int | None = None,
@@ -428,7 +423,7 @@ class CbpSpec:
         return cls(
             tuple(obj["g"]), tuple(obj["sigma2"]),
             CollisionParams.from_jsonable(obj["q"]), tuple(obj["y0"]),
-            float(obj["horizon"]), int(obj["steps"]), int(obj["seed"]),
+            float(obj["horizon"]), obj["steps"], obj["seed"],
             int(obj.get("stream_offset", 0)),
         )
 

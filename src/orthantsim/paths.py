@@ -13,6 +13,7 @@ Axis indices are 1-based everywhere in the public API.
 from __future__ import annotations
 
 import csv
+import operator
 from dataclasses import dataclass, fields
 from functools import cached_property
 
@@ -29,7 +30,10 @@ from .errors import (
     RangeError,
 )
 
+# scaled by max(1, max |entry|) of the data they check
 COVARIANCE_EIG_FLOOR = -1e-12
+COVARIANCE_SYMMETRY_RTOL = 1e-12
+DOMINATION_RTOL = 1e-12
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -60,8 +64,21 @@ class _ArrayValue:
         return hash(self._value_key())
 
 
+class _Path(_ArrayValue):
+    """``evaluate`` and the horizon check of ``values_at``, for both kinds."""
+
+    def evaluate(self, t: float) -> np.ndarray:
+        return self.values_at(np.asarray([t]))[0]
+
+    def _in_horizon(self, ts) -> np.ndarray:
+        ts = np.asarray(ts, dtype=float)
+        if ts.size and (ts.min() < 0.0 or ts.max() > self.horizon):
+            raise RangeError(f"evaluation times outside [0, {self.horizon}]")
+        return ts
+
+
 @dataclass(frozen=True, eq=False)
-class SampledPath(_ArrayValue):
+class SampledPath(_Path):
     """Continuous path represented by values on a time grid.
 
     ``times`` is strictly increasing with ``times[0] == 0``; ``values`` has
@@ -100,16 +117,9 @@ class SampledPath(_ArrayValue):
     def horizon(self) -> float:
         return float(self.times[-1])
 
-    def evaluate(self, t: float) -> np.ndarray:
-        if t < 0.0 or t > self.horizon:
-            raise RangeError(f"t={t} outside [0, {self.horizon}]")
-        return self.values_at(np.asarray([t]))[0]
-
     def values_at(self, ts) -> np.ndarray:
         """Vectorized linear interpolation; exact at grid times."""
-        ts = np.asarray(ts, dtype=float)
-        if ts.size and (ts.min() < 0.0 or ts.max() > self.horizon):
-            raise RangeError("evaluation times outside [0, horizon]")
+        ts = self._in_horizon(ts)
         idx = np.clip(np.searchsorted(self.times, ts, side="right") - 1,
                       0, len(self.times) - 2)
         t0 = self.times[idx]
@@ -128,7 +138,7 @@ class SampledPath(_ArrayValue):
 
 
 @dataclass(frozen=True, eq=False)
-class RegularPath(_ArrayValue):
+class RegularPath(_Path):
     """Piecewise-linear path with axis-parallel pieces.
 
     Segment k runs over [breakpoints[k], breakpoints[k+1]] and moves only
@@ -145,7 +155,7 @@ class RegularPath(_ArrayValue):
         x0 = np.asarray(self.start, dtype=float).ravel()
         bp = np.asarray(self.breakpoints, dtype=float)
         sl = np.asarray(self.slopes, dtype=float)
-        axes = tuple(map(int, self.axes))
+        axes = tuple(map(operator.index, self.axes))
         if x0.size < 1:
             raise DimensionError("start vector must be nonempty")
         if bp.ndim != 1 or len(bp) < 2:
@@ -191,15 +201,8 @@ class RegularPath(_ArrayValue):
         out.setflags(write=False)
         return out
 
-    def evaluate(self, t: float) -> np.ndarray:
-        if t < 0.0 or t > self.horizon:
-            raise RangeError(f"t={t} outside [0, {self.horizon}]")
-        return self.values_at(np.asarray([t]))[0]
-
     def values_at(self, ts) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        if ts.size and (ts.min() < 0.0 or ts.max() > self.horizon):
-            raise RangeError("evaluation times outside [0, horizon]")
+        ts = self._in_horizon(ts)
         idx = np.clip(np.searchsorted(self.breakpoints, ts, side="right") - 1,
                       0, len(self.axes) - 1)
         out = self.vertices[idx].copy()
@@ -230,12 +233,6 @@ class RegularPath(_ArrayValue):
         idx = np.asarray(members, dtype=int) - 1
         return RegularPath(self.start[idx], self.breakpoints,
                            tuple(axes), np.asarray(slopes))
-
-    def restrict_components(self, lo: int, hi: int) -> "RegularPath":
-        """Keep the contiguous component range lo..hi (1-based, inclusive)."""
-        if not (1 <= lo <= hi <= self.dim):
-            raise RangeError(f"component range {lo}..{hi} invalid for dim {self.dim}")
-        return self.restrict_members(tuple(range(lo, hi + 1)))
 
     def to_jsonable(self) -> dict:
         return {
@@ -272,7 +269,7 @@ class BrownianSpec(_ArrayValue):
         if self.horizon <= 0:
             raise ParameterError("horizon must be positive")
         scale = max(1.0, float(np.abs(A).max()))
-        if np.abs(A - A.T).max() > 1e-12 * scale:
+        if np.abs(A - A.T).max() > COVARIANCE_SYMMETRY_RTOL * scale:
             raise CovarianceError("covariance must be symmetric")
         object.__setattr__(self, "drift", _freeze(mu))
         object.__setattr__(self, "covariance", _freeze(A))
@@ -289,9 +286,9 @@ class BrownianSpec(_ArrayValue):
 
     @classmethod
     def from_jsonable(cls, obj) -> "BrownianSpec":
-        return cls(int(obj["dim"]), np.asarray(obj["drift"]),
+        return cls(obj["dim"], np.asarray(obj["drift"]),
                    np.asarray(obj["covariance"]), float(obj["horizon"]),
-                   int(obj["steps"]), int(obj["seed"]))
+                   obj["steps"], obj["seed"])
 
 
 def symmetric_sqrt(A: np.ndarray) -> np.ndarray:
@@ -430,23 +427,20 @@ class DominationCheck:
         return self.ok
 
 
-def increments_dominated(X: SampledPath, Xbar: SampledPath,
-                         atol: float | None = None) -> DominationCheck:
+def increments_dominated(X: SampledPath, Xbar: SampledPath) -> DominationCheck:
     """Whether X(0) <= Xbar(0) and all grid increments of X are <= Xbar's.
 
     Checked per adjacent step, which for piecewise-linear paths on a common
     grid is equivalent to domination over every pair s <= t (telescoping).
-    ``atol`` absorbs representation noise; the default scales with the data
-    so that pairs built by independent float arithmetic still register.
+    The tolerance scales with the data, so that pairs built by independent
+    float arithmetic still register.
     """
     if X.dim != Xbar.dim:
         raise AlignmentError("paths must share the dimension")
     if not np.array_equal(X.times, Xbar.times):
         raise AlignmentError("paths must share the time grid")
-    if atol is None:
-        scale = max(float(np.abs(X.values).max()),
-                    float(np.abs(Xbar.values).max()), 1.0)
-        atol = 1e-12 * scale
+    atol = DOMINATION_RTOL * max(float(np.abs(X.values).max()),
+                                 float(np.abs(Xbar.values).max()), 1.0)
     start_gap = X.values[0] - Xbar.values[0]
     if start_gap.max() > atol:
         i = int(np.argmax(start_gap))

@@ -193,15 +193,7 @@ def solve_linear_segment(R: ReflectionMatrix, x, i: int, alpha: float,
     ``i`` is 1-based; the boundary set is read off from x (the components
     equal to zero).
     """
-    d = R.dim
-    x = _check_start(x, d)
-    if not 1 <= i <= d:
-        raise ParameterError(f"axis index {i} out of 1..{d}")
-    if T <= 0:
-        raise ParameterError("horizon T must be positive")
-    sol = solve_regular(R, RegularPath(x, [0.0, T], (i,), [alpha]))
-    sol.diagnostics["phases"] = len(sol.events) + 1
-    return sol
+    return solve_regular(R, RegularPath(x, [0.0, T], (i,), [alpha]))
 
 
 def _stitch(X: RegularPath, row0: np.ndarray, width: int, kernel):
@@ -412,9 +404,8 @@ def simulate_srbm(R: ReflectionMatrix, mu, A, z0, horizon: float, steps: int,
     return sol
 
 
-def write_solution(sol, csv_file, events_file=None) -> None:
+def write_solution(sol, csv_file, events_file) -> None:
     """CSV trajectory plus the JSON events sidecar, for either solution type."""
     sol.to_csv(csv_file)
-    if events_file is not None:
-        json.dump(sol.events_to_jsonable(), events_file, indent=2, sort_keys=True)
-        events_file.write("\n")
+    json.dump(sol.events_to_jsonable(), events_file, indent=2, sort_keys=True)
+    events_file.write("\n")

@@ -600,3 +600,60 @@ def test_grid_oracle_at_its_sweep_cap_exits_solver(tmp_path, capsys):
     error = json.loads(err)  # one JSON line, no traceback
     assert error["error"] == "solver"
     assert "rho(Q) = 0.999" in error["message"] and "10000" in error["message"]
+
+
+# ------------------------------------------------- integers in nested blocks
+
+CBP_2 = {"g": [0.0, 0.0], "sigma2": [1.0, 1.0], "q": {"symmetric": 2},
+         "y0": [0.0, 0.1], "horizon": 1.0, "steps": 10, "seed": 1}
+BROWNIAN_1 = {"kind": "brownian", "dim": 1, "drift": [0.0],
+              "covariance": [[1.0]], "horizon": 1.0, "steps": 10, "seed": 1}
+
+
+def assert_config_error_names(code, out, err, name):
+    assert code == 1
+    assert out == ""
+    assert repr(name) in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize("name, value", [("steps", 10.7), ("seed", True)])
+def test_simulate_cbp_block_integer_is_not_truncated(tmp_path, capsys, name, value):
+    # read with int() these ran 10 steps at seed 1 and exited 0
+    cfg = write_config(tmp_path, {"cbp": dict(CBP_2, **{name: value})})
+    assert_config_error_names(*run(capsys, "simulate-cbp", "--config", cfg,
+                                   "--out", str(tmp_path / "run")), name)
+
+
+@pytest.mark.parametrize("name, value", [("dim", 1.5), ("steps", 10.7),
+                                         ("seed", True)])
+def test_brownian_path_integer_is_not_truncated(tmp_path, capsys, name, value):
+    cfg = write_config(tmp_path, {"path": dict(BROWNIAN_1, **{name: value})})
+    assert_config_error_names(*run(capsys, "approximate", "--config", cfg), name)
+
+
+def test_regular_path_axis_is_not_truncated(tmp_path, capsys):
+    # read with int() the axis 1.9 was solved as axis 1
+    cfg = write_config(tmp_path, {"matrix": [[1.0, 0.0], [0.0, 1.0]], "path": {
+        "kind": "regular", "start": [1.0, 1.0], "breakpoints": [0.0, 1.0],
+        "axes": [1.9], "slopes": [-2.0]}})
+    code, out, err = run(capsys, "solve", "--config", cfg,
+                         "--out", str(tmp_path / "run"))
+    assert (code, out) == (1, "")
+    assert "integer" in json.loads(err)["message"]
+
+
+def test_validate_rejects_a_fractional_particle_count(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"collision_params": {"symmetric": 3.7}})
+    code, out, _ = run(capsys, "validate", "--config", cfg)
+    assert code == 2
+    assert json.loads(out)["collision_params"] == {
+        "accepted": False, "reason": "particle count must be an integer, got 3.7"}
+
+
+@pytest.mark.parametrize("suite, name, value", [
+    ("particle_comparison", "n_max", 4.7), ("skorokhod_comparison", "d_max", 3.5),
+    ("skorokhod_comparison", "grid", 8.2), ("initial_shift", "steps", 50.5)])
+def test_suite_entry_integer_is_not_truncated(tmp_path, capsys, suite, name, value):
+    cfg = write_config(tmp_path, {"suites": [
+        {"name": suite, "instances": 1, name: value}]})
+    assert_config_error_names(*run(capsys, "verify", "--config", cfg), name)

@@ -22,7 +22,7 @@ from orthantsim.particles import (
     CollisionParams,
     solve_regular_linear,
 )
-from orthantsim.paths import RegularPath, coupled_regular_approximation
+from orthantsim.paths import RegularPath, SampledPath, coupled_regular_approximation
 
 R1 = ReflectionMatrix([[1.0]])
 
@@ -348,3 +348,16 @@ def test_suite_broken_hypothesis_fails_with_errors():
 
 def test_counterexample_suite_passes():
     assert run_suite("counterexample", 3, seed=0).passed
+
+
+@pytest.mark.parametrize("check", [check_skorokhod_comparison,
+                                   check_particle_comparison])
+def test_sampled_pair_without_dominated_increments_is_rejected(check):
+    X, Xbar = random_dominated_sampled_pair(np.random.default_rng(77), 2, grid=8)
+    # swapped, Xbar's larger increments go first; the lift keeps starts ordered
+    lift = Xbar.values[0] - X.values[0] + [1.0, 3.0]
+    first = ReflectionMatrix(np.eye(2)) if check is check_skorokhod_comparison \
+        else CollisionParams.symmetric(2)
+    with pytest.raises(PreconditionError, match=r"^increment domination fails on \[0\.0"):
+        check(first, first, SampledPath(Xbar.times, Xbar.values + [0.0, 2.0]),
+              SampledPath(X.times, X.values + lift))

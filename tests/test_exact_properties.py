@@ -226,6 +226,18 @@ def test_free_rank_clamped_onto_its_neighbour_is_forward_filled():
         partial(_block_phases, q.qplus, q.qminus)) == 2
 
 
+def test_block_ending_at_T_past_the_rank_ahead_is_snapped_onto_it():
+    # the block of ranks 1-2 ends its last phase at T one ulp past rank 3
+    q = CollisionParams((0.5, 0.46371442879628844, 0.6269472713412737),
+                        (0.5362855712037116, 0.3730527286587263, 0.4477378056085357))
+    top = 1.6063048998613358
+    X = RegularPath([0.0, 0.6451811392987657, top], [0.0, 2.0948521142106147],
+                    (1,), [1.2973919099475384])
+    sol = solve_competing(q, X)
+    assert len(sol.events) == 1
+    assert (bits(sol.Y.values[-1]) == bits([top] * 3)).all()
+
+
 def test_solution_starts_at_plus_zero_after_a_negative_zero_breakpoint():
     X = RegularPath([0.5], [-0.0, 1.0], (1,), [-1.0])
     assert np.signbit(X.breakpoints[0])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orthantsim import mmatrix
 from orthantsim.errors import OrderingError, ParameterError, RangeError
 from orthantsim.mmatrix import validate_reflection_m_matrix
 from orthantsim.particles import (
@@ -321,7 +322,7 @@ def test_ordering_and_identities_random():
         assert sol.diagnostics["max_identity_residual"] < 1e-12
         assert sol.diagnostics["alpha_weight_residual"] < 1e-11
         assert sol.diagnostics["block_consistency_residual"] < 1e-12
-        assert sol.diagnostics["phases"] <= n + 1
+        assert len(sol.events) + 1 <= n + 1
         X = single_axis_path(y0, i, alpha, 2.0)
         assert_skorokhod_certificate(q, X, sol)
 
@@ -597,3 +598,20 @@ def test_sampled_route_reports_the_gap_solve_residual(seed):
     residual = gap.diagnostics["max_identity_residual"]
     assert residual > 0.0
     assert sol.diagnostics["max_identity_residual"] == residual
+
+
+# ------------------------------------------------------------ gap matrix
+
+def test_gap_matrix_is_built_and_validated_once_per_shares(monkeypatch):
+    reflection_matrix_from_params.cache_clear()
+    calls = []
+    validate = mmatrix.validate_reflection_m_matrix
+    monkeypatch.setattr(mmatrix, "validate_reflection_m_matrix",
+                        lambda *a: calls.append(a) or validate(*a))
+    q = CollisionParams((0.5, 0.4, 0.7), (0.6, 0.3, 0.5))
+    R = reflection_matrix_from_params(q)
+    assert reflection_matrix_from_params(CollisionParams(q.qplus, q.qminus)) is R
+    spec = CbpSpec((0.0, 0.1, -0.1), (1.0, 1.0, 1.0), q, (0.0, 0.2, 0.3), 1.0, 50, 3)
+    simulate_cbp(spec)
+    simulate_cbp(CbpSpec(spec.g, spec.sigma2, q, spec.y0, 1.0, 50, 4))
+    assert len(calls) == 1

@@ -119,7 +119,7 @@ def test_active_set_growth_and_phase_bound():
         x[rng.integers(0, d)] = 0.0
         i = int(rng.integers(1, d + 1))
         sol = solve_linear_segment(R, x, i, -2.0, 4.0)
-        assert sol.diagnostics["phases"] <= d + 1
+        assert len(sol.events) + 1 <= d + 1
         for e in sol.events:
             assert set(e.active_before) < set(e.active_after)
 
