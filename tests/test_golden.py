@@ -55,6 +55,10 @@ SRBM_PUSH = {"matrix": MATRIX_6D_PUSH, "mu": [-0.5] * 6,
 CBP = {"g": [0.2, -0.1, 0.0, -0.3], "sigma2": [1.0, 0.7, 1.3, 0.9],
        "q": {"qplus": [0.5, 0.6, 0.45, 0.7], "qminus": [0.4, 0.55, 0.3, 0.5]},
        "y0": [0.0, 0.1, 0.1, 0.4], "horizon": 1.0, "steps": 150, "seed": 4}
+# three particles tied at the start: the gap driver starts at the corner
+CBP_TIED = {"g": [0.3, -0.2, 0.1, -0.1], "sigma2": [0.8, 1.2, 1.0, 0.9],
+            "q": {"qplus": [0.5, 0.35, 0.6, 0.45], "qminus": [0.65, 0.4, 0.55, 0.5]},
+            "y0": [0.0, 0.0, 0.0, 0.2], "horizon": 1.0, "steps": 250, "seed": 12}
 SMALL = {"instances": 2, "steps": 120, "level": 30, "n_max": 4}
 SUITES = [
     {"name": "skorokhod_comparison", "instances": 2, "d_max": 3, "grid": 12},
@@ -111,6 +115,8 @@ CASES = {
                                        ["--method", "exact"]),
     "simulate_cbp_exact_gap_check": ("simulate-cbp",
                                      {"cbp": CBP, "gap_check": True}, []),
+    "simulate_cbp_exact_tied": ("simulate-cbp",
+                                {"cbp": CBP_TIED, "gap_check": True}, []),
     "simulate_cbp_grid": ("simulate-cbp", CBP,
                           ["--method", "grid", "--seed", "9"]),
     "approximate": ("approximate", {"path": {"kind": "csv", "file": "path2.csv"}},
@@ -121,6 +127,7 @@ CASES = {
 EXPECTED = {
     'approximate': '0c6d1c19db7bbc959f8b34fc0eeae30757c32592841e16ff644eaf2dd789a8c6',
     'simulate_cbp_exact_gap_check': 'a4c282e46db3dc59f92e283a69f47469c8c636702fc76e6ce4ea046a3552948c',
+    'simulate_cbp_exact_tied': '7a9a5df3eda6e9feeaf7a5a177192f01a71985be9b819b4eb99b052dd9a74c94',
     'simulate_cbp_grid': 'e7789c67eef5c3fed4ca4e08bd35300311d93b4ca6e3d13765f523f518dc9bb2',
     'simulate_srbm_exact': 'bae8e510287f0ca7dbd49d46262756e0b60384908e362467248acd8bc5c5af92',
     'simulate_srbm_exact_push_dense': 'c0d6439a41ca1d91a5da5dd8993c8df1485ebe552d5b34ac8ef0fc3405a90702',
