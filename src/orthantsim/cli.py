@@ -74,8 +74,8 @@ def _emit(obj) -> None:
 def _option(args, cfg: dict, name: str, default=None, required=False):
     """``--name`` if given, else the config's value, else ``default``.
 
-    A tol must be a real > 0, a seed an integer >= 0, and any other option
-    (level, steps, instances, ...) an integer >= 1; a bool, a string, a
+    A tol must be a real > 0, a seed or stream_offset an integer >= 0, any
+    other option (level, steps, ...) an integer >= 1; a bool, a string, a
     float for an integer, a value out of bounds or a missing ``required``
     one raises ``ConfigError``.  ``args`` may be None for a nested block.
     """
@@ -87,7 +87,7 @@ def _option(args, cfg: dict, name: str, default=None, required=False):
     if name == "tol":
         rule, ok = "> 0 and of type real", isinstance(value, Real) and value > 0
     else:
-        least = 0 if name == "seed" else 1
+        least = 0 if name in ("seed", "stream_offset") else 1
         rule, ok = f">= {least} and of type int", isinstance(value, int) and value >= least
     if isinstance(value, bool) or not ok:
         raise ConfigError(f"{source} must be {rule}, got {value!r}")
@@ -107,7 +107,10 @@ def _load_path(cfg, base: Path):
         raise ConfigError("path source needs a 'kind' field")
     kind = cfg["kind"]
     if kind == "regular":
-        return RegularPath.from_jsonable(cfg)
+        try:
+            return RegularPath.from_jsonable(cfg)
+        except OrthantSimError as exc:
+            raise ConfigError(f"malformed regular path: {exc}") from exc
     if kind == "csv":
         file = base / cfg["file"]
         try:
@@ -232,6 +235,7 @@ def cmd_simulate_cbp(cfg: dict, args) -> int:
     spec_cfg = dict(cfg.get("cbp", cfg))
     spec_cfg["seed"] = _option(args, spec_cfg, "seed", required=True)
     _option(None, spec_cfg, "steps", required=True)
+    _option(None, spec_cfg, "stream_offset")
     spec = CbpSpec.from_jsonable(spec_cfg)
     level = _option(args, cfg, "level")
     sol = simulate_cbp(spec, _method(args, cfg), level,

@@ -303,6 +303,20 @@ def _cp_diagnostics(q: CollisionParams, Y, X, identity_residual) -> dict:
     }
 
 
+def _with_times(sk, ts: np.ndarray) -> list[np.ndarray]:
+    """Times, L and Z of the gap solution ``sk`` with the ``ts`` its grid
+    lacks inserted, read as values_at reads them; only those interpolated."""
+    grid = sk.Z.times
+    at = np.searchsorted(grid, ts)
+    new = grid[np.minimum(at, len(grid) - 1)] != ts
+    at, ts = at[new], ts[new]
+    out = [np.insert(grid, at, ts)]
+    for P in (sk.L, sk.Z):  # row r: v[r] + 0.0 v[r + 1]; the last: v[-1] + 0.0 v[-2]
+        own = P.values + 0.0 * np.concatenate([P.values[1:], P.values[-2:-1]])
+        out.append(np.insert(own, at, P.values_at(ts), axis=0))
+    return out
+
+
 def solve_regular_linear(q: CollisionParams, y0, i: int, alpha: float,
                          T: float) -> ParticleSystemSolution:
     """Exact solution when only ranked particle i is driven, at constant rate.
@@ -332,10 +346,8 @@ def solve_competing(q: CollisionParams, X, n: int | None = None,
         raise DimensionError("driver dimension must match the particle count")
     _check_w_point(X.values[0])
     sk = solve(reflection_matrix_from_params(q), difference_path(X), method, n, tol)
-    times = np.union1d(sk.Z.times, X.times)
+    times, Lu, Zu = _with_times(sk, X.times)
     Xu = X.values_at(times)
-    Lu = sk.L.values_at(times)
-    Zu = sk.Z.values_at(times)
     Yu = _positions(q, Xu, Lu)
     Y = SampledPath(times, Yu)
     # Yu satisfies the position identity by construction, so report the gap
@@ -354,12 +366,12 @@ def _solve_competing_regular(q: CollisionParams, X: RegularPath) -> ParticleSyst
     if X.dim != n:
         raise DimensionError("driver dimension must match the particle count")
     y0 = _check_w_point(X.start, n)
-    tall, Yall, Lall, events, _, consistency = _stitch(
+    tall, Yall, Lall, pos, phase_times, events, _, consistency = _stitch(
         X, y0, n - 1, partial(_block_phases, q.qplus, q.qminus))
+    Xv = np.insert(X.vertices, pos, X.values_at(phase_times), axis=0)  # as in solve_regular
     Y = SampledPath(tall, Yall)
     L = SampledPath(tall, Lall)
     Z = SampledPath(tall, np.diff(Yall, axis=1))
-    Xv = X.values_at(tall)
     diag = _cp_diagnostics(q, Yall, Xv,
                            np.abs(Yall - _positions(q, Xv, Lall)).max())
     diag["block_consistency_residual"] = max([0.0, *consistency])
@@ -401,6 +413,9 @@ class CbpSpec:
             raise ParameterError("steps must be >= 1")
         if self.horizon <= 0:
             raise ParameterError("horizon must be positive")
+        offset = self.stream_offset
+        if isinstance(offset, bool) or not isinstance(offset, Integral) or offset < 0:
+            raise ParameterError(f"'stream_offset' must be an integer >= 0, got {offset!r}")
 
     @property
     def n_particles(self) -> int:
@@ -424,7 +439,7 @@ class CbpSpec:
             tuple(obj["g"]), tuple(obj["sigma2"]),
             CollisionParams.from_jsonable(obj["q"]), tuple(obj["y0"]),
             float(obj["horizon"]), obj["steps"], obj["seed"],
-            int(obj.get("stream_offset", 0)),
+            obj.get("stream_offset", 0),
         )
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 import operator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -36,9 +36,9 @@ COVARIANCE_SYMMETRY_RTOL = 1e-12
 DOMINATION_RTOL = 1e-12
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
+def _freeze(a: np.ndarray, dtype=float) -> np.ndarray:
     """A read-only copy of a, so the caller's array stays theirs to write."""
-    a = np.array(a, dtype=float, order="C")
+    a = np.array(a, dtype=dtype, order="C")
     a.setflags(write=False)
     return a
 
@@ -143,19 +143,25 @@ class RegularPath(_Path):
 
     Segment k runs over [breakpoints[k], breakpoints[k+1]] and moves only
     component ``axes[k]`` (1-based) at rate ``slopes[k]``.  Two regular paths
-    are coupled when they share breakpoints and axis indices.
+    are coupled when they share breakpoints and axis indices.  ``cols`` holds
+    the axes 0-based, in one read-only ``np.intp`` array built once.
     """
 
     start: np.ndarray
     breakpoints: np.ndarray
     axes: tuple[int, ...]
     slopes: np.ndarray
+    cols: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         x0 = np.asarray(self.start, dtype=float).ravel()
         bp = np.asarray(self.breakpoints, dtype=float)
         sl = np.asarray(self.slopes, dtype=float)
-        axes = tuple(map(operator.index, self.axes))
+        try:
+            axes = tuple(map(operator.index, self.axes))
+            cols = np.array(axes, dtype=np.intp) - 1
+        except (TypeError, OverflowError) as exc:
+            raise ParameterError(f"'axes' must hold integers: {exc}") from None
         if x0.size < 1:
             raise DimensionError("start vector must be nonempty")
         if bp.ndim != 1 or len(bp) < 2:
@@ -166,7 +172,7 @@ class RegularPath(_Path):
             raise ParameterError("breakpoints must be strictly increasing")
         if len(axes) != len(bp) - 1 or len(sl) != len(bp) - 1:
             raise DimensionError("need one axis and slope per segment")
-        if min(axes) < 1 or max(axes) > x0.size:
+        if cols.min() < 0 or cols.max() >= x0.size:
             raise ParameterError(f"axis indices must lie in 1..{x0.size}")
         if not (np.all(np.isfinite(x0)) and np.all(np.isfinite(bp))
                 and np.all(np.isfinite(sl))):
@@ -175,6 +181,7 @@ class RegularPath(_Path):
         object.__setattr__(self, "breakpoints", _freeze(bp))
         object.__setattr__(self, "axes", axes)
         object.__setattr__(self, "slopes", _freeze(sl))
+        object.__setattr__(self, "cols", _freeze(cols, np.intp))
 
     @property
     def dim(self) -> int:
@@ -195,8 +202,7 @@ class RegularPath(_Path):
         m = len(self.axes)
         steps = np.full((m + 1, self.dim), -0.0)
         steps[0] = self.start
-        steps[np.arange(1, m + 1), np.asarray(self.axes) - 1] = (
-            self.slopes * np.diff(self.breakpoints))
+        steps[np.arange(1, m + 1), self.cols] = self.slopes * np.diff(self.breakpoints)
         out = np.cumsum(steps, axis=0)
         out.setflags(write=False)
         return out
@@ -206,8 +212,8 @@ class RegularPath(_Path):
         idx = np.clip(np.searchsorted(self.breakpoints, ts, side="right") - 1,
                       0, len(self.axes) - 1)
         out = self.vertices[idx].copy()
-        ax = np.asarray(self.axes, dtype=int)[idx] - 1
-        out[np.arange(len(ts)), ax] += self.slopes[idx] * (ts - self.breakpoints[idx])
+        out[np.arange(len(ts)), self.cols[idx]] += (
+            self.slopes[idx] * (ts - self.breakpoints[idx]))
         return out
 
     def restrict_members(self, members: tuple[int, ...]) -> "RegularPath":
@@ -221,18 +227,13 @@ class RegularPath(_Path):
             raise RangeError("members must be nonempty and strictly increasing")
         if members[0] < 1 or members[-1] > self.dim:
             raise RangeError(f"members {members} out of 1..{self.dim}")
-        where = {m: k + 1 for k, m in enumerate(members)}
-        axes, slopes = [], []
-        for a, s in zip(self.axes, self.slopes):
-            if a in where:
-                axes.append(where[a])
-                slopes.append(s)
-            else:
-                axes.append(1)
-                slopes.append(0.0)
         idx = np.asarray(members, dtype=int) - 1
+        where = np.zeros(self.dim, np.intp)  # each kept axis' new index, else 0
+        where[idx] = np.arange(1, len(idx) + 1)
+        axes = where[self.cols]
         return RegularPath(self.start[idx], self.breakpoints,
-                           tuple(axes), np.asarray(slopes))
+                           tuple(np.maximum(axes, 1).tolist()),
+                           np.where(axes > 0, self.slopes, 0.0))
 
     def to_jsonable(self) -> dict:
         return {
@@ -245,7 +246,7 @@ class RegularPath(_Path):
     @classmethod
     def from_jsonable(cls, obj) -> "RegularPath":
         return cls(np.asarray(obj["start"]), np.asarray(obj["breakpoints"]),
-                   tuple(obj["axes"]), np.asarray(obj["slopes"]))
+                   obj["axes"], np.asarray(obj["slopes"]))
 
 
 @dataclass(frozen=True, eq=False)

@@ -99,12 +99,9 @@ def _check_start(x: np.ndarray, d: int) -> np.ndarray:
     return x
 
 
-def _members(z: list) -> tuple[int, ...]:
-    return tuple(j + 1 for j, v in enumerate(z) if v == 0.0)
-
-
-def _boundary_rates(Rm: np.ndarray, J: tuple[int, ...], i0: int):
-    """Free set Jc, u = [R]_J^{-1}[e_i]_J (roundoff clipped) and R[Jc,J] u."""
+def _boundary_rates(Rm: np.ndarray, J: list[int], i0: int):
+    """Pairs (j, u_j) of u = [R]_J^{-1}[e_i]_J over the 0-based J (roundoff
+    clipped) and pairs (j, w_j) of w = R[Jc,J] u over the free set Jc."""
     Jc = [j for j in range(len(Rm)) if j not in J]
     ei = np.zeros(len(J))
     ei[J.index(i0)] = 1.0
@@ -115,7 +112,7 @@ def _boundary_rates(Rm: np.ndarray, J: tuple[int, ...], i0: int):
         raise ConvergenceError("negative boundary rate from M-matrix solve",
                                details={"u": u.tolist()})
     u = np.maximum(u, 0.0)
-    return Jc, u.tolist(), (cols.take(Jc, axis=0) @ u).tolist()
+    return list(zip(J, u.tolist())), list(zip(Jc, (cols.take(Jc, axis=0) @ u).tolist()))
 
 
 def _segment_arrays(Rm: np.ndarray, rates: dict, x: list, i0: int, alpha: float,
@@ -125,60 +122,57 @@ def _segment_arrays(Rm: np.ndarray, rates: dict, x: list, i0: int, alpha: float,
     Driving path is x + alpha*e_i*t on [0, T].  If alpha >= 0, or x_i does
     not reach 0 before T, the path never leaves the orthant: (Z, L) = (X, 0)
     and only the new x_i, one float (0.0 if it rounds below 0), is returned.
-    Otherwise the active set J of components pinned at the boundary only
-    grows; within a phase the boundary terms grow linearly at rate
-    |alpha| [R]_J^{-1} [e_i]_J and the free components decrease linearly,
-    until the first of them hits zero.  The rates per (J, i) are cached in
-    ``rates``.  x is a float list, left as is; times, Z rows and L rows
-    (float lists) are those at the end of each phase, x not repeated; events
-    are (tau, active before, after), and idle flags close the tuple.
+    Otherwise the active set J grows by the free components that hit 0;
+    within a phase L grows linearly at rate |alpha| [R]_J^{-1} [e_i]_J and
+    the free components decrease linearly, until the first of them hits 0.
+    The rates per (1-based J, i) are cached in ``rates``.  x is a float list,
+    left as is; times, Z rows and L rows (float lists) are those at the end
+    of each phase; events are (tau, J before, after); idle flags close it.
     """
     if alpha >= 0.0 or (x[i0] > 0.0 and x[i0] / -alpha >= T):
         v = x[i0] + alpha * T
         return 0.0 if v < 0.0 else v  # x_i / |alpha| rounded up onto T
     z = x.copy()
     a = -alpha
-    d = len(z)
-    l = [0.0] * d
+    l = [0.0] * len(z)
     times, Zr, Lr, events, idle = [], [], [], [], []
     t = 0.0
+    J = tuple([j + 1 for j, v in enumerate(z) if v == 0.0])
     if z[i0] > 0.0:
         t = z[i0] / a
-        before = _members(z)
         z[i0] = 0.0
         times.append(t)
         Zr.append(z.copy())
         Lr.append(l.copy())
-        events.append((t, before, _members(z)))
+        before, J = J, tuple(sorted((*J, i0 + 1)))
+        events.append((t, before, J))
 
     guard = 0
     while t < T:
         guard += 1
-        if guard > d + 2:
+        if guard > len(z) + 2:
             raise ConvergenceError("phase loop exceeded the d+1 bound",
                                    details={"t": t, "z": z})
-        J = tuple(j for j, v in enumerate(z) if v == 0.0)
         if (J, i0) not in rates:
-            rates[J, i0] = _boundary_rates(Rm, J, i0)
-        Jc, u, w = rates[J, i0]
-        lam = [a * v for v in u]
-        idle.extend(j + 1 for j, r in zip(J, lam) if r == 0.0 and j != i0)
-        zslope = [a * v for v in w]  # <= 0
-        dts = [(j, z[j] / -s) for j, s in zip(Jc, zslope) if s < 0.0]
-        dt_min = min([dt for _, dt in dts], default=math.inf)
+            rates[J, i0] = _boundary_rates(Rm, [j - 1 for j in J], i0)
+        ju, jw = rates[J, i0]
+        dts = [(z[j] / (alpha * w), j) for j, w in jw if a * w < 0.0]  # a w <= 0
+        dt_min = min(dts)[0] if dts else math.inf
         t_next = min(t + dt_min, T)
         dt = t_next - t
-        for j, s in zip(Jc, zslope):
-            v = z[j] + s * dt
+        for j, w in jw:
+            v = z[j] + a * w * dt
             z[j] = v if v > 0.0 else 0.0  # as np.maximum(v, 0.0), -0.0 included
-        for j, r in zip(J, lam):
-            l[j] += r * dt
+        for j, u in ju:
+            l[j] += a * u * dt
+        idle.extend(j + 1 for j, u in ju if a * u == 0.0 and j != i0)
         if t_next < T:
             cut = dt_min * (1.0 + HIT_TIE_RTOL)
-            for j, dtj in dts:
+            for dtj, j in dts:
                 if dtj <= cut:
                     z[j] = 0.0
-            events.append((t_next, tuple(j + 1 for j in J), _members(z)))
+            before, J = J, tuple(sorted([*J, *[j + 1 for j, _ in jw if z[j] == 0.0]]))
+            events.append((t_next, before, J))
         times.append(t_next)
         Zr.append(z.copy())
         Lr.append(l.copy())
@@ -199,15 +193,17 @@ def solve_linear_segment(R: ReflectionMatrix, x, i: int, alpha: float,
 def _stitch(X: RegularPath, row0: np.ndarray, width: int, kernel):
     """Chain single-segment solves along X's pieces by memoryless restart.
 
-    ``kernel(row, axis0, slope, duration)`` solves one piece from the float
-    list ``row``, left as is.  A free piece returns the new ``row[axis0]``,
+    ``kernel(row, col, slope, duration)`` solves one piece from the float
+    list ``row``, left as is.  A free piece returns the new ``row[col]``,
     one float; any other its phase ends (times, rows, boundary rows of
     ``width`` entries), events (tau, before, after), all local to the piece,
     and one extra value.  A phase end that rounds onto the previous time, or
     onto the piece's end before its last phase, keeps its event but adds no
     row.  With no arithmetic, Z is forward-filled from the last row that set
-    each entry and L repeats each row until the next push.  Also returns each
-    piece's phase count and the extra values of the phased pieces.
+    each entry and L repeats each row until the next push.  Returns the
+    times (breakpoints with the phase times inserted at ``pos``), Z, L,
+    ``pos``, the phase times, the events, each piece's phase count and the
+    extra values of the phased pieces.
     """
     bp = X.breakpoints.tolist()
     z = row0.tolist()
@@ -215,10 +211,10 @@ def _stitch(X: RegularPath, row0: np.ndarray, width: int, kernel):
     rows, Lrows, rows_at = [z.copy()], [[0.0] * width], [0]  # rows set in full
     pos, phase_times, events, extras = [], [], [], []
     phase_counts = [1] * len(X.axes)
-    for axis, slope, t0, t1 in zip(X.axes, X.slopes.tolist(), bp, bp[1:]):
-        out = kernel(z, axis - 1, slope, t1 - t0)
+    for col, slope, t0, t1 in zip(X.cols.tolist(), X.slopes.tolist(), bp, bp[1:]):
+        out = kernel(z, col, slope, t1 - t0)
         if isinstance(out, float):
-            z[axis - 1] = out
+            z[col] = out
             free.append(out)
             continue
         seg_t, seg_rows, seg_L, seg_events, extra = out
@@ -247,13 +243,14 @@ def _stitch(X: RegularPath, row0: np.ndarray, width: int, kernel):
     V, I = np.empty((n, len(z))), np.zeros((n, len(z)), np.intp)
     V[rows_at], I[rows_at] = rows, np.array(rows_at)[:, None]
     free_rows = np.delete(np.arange(n), rows_at)
-    free_axes = np.delete(np.array(X.axes), phased) - 1
-    V[free_rows, free_axes], I[free_rows, free_axes] = free, free_rows
+    free_cols = np.delete(X.cols, phased)
+    V[free_rows, free_cols], I[free_rows, free_cols] = free, free_rows
     np.maximum.accumulate(I, axis=0, out=I)
+    Z = np.take_along_axis(V, I, axis=0)
+    del V, I  # before L is built, so that the four tables never coexist
     # L is constant between pushes: each row stands until the next one starts
     L = np.repeat(np.array(Lrows), np.diff(rows_at, append=n), axis=0)
-    return (times, np.take_along_axis(V, I, axis=0), L, tuple(events),
-            phase_counts, extras)
+    return times, Z, L, pos, phase_times, tuple(events), phase_counts, extras
 
 
 def solve_regular(R: ReflectionMatrix, X: RegularPath) -> SkorokhodSolution:
@@ -266,15 +263,16 @@ def solve_regular(R: ReflectionMatrix, X: RegularPath) -> SkorokhodSolution:
     if X.dim != R.dim:
         raise DimensionError("path dimension must match the matrix dimension")
     z0 = _check_start(X.start, R.dim)
-    times, Zv, Lv, events, phase_counts, idle = _stitch(
+    times, Zv, Lv, pos, phase_times, events, phase_counts, idle = _stitch(
         X, z0, R.dim, partial(_segment_arrays, R.entries, {}))
-    Z = SampledPath(times, Zv)
-    L = SampledPath(times, Lv)
-    resid = np.abs(Z.values - X.values_at(Z.times) - L.values @ R.entries.T).max()
-    diag = {"max_identity_residual": float(resid), "min_z": float(Z.values.min()),
+    # X at the breakpoints is X.vertices but for the sign of a zero: abs ignores it
+    Xv = np.insert(X.vertices, pos, X.values_at(phase_times), axis=0)
+    resid = np.abs(Zv - Xv - Lv @ R.entries.T).max()
+    diag = {"max_identity_residual": float(resid), "min_z": float(Zv.min()),
             "idle_boundary_components": sorted(set().union(*idle)),
             "phase_counts": phase_counts, "method": "regular-exact"}
-    return SkorokhodSolution(Z, L, events, diag)
+    return SkorokhodSolution(SampledPath(times, Zv), SampledPath(times, Lv),
+                             events, diag)
 
 
 def solve_grid_oracle(R: ReflectionMatrix, X: SampledPath, tol: float = GRID_TOL,

@@ -624,6 +624,14 @@ def test_simulate_cbp_block_integer_is_not_truncated(tmp_path, capsys, name, val
                                    "--out", str(tmp_path / "run")), name)
 
 
+@pytest.mark.parametrize("value", [1.5, True, -1])
+def test_simulate_cbp_stream_offset_must_be_an_integer(tmp_path, capsys, value):
+    # read with int(), "stream_offset": 1.5 wrote the CSV of offset 1
+    cfg = write_config(tmp_path, {"cbp": dict(CBP_2, stream_offset=value)})
+    assert_config_error_names(*run(capsys, "simulate-cbp", "--config", cfg,
+                                   "--out", str(tmp_path / "run")), "stream_offset")
+
+
 @pytest.mark.parametrize("name, value", [("dim", 1.5), ("steps", 10.7),
                                          ("seed", True)])
 def test_brownian_path_integer_is_not_truncated(tmp_path, capsys, name, value):
@@ -640,6 +648,16 @@ def test_regular_path_axis_is_not_truncated(tmp_path, capsys):
                          "--out", str(tmp_path / "run"))
     assert (code, out) == (1, "")
     assert "integer" in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize("axes", [[1.9], [2**70], 1])
+def test_regular_path_axis_error_names_axes(tmp_path, capsys, axes):
+    # 1.9 and 2**70 used to reach cli.main as a bare TypeError/OverflowError
+    cfg = write_config(tmp_path, {"matrix": [[1.0, 0.0], [0.0, 1.0]], "path": {
+        "kind": "regular", "start": [1.0, 1.0], "breakpoints": [0.0, 1.0],
+        "axes": axes, "slopes": [-2.0]}})
+    assert_config_error_names(*run(capsys, "solve", "--config", cfg,
+                                   "--out", str(tmp_path / "run")), "axes")
 
 
 def test_validate_rejects_a_fractional_particle_count(tmp_path, capsys):

@@ -2,24 +2,38 @@
 
 The drivers mix signed zeros, subnormal and near-tied start coordinates,
 zero slopes, and pieces whose hits land within ``HIT_TIE_RTOL`` of a
-breakpoint or of another component's hit, in dimensions up to 20.  Every
-solve must keep Z >= 0 (ranks ordered), keep L nondecreasing, and satisfy
-the defining identity and complementarity (the integral of Z dL vanishes).
-A free piece, on which nothing reaches the boundary or a neighbour, must
-change only its own axis, to the kernel's value, bit for bit.  Every draw is
-derandomized, so a run cannot pass or fail by the draw.
+breakpoint or of another component's hit, in dimensions up to 20, at path
+scales from 1e-6 to 1e6 and with rho(Q) up to 1 - 1e-7.  Every solve must
+keep Z >= 0 (ranks ordered), keep L nondecreasing, and satisfy the defining
+identity and complementarity (the integral of Z dL vanishes).  A free piece,
+on which nothing reaches the boundary or a neighbour, must change only its
+own axis, to the kernel's value, bit for bit, and every event of a pushing
+piece must name the zero sets of the rows around it.  The solvers' residual
+diagnostics, read off ``RegularPath.vertices``, and the gap route's union
+grid, built from its own rows, must equal the plain ``values_at`` reading
+bit for bit.  Every draw is derandomized, so a run cannot pass or fail by
+the draw.
 """
 
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orthantsim.mmatrix import ReflectionMatrix, spectral_radius_nonneg
-from orthantsim.particles import CollisionParams, _block_phases, solve_competing
-from orthantsim.paths import RegularPath
-from orthantsim.skorokhod import HIT_TIE_RTOL, _segment_arrays, solve_regular
+from orthantsim.particles import (
+    CollisionParams,
+    _block_phases,
+    _positions,
+    _with_times,
+    alphas,
+    reflection_matrix_from_params,
+    solve_competing,
+)
+from orthantsim.paths import RegularPath, SampledPath, difference_path
+from orthantsim.skorokhod import HIT_TIE_RTOL, _segment_arrays, solve, solve_regular
 
 NEAR = 0.1 * HIT_TIE_RTOL
 STARTS = [0.0, -0.0, 5e-324, 1e-300, 0.3, 0.3 * (1 + NEAR), 0.3 * (1 - NEAR),
@@ -27,6 +41,8 @@ STARTS = [0.0, -0.0, 5e-324, 1e-300, 0.3, 0.3 * (1 + NEAR), 0.3 * (1 - NEAR),
 DURATIONS = [0.1, 0.2, 0.3, 0.6, 0.3 * (1 + NEAR), 0.3 * (1 - NEAR),
              0.39999999999999997]
 SLOPES = [0.0, -0.0, -1.0, -0.5, -2.0, 1.0, 0.5, -1e-300, -5e-324]
+SCALES = [1.0, 1e-6, 1e-3, 1e3, 1e6]
+RHOS = [0.0, 0.5, 0.9, 0.99, 0.999, 1 - 1e-7]
 # identity residuals are a few roundings per segment of the largest value
 RESIDUAL_RTOL = 1e-9
 # x / a rounds up onto T although x - a T rounds below 0
@@ -53,6 +69,9 @@ def degenerate_driver(draw, dim, ordered=False):
     axes = draw(st.lists(st.sampled_from(driven), min_size=m, max_size=m))
     slopes = draw(st.lists(st.sampled_from(SLOPES) | st.floats(-3.0, 3.0),
                            min_size=m, max_size=m))
+    scale = draw(st.sampled_from(SCALES))  # not powers of 2: scaling rounds
+    start = [scale * v for v in start]
+    slopes = [scale * v for v in slopes]
     if draw(st.booleans()):  # end the first piece where its hit lands
         i, alpha = axes[0] - 1, slopes[0]
         k = i + (1 if alpha > 0 else -1)
@@ -71,7 +90,7 @@ def degenerate_driver(draw, dim, ordered=False):
 def reflection_matrix(draw, d):
     if d == 1:
         return ReflectionMatrix(np.eye(1))
-    rho = draw(st.sampled_from([0.0, 0.5, 0.9, 0.99, 0.999]))
+    rho = draw(st.sampled_from(RHOS))
     Q = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(0.05, 1.0, (d, d))
     np.fill_diagonal(Q, 0.0)
     return ReflectionMatrix(np.eye(d) - Q * (rho / spectral_radius_nonneg(Q)))
@@ -98,7 +117,9 @@ def test_skorokhod_exact_solver_on_degenerate_drivers(case):
     sol = solve_regular(R, X)
     Z, L = sol.Z.values, sol.L.values
     Xv = X.values_at(sol.Z.times)
-    assert_reflected(Z, L, np.abs(Z - Xv - L @ R.entries.T).max(), Xv)
+    residual = np.abs(Z - Xv - L @ R.entries.T).max()
+    assert_reflected(Z, L, residual, Xv)
+    assert bits(sol.diagnostics["max_identity_residual"]) == bits(residual)
     if still is not None:  # a pinned -0.0 is never written
         assert np.signbit(Z[:, still]).all()
 
@@ -122,6 +143,11 @@ def test_particle_exact_solver_on_degenerate_drivers(case):
     pushed = (np.asarray(q.qplus) * np.hstack([pad, L])
               - np.asarray(q.qminus) * np.hstack([L, pad]))
     assert_reflected(np.diff(Y, axis=1), L, np.abs(Y - Xv - pushed).max(), Xv)
+    diag = sol.diagnostics
+    assert bits(diag["max_identity_residual"]) == bits(
+        np.abs(Y - _positions(q, Xv, L)).max())
+    assert bits(diag["alpha_weight_residual"]) == bits(
+        np.abs((Y - Xv) @ alphas(q)).max())
     if still is not None and not Y[:, still].any():  # rank 1 never pushed
         assert np.signbit(Y[:, still]).all()
 
@@ -159,6 +185,34 @@ def test_skorokhod_free_pieces_are_forward_filled(case):
     sol = solve_regular(R, X)
     assert_free_pieces_forward_filled(X, sol.Z.times, sol.Z.values, sol.L.values,
                                       partial(_segment_arrays, R.entries, {}))
+
+
+def zero_set(row) -> tuple[int, ...]:
+    return tuple(j + 1 for j, v in enumerate(row) if v == 0.0)
+
+
+@given(st.integers(1, 20).flatmap(
+    lambda d: st.tuples(reflection_matrix(d), degenerate_driver(d))))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_skorokhod_events_name_the_zero_sets_of_their_rows(case):
+    # the kernel grows the active set from the components that reach 0; it
+    # must always be the zero set of the row the event closes
+    R, (X, _) = case
+    sol = solve_regular(R, X)
+    at = np.searchsorted(sol.Z.times, X.breakpoints)
+    rates = {}
+    for k, (axis, slope) in enumerate(zip(X.axes, X.slopes.tolist())):
+        row = sol.Z.values[at[k]].tolist()
+        T = float(X.breakpoints[k + 1] - X.breakpoints[k])
+        out = _segment_arrays(R.entries, rates, row, axis - 1, slope, T)
+        if isinstance(out, float):
+            continue
+        _, rows, _, events, _ = out
+        assert len(events) == len(rows) - 1  # the last row ends the piece
+        for before, (_, active_before, active_after), after in zip(
+                [row, *rows], events, rows):
+            assert active_before == zero_set(before)
+            assert active_after == zero_set(after)
 
 
 @given(st.integers(2, 20).flatmap(lambda n: st.tuples(
@@ -254,3 +308,76 @@ def test_free_pieces_start_from_the_last_written_value():
     Y = RegularPath([-1.0, -0.0], [0.0, 0.5, 1.0], (2, 2), [-0.0, -0.0])
     sol = solve_competing(CollisionParams.symmetric(2), Y)
     assert np.signbit(sol.Y.values[:, 1]).all()
+
+
+VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e-300, 0.3, -0.3, 1.0]
+
+
+def on_or_off_grid(draw, grid, T):
+    """0, T and some times on, or one ulp off, the inner times of grid."""
+    times = {0.0, T}
+    for k in draw(st.lists(st.integers(1, len(grid) - 1), max_size=10)):
+        to = draw(st.sampled_from([-np.inf, np.inf, grid[k]]))
+        times.add(float(np.nextafter(grid[k], to)))
+    return np.array(sorted(t for t in times if 0.0 <= t <= T))
+
+
+def value_rows(draw, m, n):
+    return np.array(draw(st.lists(
+        st.lists(st.sampled_from(VALUES) | st.floats(-2.0, 2.0), min_size=n, max_size=n),
+        min_size=m, max_size=m)))
+
+
+@st.composite
+def gap_solution_and_times(draw):
+    """A stand-in for a gap solution, Z and L on one grid with signed zeros
+    and subnormals, and sample times on or one ulp off its grid."""
+    T = draw(st.sampled_from([1.0, 0.3, 2.5]))
+    grid = np.linspace(0.0, T, draw(st.integers(2, 12)))
+    n = draw(st.integers(1, 4))
+    sk = SimpleNamespace(Z=SampledPath(grid, value_rows(draw, len(grid), n)),
+                         L=SampledPath(grid, value_rows(draw, len(grid), n)))
+    return sk, on_or_off_grid(draw, grid, T)
+
+
+@given(gap_solution_and_times())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_own_rows_read_as_values_at(case):
+    sk, ts = case
+    times, L, Z = _with_times(sk, ts)
+    assert times.tobytes() == np.union1d(sk.Z.times, ts).tobytes()
+    assert L.tobytes() == sk.L.values_at(times).tobytes()
+    assert Z.tobytes() == sk.Z.values_at(times).tobytes()
+
+
+@st.composite
+def sampled_rank_driver(draw, n):
+    """Sampled driver of n ranks and the level of its gap solve.  Its
+    sample times sit on, or one ulp off, breakpoints of the level-n regular
+    approximation of its gaps, and its values mix signed zeros and
+    subnormals."""
+    level = draw(st.integers(1, 6))
+    T = draw(st.sampled_from([1.0, 0.3, 2.5]))
+    times = on_or_off_grid(draw, np.linspace(0.0, T, level * (n - 1) + 1), T)
+    rows = value_rows(draw, len(times), n)
+    rows[0].sort()
+    return SampledPath(times, rows), level
+
+
+@given(st.integers(2, 8).flatmap(lambda n: st.tuples(
+    st.lists(st.floats(0.1, 0.9), min_size=n, max_size=n),
+    sampled_rank_driver(n), st.sampled_from(["exact", "grid"]))))
+@settings(max_examples=100, deadline=None, derandomize=True)
+@example(([0.5] * 3, (SampledPath([0.0, np.nextafter(0.5, 1.0), 1.0],
+                                  [[0.0, -0.0, 0.3], [0.2, 0.1, 0.3], [0.0, 0.1, 0.2]]),
+                      2), "exact"))
+def test_gap_route_union_grid_reads_as_values_at(case):
+    # the -0.0 gap of the example is kept on the rows before its first sweep
+    qminus, (X, level), method = case
+    q = CollisionParams.from_qminus(qminus)
+    sol = solve_competing(q, X, n=level, method=method)
+    sk = solve(reflection_matrix_from_params(q), difference_path(X), method, level)
+    times = np.union1d(sk.Z.times, X.times)
+    assert sol.L.times.tobytes() == times.tobytes()
+    assert sol.L.values.tobytes() == sk.L.values_at(times).tobytes()
+    assert sol.Z.values.tobytes() == sk.Z.values_at(times).tobytes()

@@ -576,6 +576,14 @@ def test_cbp_spec_roundtrip():
     assert CbpSpec.from_jsonable(spec.to_jsonable()) == spec
 
 
+@pytest.mark.parametrize("offset", [1.5, 1.0, True, -1, "1"])
+def test_cbp_spec_stream_offset_is_a_nonnegative_integer(offset):
+    obj = dict(spec_for().to_jsonable(), stream_offset=offset)
+    with pytest.raises(ParameterError, match="'stream_offset'"):
+        CbpSpec.from_jsonable(obj)
+    assert CbpSpec.from_jsonable(dict(obj, stream_offset=np.int64(2))).stream_offset == 2
+
+
 # ------------------------------------------------------------------ exports
 
 def test_particle_csv_layout():

@@ -353,6 +353,29 @@ def test_json_roundtrip_regular():
     assert np.array_equal(back.vertices, p.vertices)
 
 
+@pytest.mark.parametrize("axes", [(1.9,), (2**70,), (np.float64(1.0),), 1])
+def test_regular_path_axes_must_be_integers(axes):
+    with pytest.raises(ParameterError, match="'axes'"):
+        RegularPath([0.0, 1.0], [0.0, 1.0], axes, [1.0])
+
+
+@pytest.mark.parametrize("axes", [(0,), (3,), (-(2**63),)])
+def test_regular_path_axes_must_lie_in_range(axes):
+    with pytest.raises(ParameterError, match=r"1\.\.2"):
+        RegularPath([0.0, 1.0], [0.0, 1.0], axes, [1.0])
+
+
+def test_regular_path_cols_are_the_axes_zero_based():
+    p = RegularPath([0.0, 1.0, 2.0], [0.0, 0.5, 1.0, 1.5], (np.int64(3), 1, 2),
+                    [1.0, -1.0, 0.5])
+    assert p.axes == (3, 1, 2) and all(type(a) is int for a in p.axes)
+    assert p.cols.dtype == np.intp and p.cols.tolist() == [2, 0, 1]
+    assert not p.cols.flags.writeable
+    assert "cols" not in repr(p)
+    same = RegularPath(p.start, p.breakpoints, p.axes, p.slopes)
+    assert same == p and hash(same) == hash(p)
+
+
 def test_brownian_spec_roundtrip():
     spec = BrownianSpec(2, [0.0, 1.0], np.eye(2), 1.0, 10, 3)
     back = BrownianSpec.from_jsonable(spec.to_jsonable())
