@@ -311,7 +311,7 @@ def _with_times(sk, ts: np.ndarray) -> list[np.ndarray]:
     new = grid[np.minimum(at, len(grid) - 1)] != ts
     at, ts = at[new], ts[new]
     out = [np.insert(grid, at, ts)]
-    for P in (sk.L, sk.Z):  # row r: v[r] + 0.0 v[r + 1]; the last: v[-1] + 0.0 v[-2]
+    for P in (sk.L, sk.Z):  # values_at's sums: v[r] + 0.0 v[r+1], last 0.0 v[-2] + v[-1]
         own = P.values + 0.0 * np.concatenate([P.values[1:], P.values[-2:-1]])
         out.append(np.insert(own, at, P.values_at(ts), axis=0))
     return out
@@ -347,18 +347,19 @@ def solve_competing(q: CollisionParams, X, n: int | None = None,
     _check_w_point(X.values[0])
     sk = solve(reflection_matrix_from_params(q), difference_path(X), method, n, tol)
     times, Lu, Zu = _with_times(sk, X.times)
+    events, skd = sk.events, sk.diagnostics
+    del sk  # its Z and L are read: free them before the positions are built
     Xu = X.values_at(times)
     Yu = _positions(q, Xu, Lu)
     Y = SampledPath(times, Yu)
     # Yu satisfies the position identity by construction, so report the gap
     # solve's own Z - W - RL residual
-    diag = _cp_diagnostics(q, Yu, Xu, sk.diagnostics["max_identity_residual"])
+    diag = _cp_diagnostics(q, Yu, Xu, skd["max_identity_residual"])
     diag["gap_residual"] = float(np.abs(np.diff(Yu, axis=1) - Zu).max())
     diag["method"] = f"gap-{method}"
-    diag.update({k: sk.diagnostics[k] for k in ("iterations", "level")
-                 if k in sk.diagnostics})
+    diag.update({k: skd[k] for k in ("iterations", "level") if k in skd})
     return ParticleSystemSolution(Y, SampledPath(times, Lu),
-                                  SampledPath(times, Zu), sk.events, diag)
+                                  SampledPath(times, Zu), events, diag)
 
 
 def _solve_competing_regular(q: CollisionParams, X: RegularPath) -> ParticleSystemSolution:
