@@ -74,24 +74,32 @@ def _emit(obj) -> None:
 def _option(args, cfg: dict, name: str, default=None, required=False):
     """``--name`` if given, else the config's value, else ``default``.
 
-    A tol must be a real > 0, a seed or stream_offset an integer >= 0, any
-    other option (level, steps, ...) an integer >= 1; a bool, a string, a
-    float for an integer, a value out of bounds or a missing ``required``
-    one raises ``ConfigError``.  ``args`` may be None for a nested block.
+    A tol or horizon must be a finite real > 0, a seed or stream_offset an
+    integer >= 0, any other option (level, steps, ...) an integer >= 1; a bool,
+    a string, a float for an integer, a value out of bounds or a missing
+    ``required`` one raises ``ConfigError``; ``args`` may be None if nested.
     """
     value, source = getattr(args, name, None), f"--{name}"
     if value is None:
         value, source = cfg.get(name), f"config {name!r}"
     if value is None and not required:
         return default
-    if name == "tol":
-        rule, ok = "> 0 and of type real", isinstance(value, Real) and value > 0
+    if name in ("tol", "horizon"):  # at most the largest float: finite as one
+        rule = "finite, > 0 and of type real"
+        ok = isinstance(value, Real) and 0 < value <= sys.float_info.max
     else:
         least = 0 if name in ("seed", "stream_offset") else 1
         rule, ok = f">= {least} and of type int", isinstance(value, int) and value >= least
     if isinstance(value, bool) or not ok:
         raise ConfigError(f"{source} must be {rule}, got {value!r}")
     return value
+
+
+def _required(cfg: dict, *names: str) -> list:
+    """The config's values of ``names``; a missing one raises ``ConfigError``."""
+    if missing := [name for name in names if name not in cfg]:
+        raise ConfigError(f"config needs {missing[0]!r}")
+    return [cfg[name] for name in names]
 
 
 def _method(args, cfg: dict) -> str:
@@ -121,7 +129,7 @@ def _load_path(cfg, base: Path):
         except OrthantSimError as exc:
             raise ConfigError(f"malformed path CSV {file}: {exc}") from exc
     if kind == "brownian":
-        for name in ("dim", "steps", "seed"):
+        for name in ("dim", "steps", "seed", "horizon"):
             _option(None, cfg, name, required=True)
         return sample_brownian(BrownianSpec.from_jsonable(cfg))
     raise ConfigError(f"unknown path kind {cfg['kind']!r}")
@@ -211,13 +219,13 @@ def cmd_solve(cfg: dict, args) -> int:
 
 def cmd_simulate_srbm(cfg: dict, args) -> int:
     out = _out_dir(cfg, args)
-    R = ReflectionMatrix(np.asarray(cfg["matrix"], dtype=float))
+    matrix, mu, covariance, z0 = _required(cfg, "matrix", "mu", "covariance", "z0")
     sol = simulate_srbm(
-        R,
-        np.asarray(cfg["mu"], dtype=float),
-        np.asarray(cfg["covariance"], dtype=float),
-        np.asarray(cfg["z0"], dtype=float),
-        float(cfg["horizon"]),
+        ReflectionMatrix(np.asarray(matrix, dtype=float)),
+        np.asarray(mu, dtype=float),
+        np.asarray(covariance, dtype=float),
+        np.asarray(z0, dtype=float),
+        float(_option(args, cfg, "horizon", required=True)),
         _option(args, cfg, "steps", required=True),
         _option(args, cfg, "seed", required=True),
         method=_method(args, cfg),
@@ -233,6 +241,8 @@ def cmd_simulate_srbm(cfg: dict, args) -> int:
 def cmd_simulate_cbp(cfg: dict, args) -> int:
     out = _out_dir(cfg, args)
     spec_cfg = dict(cfg.get("cbp", cfg))
+    _required(spec_cfg, "g", "sigma2", "q", "y0")
+    _option(None, spec_cfg, "horizon", required=True)
     spec_cfg["seed"] = _option(args, spec_cfg, "seed", required=True)
     _option(None, spec_cfg, "steps", required=True)
     _option(None, spec_cfg, "stream_offset")

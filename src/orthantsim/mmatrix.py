@@ -11,7 +11,7 @@ All index sets and axis indices in the public API are 1-based.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -160,6 +160,8 @@ class ReflectionMatrix(_ArrayValue):
     """Validated reflection nonsingular M-matrix; immutable after construction."""
 
     entries: np.ndarray
+    # the exact solver's boundary rates, which depend on the entries alone
+    _rates: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         A = _as_square(self.entries).copy()

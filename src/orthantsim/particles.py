@@ -15,6 +15,7 @@ ranks k and k+1.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
 from numbers import Integral
@@ -202,104 +203,113 @@ def _check_w_point(y, n=None) -> np.ndarray:
     return y
 
 
-def _block_phases(qp, qm, y, i0, alpha, T):
-    """Exact phases when only rank i0 is driven, at the rate alpha.
+def _run_blocks(qp, qm, y: list, pieces, append):
+    """The particle solver's run: pieces (i0, alpha, T) drive rank i0 alone.
 
-    The moving block starts at rank i0 and grows in the direction of travel:
-    towards higher ranks for alpha > 0, towards lower ranks for alpha < 0.
-    With r_m the ratio of the shares of the near and the far particle of the
-    m-th pair the block has crossed, it travels at the common speed
-    |alpha| / S with S = 1 + r_1 + r_1 r_2 + ...; collision slopes inside the
-    block come from the triangular system read off the defining equations.
-    Particles behind rank i0 stay idle even when initially tied with it.
-    Moves are rounded as s * (s * y + d) with s the sign of alpha, so a
-    downward move is bit for bit the negated upward move of the rank-reversed
-    system (-0.0 where y - d gives +0.0).  y is a float list, left as is.
-    A free piece (no collision within T) returns the new y_i0, one float;
-    any other returns its phase ends (times, Y rows, L rows, as float lists,
-    y not repeated), events as (tau, block before, block after) and the
-    block consistency residual.
+    The one free test: if rank i0 meets no neighbour within T, only the new
+    y_i0 is set and passed to ``append``.  Otherwise the moving block starts
+    at rank i0 and grows in the direction of travel: towards higher ranks for
+    alpha > 0, towards lower ranks for alpha < 0.  With r_m the ratio of the
+    shares of the near and the far particle of the m-th pair the block has
+    crossed, it travels at the common speed |alpha| / S with S = 1 + r_1 +
+    r_1 r_2 + ...; collision slopes inside the block come from the triangular
+    system read off the defining equations.  Particles behind rank i0 stay
+    idle even when initially tied with it.  Moves are rounded as
+    s * (s * y + d) with s the sign of alpha, so a downward move is bit for
+    bit the negated upward move of the rank-reversed system (-0.0 where
+    y - d gives +0.0).  Yields the phase ends (times, Y rows, L rows), events
+    (tau, block before, block after) and the block consistency residual.
     """
     n = len(y)
-    s = 1 if alpha > 0.0 else -1
-    a = abs(alpha)
-    if alpha == 0.0 or not 0 <= i0 + s < n or (
-            y[i0 + s] != y[i0] and (y[i0 + s] - y[i0]) / alpha >= T):
-        v = s * (s * y[i0] + a * T) if alpha else y[i0]  # free: no collision in T
-        if 0 <= i0 + s < n and s * (y[i0 + s] - v) < 0.0:
-            v = y[i0 + s]  # the gap / |alpha| rounded up onto T
-        return v
-    y = y.copy()
-    # pair p joins ranks p and p+1; near/far are the shares of its particle
-    # nearer to and farther from i0, and pairs lists them in crossing order
-    near, far = (qm[:-1], qp[1:]) if s > 0 else (qp[1:], qm[:-1])
-    pairs = range(i0, n - 1) if s > 0 else range(i0 - 1, -1, -1)
-    times, Yr, Lr, events = [], [], [], []
-    l = [0.0] * (n - 1)
-    t = 0.0
-    front = i0  # the block runs from i0 to front
-    while 0 <= front + s < n and y[front + s] == y[i0]:
-        front += s
-    block = slice(min(i0, front), max(i0, front) + 1)
-    guard = 0
-    consistency = 0.0
-    while t < T:
-        guard += 1
-        if guard > n + 2:
-            raise ConvergenceError("block phase loop exceeded the N+1 bound",
-                                   details={"t": t, "y": y})
-        crossed = pairs[:abs(front - i0)]
-        S = 1.0
-        c = 1.0
-        for p in crossed:
-            c *= near[p] / far[p]
-            S += c
-        beta = a / S
-        lam, carry = [], a  # carry: the push passed on across each pair
-        for p in crossed:
-            lam.append((carry - beta) / near[p])
-            carry = far[p] * lam[-1]
-        if crossed:
-            consistency = max(consistency, abs(carry - beta) / max(a, 1.0))
-        ahead = front + s
-        # a subnormal |alpha| can make beta 0.0: the block then never arrives
-        dt_hit = s * (y[ahead] - y[i0]) / beta if 0 <= ahead < n and beta else math.inf
-        t_next = min(t + dt_hit, T)
-        dt = t_next - t
-        y[block] = [s * (s * v + beta * dt) for v in y[block]]
-        for p, r in zip(crossed, lam):
-            if r > 0.0:  # a rate below 0 is roundoff of a subnormal |alpha|
-                l[p] += r * dt
-        if t_next < T:
-            y[block] = [y[ahead]] * (block.stop - block.start)  # snap the collision
-            front = ahead
-            while 0 <= front + s < n and y[front + s] == y[i0]:
-                front += s
-            before, block = block, slice(min(i0, front), max(i0, front) + 1)
-            events.append((t_next, tuple(range(before.start + 1, before.stop + 1)),
-                           tuple(range(block.start + 1, block.stop + 1))))
-        elif 0 <= ahead < n and s * (y[ahead] - y[i0]) < 0.0:
-            y[block] = [y[ahead]] * (block.stop - block.start)  # rounded past it
-        times.append(t_next)
-        Yr.append(y.copy())
-        Lr.append(l.copy())
-        t = t_next
-    return times, Yr, Lr, events, consistency
+    for i0, alpha, T in pieces:
+        s = 1 if alpha > 0.0 else -1
+        if alpha == 0.0 or not 0 <= i0 + s < n or (
+                y[i0 + s] != y[i0] and (y[i0 + s] - y[i0]) / alpha >= T):
+            v = s * (s * y[i0] + abs(alpha) * T) if alpha else y[i0]
+            if 0 <= i0 + s < n and s * (y[i0 + s] - v) < 0.0:
+                v = y[i0 + s]  # the gap / |alpha| rounded up onto T
+            y[i0] = v
+            append(v)
+            continue
+        a = abs(alpha)
+        # pair p joins ranks p and p+1; near/far are the shares of its particle
+        # nearer to and farther from i0, and pairs lists them in crossing order
+        near, far = (qm[:-1], qp[1:]) if s > 0 else (qp[1:], qm[:-1])
+        pairs = range(i0, n - 1) if s > 0 else range(i0 - 1, -1, -1)
+        times, Yr, Lr, events = [], [], [], []
+        l = [0.0] * (n - 1)
+        t = 0.0
+        front = i0  # the block runs from i0 to front
+        while 0 <= front + s < n and y[front + s] == y[i0]:
+            front += s
+        block = slice(min(i0, front), max(i0, front) + 1)
+        guard = 0
+        consistency = 0.0
+        while t < T:
+            guard += 1
+            if guard > n + 2:
+                raise ConvergenceError("block phase loop exceeded the N+1 bound",
+                                       details={"t": t, "y": y})
+            crossed = pairs[:abs(front - i0)]
+            S = 1.0
+            c = 1.0
+            for p in crossed:
+                c *= near[p] / far[p]
+                S += c
+            beta = a / S
+            lam, carry = [], a  # carry: the push passed on across each pair
+            for p in crossed:
+                lam.append((carry - beta) / near[p])
+                carry = far[p] * lam[-1]
+            if crossed:
+                consistency = max(consistency, abs(carry - beta) / max(a, 1.0))
+            ahead = front + s
+            # a subnormal |alpha| can make beta 0.0: the block then never arrives
+            dt_hit = s * (y[ahead] - y[i0]) / beta if 0 <= ahead < n and beta else math.inf
+            t_next = min(t + dt_hit, T)
+            dt = t_next - t
+            y[block] = [s * (s * v + beta * dt) for v in y[block]]
+            for p, r in zip(crossed, lam):
+                if r > 0.0:  # a rate below 0 is roundoff of a subnormal |alpha|
+                    l[p] += r * dt
+            if t_next < T:
+                y[block] = [y[ahead]] * (block.stop - block.start)  # snap the collision
+                front = ahead
+                while 0 <= front + s < n and y[front + s] == y[i0]:
+                    front += s
+                before, block = block, slice(min(i0, front), max(i0, front) + 1)
+                events.append((t_next, tuple(range(before.start + 1, before.stop + 1)),
+                               tuple(range(block.start + 1, block.stop + 1))))
+            elif 0 <= ahead < n and s * (y[ahead] - y[i0]) < 0.0:
+                y[block] = [y[ahead]] * (block.stop - block.start)  # rounded past it
+            times.append(t_next)
+            Yr.append(y.copy())
+            Lr.append(l.copy())
+            t = t_next
+        yield times, Yr, Lr, events, consistency
+
+
+def _block_phases(qp, qm, y, i0, alpha, T):
+    """Rank i0 driven at alpha over [0, T] as ``_run_blocks`` solves it, y kept."""
+    free = array("d")
+    out = next(_run_blocks(qp, qm, y.copy(), [(i0, alpha, T)], free.append), None)
+    return free[0] if out is None else out
 
 
 def _positions(q: CollisionParams, X: np.ndarray, L: np.ndarray) -> np.ndarray:
     """Y = X + q+ L_{k-1,k} - q- L_{k,k+1}, with L_{0,1} = L_{N,N+1} = 0."""
-    n = q.n_particles
-    pad = np.zeros((L.shape[0], 1))
-    Lfull = np.hstack([pad, L, pad])
-    return X + np.asarray(q.qplus) * Lfull[:, :n] - np.asarray(q.qminus) * Lfull[:, 1:]
+    Y = np.empty_like(X)
+    Y[:, 0] = X[:, 0] + 0.0  # as the zero pad of L_{0,1} adds it: -0.0 is +0.0
+    np.add(X[:, 1:], np.asarray(q.qplus[1:]) * L, out=Y[:, 1:])
+    Y[:, :-1] -= np.asarray(q.qminus[:-1]) * L
+    return Y
 
 
-def _cp_diagnostics(q: CollisionParams, Y, X, identity_residual) -> dict:
+def _cp_diagnostics(q: CollisionParams, Y, X, gaps, identity_residual) -> dict:
     return {
         "max_identity_residual": float(identity_residual),
         "alpha_weight_residual": float(np.abs((Y - X) @ alphas(q)).max()),
-        "min_ordering_margin": float(np.diff(Y, axis=1).min()) if Y.shape[1] > 1 else 0.0,
+        "min_ordering_margin": float(gaps.min()),
     }
 
 
@@ -312,7 +322,8 @@ def _with_times(sk, ts: np.ndarray) -> list[np.ndarray]:
     at, ts = at[new], ts[new]
     out = [np.insert(grid, at, ts)]
     for P in (sk.L, sk.Z):  # values_at's sums: v[r] + 0.0 v[r+1], last 0.0 v[-2] + v[-1]
-        own = P.values + 0.0 * np.concatenate([P.values[1:], P.values[-2:-1]])
+        own = 0.0 * np.concatenate([P.values[1:], P.values[-2:-1]])
+        own += P.values  # in place, a sum is the same either way round
         out.append(np.insert(own, at, P.values_at(ts), axis=0))
     return out
 
@@ -351,15 +362,15 @@ def solve_competing(q: CollisionParams, X, n: int | None = None,
     del sk  # its Z and L are read: free them before the positions are built
     Xu = X.values_at(times)
     Yu = _positions(q, Xu, Lu)
-    Y = SampledPath(times, Yu)
+    gaps = np.diff(Yu, axis=1)
     # Yu satisfies the position identity by construction, so report the gap
     # solve's own Z - W - RL residual
-    diag = _cp_diagnostics(q, Yu, Xu, skd["max_identity_residual"])
-    diag["gap_residual"] = float(np.abs(np.diff(Yu, axis=1) - Zu).max())
+    diag = _cp_diagnostics(q, Yu, Xu, gaps, skd["max_identity_residual"])
+    diag["gap_residual"] = float(np.abs(gaps - Zu).max())
     diag["method"] = f"gap-{method}"
     diag.update({k: skd[k] for k in ("iterations", "level") if k in skd})
-    return ParticleSystemSolution(Y, SampledPath(times, Lu),
-                                  SampledPath(times, Zu), events, diag)
+    Y, L, Z = (SampledPath._adopt(times, v) for v in (Yu, Lu, Zu))
+    return ParticleSystemSolution(Y, L, Z, events, diag)
 
 
 def _solve_competing_regular(q: CollisionParams, X: RegularPath) -> ParticleSystemSolution:
@@ -368,15 +379,14 @@ def _solve_competing_regular(q: CollisionParams, X: RegularPath) -> ParticleSyst
         raise DimensionError("driver dimension must match the particle count")
     y0 = _check_w_point(X.start, n)
     tall, Yall, Lall, pos, phase_times, events, _, consistency = _stitch(
-        X, y0, n - 1, partial(_block_phases, q.qplus, q.qminus))
+        X, y0, n - 1, partial(_run_blocks, q.qplus, q.qminus))
     Xv = np.insert(X.vertices, pos, X.values_at(phase_times), axis=0)  # as in solve_regular
-    Y = SampledPath(tall, Yall)
-    L = SampledPath(tall, Lall)
-    Z = SampledPath(tall, np.diff(Yall, axis=1))
-    diag = _cp_diagnostics(q, Yall, Xv,
+    gaps = np.diff(Yall, axis=1)
+    diag = _cp_diagnostics(q, Yall, Xv, gaps,
                            np.abs(Yall - _positions(q, Xv, Lall)).max())
     diag["block_consistency_residual"] = max([0.0, *consistency])
     diag["method"] = "regular-exact"
+    Y, L, Z = (SampledPath._adopt(tall, v) for v in (Yall, Lall, gaps))
     return ParticleSystemSolution(Y, L, Z, events, diag)
 
 
@@ -412,8 +422,8 @@ class CbpSpec:
         _check_w_point(y0, n)
         if self.steps < 1:
             raise ParameterError("steps must be >= 1")
-        if self.horizon <= 0:
-            raise ParameterError("horizon must be positive")
+        if not 0 < self.horizon < math.inf:
+            raise ParameterError(f"horizon must be finite and > 0, got {self.horizon!r}")
         offset = self.stream_offset
         if isinstance(offset, bool) or not isinstance(offset, Integral) or offset < 0:
             raise ParameterError(f"'stream_offset' must be an integer >= 0, got {offset!r}")

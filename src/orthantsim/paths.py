@@ -36,9 +36,9 @@ COVARIANCE_SYMMETRY_RTOL = 1e-12
 DOMINATION_RTOL = 1e-12
 
 
-def _freeze(a: np.ndarray, dtype=float) -> np.ndarray:
+def _freeze(a) -> np.ndarray:
     """A read-only copy of a, so the caller's array stays theirs to write."""
-    a = np.array(a, dtype=dtype, order="C")
+    a = np.array(a, dtype=float, order="C")
     a.setflags(write=False)
     return a
 
@@ -89,9 +89,11 @@ class SampledPath(_Path):
     times: np.ndarray
     values: np.ndarray
 
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        v = np.atleast_2d(np.asarray(self.values, dtype=float))
+    def __post_init__(self, adopted=False):
+        if not adopted:
+            object.__setattr__(self, "times", _freeze(self.times))
+            object.__setattr__(self, "values", _freeze(np.atleast_2d(self.values)))
+        t, v = self.times, self.values
         if t.ndim != 1 or len(t) < 2:
             raise DimensionError("need at least two grid times")
         if v.shape[0] != len(t):
@@ -106,8 +108,16 @@ class SampledPath(_Path):
             raise ParameterError("time grid must be strictly increasing")
         if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
             raise InvalidEntryError("path contains NaN or infinite entries")
-        object.__setattr__(self, "times", _freeze(t))
-        object.__setattr__(self, "values", _freeze(v))
+
+    @classmethod
+    def _adopt(cls, times: np.ndarray, values: np.ndarray) -> "SampledPath":
+        """Float arrays a solver has just built, checked and frozen in place."""
+        times.setflags(write=False)
+        values.setflags(write=False)
+        self = object.__new__(cls)
+        self.__dict__.update(times=times, values=values)
+        self.__post_init__(adopted=True)
+        return self
 
     @property
     def dim(self) -> int:
@@ -125,7 +135,10 @@ class SampledPath(_Path):
         t0 = self.times[idx]
         t1 = self.times[idx + 1]
         w = ((ts - t0) / (t1 - t0))[:, None]
-        return (1.0 - w) * self.values[idx] + w * self.values[idx + 1]
+        out, upper = self.values[idx], self.values[idx + 1]  # in place: no temporaries
+        out *= 1.0 - w
+        out += np.multiply(upper, w, out=upper)
+        return out
 
     def to_csv(self, fileobj) -> None:
         write_path_csv(fileobj, self.times, self.values,
@@ -153,15 +166,17 @@ class RegularPath(_Path):
     slopes: np.ndarray
     cols: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, cols=None):
+        if cols is None:
+            try:
+                axes = tuple(map(operator.index, self.axes))
+                cols = np.array(axes, dtype=np.intp) - 1
+            except (TypeError, OverflowError) as exc:
+                raise ParameterError(f"'axes' must hold integers: {exc}") from None
+            object.__setattr__(self, "axes", axes)
         x0 = np.asarray(self.start, dtype=float).ravel()
         bp = np.asarray(self.breakpoints, dtype=float)
         sl = np.asarray(self.slopes, dtype=float)
-        try:
-            axes = tuple(map(operator.index, self.axes))
-            cols = np.array(axes, dtype=np.intp) - 1
-        except (TypeError, OverflowError) as exc:
-            raise ParameterError(f"'axes' must hold integers: {exc}") from None
         if x0.size < 1:
             raise DimensionError("start vector must be nonempty")
         if bp.ndim != 1 or len(bp) < 2:
@@ -170,18 +185,27 @@ class RegularPath(_Path):
             raise ParameterError("breakpoints must start at 0")
         if np.any(np.diff(bp) <= 0):
             raise ParameterError("breakpoints must be strictly increasing")
-        if len(axes) != len(bp) - 1 or len(sl) != len(bp) - 1:
+        if len(self.axes) != len(bp) - 1 or len(sl) != len(bp) - 1:
             raise DimensionError("need one axis and slope per segment")
         if cols.min() < 0 or cols.max() >= x0.size:
             raise ParameterError(f"axis indices must lie in 1..{x0.size}")
         if not (np.all(np.isfinite(x0)) and np.all(np.isfinite(bp))
                 and np.all(np.isfinite(sl))):
             raise InvalidEntryError("path contains NaN or infinite entries")
+        cols.setflags(write=False)  # a fresh array: frozen in place
         object.__setattr__(self, "start", _freeze(x0))
         object.__setattr__(self, "breakpoints", _freeze(bp))
-        object.__setattr__(self, "axes", axes)
         object.__setattr__(self, "slopes", _freeze(sl))
-        object.__setattr__(self, "cols", _freeze(cols, np.intp))
+        object.__setattr__(self, "cols", cols)
+
+    @classmethod
+    def _sweep(cls, start, breakpoints, axes: tuple[int, ...], cols: np.ndarray,
+               slopes) -> "RegularPath":
+        """The path with ints ``axes`` and ``cols`` = axes - 1 built with them."""
+        self = object.__new__(cls)
+        self.__dict__.update(start=start, breakpoints=breakpoints, axes=axes, slopes=slopes)
+        self.__post_init__(cols)
+        return self
 
     @property
     def dim(self) -> int:
@@ -267,8 +291,8 @@ class BrownianSpec(_ArrayValue):
             raise DimensionError("drift/covariance sizes must match dim")
         if self.steps < 1:
             raise ParameterError("steps must be >= 1")
-        if self.horizon <= 0:
-            raise ParameterError("horizon must be positive")
+        if not 0 < self.horizon < np.inf:
+            raise ParameterError(f"horizon must be finite and > 0, got {self.horizon!r}")
         scale = max(1.0, float(np.abs(A).max()))
         if np.abs(A - A.T).max() > COVARIANCE_SYMMETRY_RTOL * scale:
             raise CovarianceError("covariance must be symmetric")
@@ -394,8 +418,8 @@ def standard_regular_approximation(X: SampledPath,
     sweep_dt = T / (n * d)
     breakpoints = np.linspace(0.0, T, n * d + 1)
     slopes = (np.diff(V, axis=0) / sweep_dt).ravel()
-    axes = tuple(range(1, d + 1)) * n
-    return RegularPath(V[0], breakpoints, axes, slopes)
+    return RegularPath._sweep(V[0], breakpoints, tuple(range(1, d + 1)) * n,
+                              np.tile(np.arange(d, dtype=np.intp), n), slopes)
 
 
 def coupled_regular_approximation(X: SampledPath, Xbar: SampledPath,

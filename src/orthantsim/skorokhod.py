@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -39,6 +40,7 @@ HIT_TIE_RTOL = 1e-12
 # The boundary rates u = [R]_J^{-1} [e_i]_J come from a block of R with unit
 # diagonal, so they carry no units and a fixed floor needs no scale.
 NEGATIVE_RATE_TOL = 1e-9
+RATE_CACHE_MAX = 4096  # a matrix's boundary-rate cache is cleared at this size
 # Grid oracle iterates must not decrease by more than this times max |X|.
 GRID_MONOTONE_RTOL = 1e-12
 # The grid oracle stops once a sweep changes L by less than this.
@@ -115,69 +117,82 @@ def _boundary_rates(Rm: np.ndarray, J: list[int], i0: int):
     return list(zip(J, u.tolist())), list(zip(Jc, (cols.take(Jc, axis=0) @ u).tolist()))
 
 
+def _run_segments(Rm: np.ndarray, rates: dict, z: list, pieces, append):
+    """The orthant solver's run: pieces (i, alpha, T) drive z + alpha*e_i*t.
+
+    The one free test: if alpha >= 0, or z_i does not reach 0 before T, the
+    path never leaves the orthant, (Z, L) = (X, 0), and only the new z_i (0.0
+    if it rounds below 0) is set and passed to ``append``.  Otherwise the
+    active set J grows by the free components that hit 0; within a phase L
+    grows linearly at rate |alpha| [R]_J^{-1} [e_i]_J and the free components
+    decrease linearly, until the first of them hits 0.  The rates per
+    (1-based J, i) are cached in ``rates``, cleared at ``RATE_CACHE_MAX``
+    entries.  Yields the times, Z rows and L rows at the end of each phase,
+    the events (tau, J before, after) and the idle flags.
+    """
+    for i0, alpha, T in pieces:
+        x = z[i0]
+        if alpha >= 0.0 or (x > 0.0 and x / -alpha >= T):
+            v = x + alpha * T
+            z[i0] = v = 0.0 if v < 0.0 else v  # x / |alpha| rounded up onto T
+            append(v)
+            continue
+        a = -alpha
+        l = [0.0] * len(z)
+        times, Zr, Lr, events, idle = [], [], [], [], []
+        t = 0.0
+        J = tuple([j + 1 for j, v in enumerate(z) if v == 0.0])
+        if x > 0.0:
+            t = x / a
+            z[i0] = 0.0
+            times.append(t)
+            Zr.append(z.copy())
+            Lr.append(l.copy())
+            before, J = J, tuple(sorted((*J, i0 + 1)))
+            events.append((t, before, J))
+
+        guard = 0
+        while t < T:
+            guard += 1
+            if guard > len(z) + 2:
+                raise ConvergenceError("phase loop exceeded the d+1 bound",
+                                       details={"t": t, "z": z})
+            pairs = rates.get((J, i0))
+            if pairs is None:
+                if len(rates) >= RATE_CACHE_MAX:
+                    rates.clear()
+                pairs = rates[J, i0] = _boundary_rates(Rm, [j - 1 for j in J], i0)
+            ju, jw = pairs
+            dts = [(z[j] / (alpha * w), j) for j, w in jw if a * w < 0.0]  # a w <= 0
+            dt_min = min(dts)[0] if dts else math.inf
+            t_next = min(t + dt_min, T)
+            dt = t_next - t
+            for j, w in jw:
+                v = z[j] + a * w * dt
+                z[j] = v if v > 0.0 else 0.0  # as np.maximum(v, 0.0), -0.0 included
+            for j, u in ju:
+                l[j] += a * u * dt
+            idle.extend(j + 1 for j, u in ju if a * u == 0.0 and j != i0)
+            if t_next < T:
+                cut = dt_min * (1.0 + HIT_TIE_RTOL)
+                for dtj, j in dts:
+                    if dtj <= cut:
+                        z[j] = 0.0
+                before, J = J, tuple(sorted([*J, *[j + 1 for j, _ in jw if z[j] == 0.0]]))
+                events.append((t_next, before, J))
+            times.append(t_next)
+            Zr.append(z.copy())
+            Lr.append(l.copy())
+            t = t_next
+        yield times, Zr, Lr, events, idle
+
+
 def _segment_arrays(Rm: np.ndarray, rates: dict, x: list, i0: int, alpha: float,
                     T: float):
-    """Exact single-segment solve; returns a float or phase ends and events.
-
-    Driving path is x + alpha*e_i*t on [0, T].  If alpha >= 0, or x_i does
-    not reach 0 before T, the path never leaves the orthant: (Z, L) = (X, 0)
-    and only the new x_i, one float (0.0 if it rounds below 0), is returned.
-    Otherwise the active set J grows by the free components that hit 0;
-    within a phase L grows linearly at rate |alpha| [R]_J^{-1} [e_i]_J and
-    the free components decrease linearly, until the first of them hits 0.
-    The rates per (1-based J, i) are cached in ``rates``.  x is a float list,
-    left as is; times, Z rows and L rows (float lists) are those at the end
-    of each phase; events are (tau, J before, after); idle flags close it.
-    """
-    if alpha >= 0.0 or (x[i0] > 0.0 and x[i0] / -alpha >= T):
-        v = x[i0] + alpha * T
-        return 0.0 if v < 0.0 else v  # x_i / |alpha| rounded up onto T
-    z = x.copy()
-    a = -alpha
-    l = [0.0] * len(z)
-    times, Zr, Lr, events, idle = [], [], [], [], []
-    t = 0.0
-    J = tuple([j + 1 for j, v in enumerate(z) if v == 0.0])
-    if z[i0] > 0.0:
-        t = z[i0] / a
-        z[i0] = 0.0
-        times.append(t)
-        Zr.append(z.copy())
-        Lr.append(l.copy())
-        before, J = J, tuple(sorted((*J, i0 + 1)))
-        events.append((t, before, J))
-
-    guard = 0
-    while t < T:
-        guard += 1
-        if guard > len(z) + 2:
-            raise ConvergenceError("phase loop exceeded the d+1 bound",
-                                   details={"t": t, "z": z})
-        if (J, i0) not in rates:
-            rates[J, i0] = _boundary_rates(Rm, [j - 1 for j in J], i0)
-        ju, jw = rates[J, i0]
-        dts = [(z[j] / (alpha * w), j) for j, w in jw if a * w < 0.0]  # a w <= 0
-        dt_min = min(dts)[0] if dts else math.inf
-        t_next = min(t + dt_min, T)
-        dt = t_next - t
-        for j, w in jw:
-            v = z[j] + a * w * dt
-            z[j] = v if v > 0.0 else 0.0  # as np.maximum(v, 0.0), -0.0 included
-        for j, u in ju:
-            l[j] += a * u * dt
-        idle.extend(j + 1 for j, u in ju if a * u == 0.0 and j != i0)
-        if t_next < T:
-            cut = dt_min * (1.0 + HIT_TIE_RTOL)
-            for dtj, j in dts:
-                if dtj <= cut:
-                    z[j] = 0.0
-            before, J = J, tuple(sorted([*J, *[j + 1 for j, _ in jw if z[j] == 0.0]]))
-            events.append((t_next, before, J))
-        times.append(t_next)
-        Zr.append(z.copy())
-        Lr.append(l.copy())
-        t = t_next
-    return times, Zr, Lr, events, idle
+    """x + alpha*e_i*t on [0, T] as ``_run_segments`` solves it, x kept."""
+    free = array("d")
+    out = next(_run_segments(Rm, rates, x.copy(), [(i0, alpha, T)], free.append), None)
+    return free[0] if out is None else out
 
 
 def solve_linear_segment(R: ReflectionMatrix, x, i: int, alpha: float,
@@ -190,35 +205,31 @@ def solve_linear_segment(R: ReflectionMatrix, x, i: int, alpha: float,
     return solve_regular(R, RegularPath(x, [0.0, T], (i,), [alpha]))
 
 
-def _stitch(X: RegularPath, row0: np.ndarray, width: int, kernel):
+def _stitch(X: RegularPath, row0: np.ndarray, width: int, run):
     """Chain single-segment solves along X's pieces by memoryless restart.
 
-    ``kernel(row, col, slope, duration)`` solves one piece from the float
-    list ``row``, left as is.  A free piece returns the new ``row[col]``,
-    one float; any other its phase ends (times, rows, boundary rows of
-    ``width`` entries), events (tau, before, after), all local to the piece,
-    and one extra value.  A phase end that rounds onto the previous time, or
-    onto the piece's end before its last phase, keeps its event but adds no
-    row.  With no arithmetic, Z is forward-filled from the last row that set
-    each entry and L repeats each row until the next push.  Returns the
-    times (breakpoints with the phase times inserted at ``pos``), Z, L,
-    ``pos``, the phase times, the events, each piece's phase count and the
-    extra values of the phased pieces.
+    ``run(row, pieces, append)``, a solver's run function, solves the pieces
+    (col, slope, duration) from the float list ``row`` in place.  It passes
+    each free piece's new ``row[col]`` to ``append`` in its own loop, with no
+    call of its own, and yields each pushing piece's phase ends (times, rows,
+    boundary rows of ``width`` entries), events (tau, before, after), all
+    local to the piece, and one extra value.  A phase end that rounds onto
+    the previous time, or onto the piece's end before its last phase, keeps
+    its event but adds no row.  With no arithmetic, Z is forward-filled from
+    the last row that set each entry and L repeats each row until the next
+    push.  Returns the times (breakpoints with the phase times inserted at
+    ``pos``), Z, L, ``pos``, the phase times, the events, each piece's phase
+    count and the extra values of the phased pieces.
     """
-    bp = X.breakpoints.tolist()
     z = row0.tolist()
-    free, phased = [], []  # the end value of each free piece; phased pieces
+    free, phased = array("d"), []  # the end value of each free piece; phased pieces
     rows, Lrows, rows_at = [z.copy()], [[0.0] * width], [0]  # rows set in full
     pos, phase_times, events, extras = [], [], [], []
     phase_counts = [1] * len(X.axes)
-    for col, slope, t0, t1 in zip(X.cols.tolist(), X.slopes.tolist(), bp, bp[1:]):
-        out = kernel(z, col, slope, t1 - t0)
-        if isinstance(out, float):
-            z[col] = out
-            free.append(out)
-            continue
-        seg_t, seg_rows, seg_L, seg_events, extra = out
+    pieces = zip(X.cols.tolist(), X.slopes.tolist(), np.diff(X.breakpoints).tolist())
+    for seg_t, seg_rows, seg_L, seg_events, extra in run(z, pieces, free.append):
         k = len(free) + len(phased)
+        t0, t1 = X.breakpoints[k:k + 2].tolist()
         last, offset = t0, Lrows[-1]
         for t, row, l in zip(seg_t[:-1], seg_rows, seg_L):
             t += t0
@@ -232,21 +243,22 @@ def _stitch(X: RegularPath, row0: np.ndarray, width: int, kernel):
         rows_at.append(k + 1 + len(phase_times))
         rows.append(seg_rows[-1])  # the last phase ends on the breakpoint
         Lrows.append([a + b for a, b in zip(offset, seg_L[-1])])
-        z = seg_rows[-1].copy()
         events.extend(PhaseEvent(t0 + tau, before, after)
                       for tau, before, after in seg_events)
         phase_counts[k] = len(seg_events) + 1
         phased.append(k)
         extras.append(extra)
+    del pieces  # and the lists it reads, before the tables are built
     times = np.insert(X.breakpoints + 0.0, pos, phase_times)  # a -0.0 start is +0.0
-    n = len(times)
-    V, I = np.empty((n, len(z))), np.zeros((n, len(z)), np.intp)
-    V[rows_at], I[rows_at] = rows, np.array(rows_at)[:, None]
-    free_rows = np.delete(np.arange(n), rows_at)
-    free_cols = np.delete(X.cols, phased)
-    V[free_rows, free_cols], I[free_rows, free_cols] = free, free_rows
+    n, d = len(times), len(z)
+    # I: each set entry's flat index into V, then by a running maximum the last above
+    V, I = np.empty((n, d)), np.zeros((n, d), np.intp)
+    V[rows_at], I[rows_at] = rows, np.array(rows_at)[:, None] * d + np.arange(d)
+    at = np.delete(np.arange(n), rows_at) * d + np.delete(X.cols, phased)
+    V.put(at, np.frombuffer(free))
+    I.put(at, at)
     np.maximum.accumulate(I, axis=0, out=I)
-    Z = np.take_along_axis(V, I, axis=0)
+    Z = V.take(I)
     del V, I  # before L is built, so that the four tables never coexist
     # L is constant between pushes: each row stands until the next one starts
     L = np.repeat(np.array(Lrows), np.diff(rows_at, append=n), axis=0)
@@ -264,15 +276,16 @@ def solve_regular(R: ReflectionMatrix, X: RegularPath) -> SkorokhodSolution:
         raise DimensionError("path dimension must match the matrix dimension")
     z0 = _check_start(X.start, R.dim)
     times, Zv, Lv, pos, phase_times, events, phase_counts, idle = _stitch(
-        X, z0, R.dim, partial(_segment_arrays, R.entries, {}))
+        X, z0, R.dim, partial(_run_segments, R.entries, R._rates))
     # X at the breakpoints is X.vertices but for the sign of a zero: abs ignores it
-    Xv = np.insert(X.vertices, pos, X.values_at(phase_times), axis=0)
-    resid = np.abs(Zv - Xv - Lv @ R.entries.T).max()
-    diag = {"max_identity_residual": float(resid), "min_z": float(Zv.min()),
+    resid = Zv - np.insert(X.vertices, pos, X.values_at(phase_times), axis=0)
+    resid -= Lv @ R.entries.T
+    diag = {"max_identity_residual": float(np.abs(resid, out=resid).max()),
+            "min_z": float(Zv.min()),
             "idle_boundary_components": sorted(set().union(*idle)),
             "phase_counts": phase_counts, "method": "regular-exact"}
-    return SkorokhodSolution(SampledPath(times, Zv), SampledPath(times, Lv),
-                             events, diag)
+    return SkorokhodSolution(SampledPath._adopt(times, Zv),
+                             SampledPath._adopt(times, Lv), events, diag)
 
 
 def solve_grid_oracle(R: ReflectionMatrix, X: SampledPath, tol: float = GRID_TOL,
@@ -286,8 +299,8 @@ def solve_grid_oracle(R: ReflectionMatrix, X: SampledPath, tol: float = GRID_TOL
     if X.dim != R.dim:
         raise DimensionError("path dimension must match the matrix dimension")
     _check_start(X.values[0], R.dim)
-    if tol <= 0:
-        raise ParameterError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ParameterError(f"tol must be positive and finite, got {tol!r}")
     Xv = X.values
     Qt = R.q_matrix().T
     L = np.zeros_like(Xv)

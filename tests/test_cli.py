@@ -675,3 +675,60 @@ def test_suite_entry_integer_is_not_truncated(tmp_path, capsys, suite, name, val
     cfg = write_config(tmp_path, {"suites": [
         {"name": suite, "instances": 1, name: value}]})
     assert_config_error_names(*run(capsys, "verify", "--config", cfg), name)
+
+
+# ------------------------------------------- finite reals and required keys
+
+def write_raw_config(tmp_path, text):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_tol_flag_must_be_finite(tmp_path, capsys, value):
+    # --tol inf stopped the grid oracle after one sweep and exited 0
+    cfg = write_config(tmp_path, dict(SRBM_1D, method="grid"))
+    code, out, err = run(capsys, "simulate-srbm", "--config", cfg,
+                         "--out", str(tmp_path / "run"), "--tol", value)
+    assert (code, out) == (1, "")
+    assert "--tol" in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "1e400"])
+def test_config_tol_must_be_finite(tmp_path, capsys, value):
+    text = json.dumps(dict(SRBM_1D, method="grid", tol=1.0)).replace(
+        '"tol": 1.0', f'"tol": {value}')
+    assert_config_error_names(*run(capsys, "simulate-srbm", "--config",
+                                   write_raw_config(tmp_path, text),
+                                   "--out", str(tmp_path / "run")), "tol")
+
+
+@pytest.mark.parametrize("value", ['"1"', "true", "NaN", "Infinity", "1e400", "0",
+                                   "-1.5", "null"])
+@pytest.mark.parametrize("command", ["simulate-srbm", "simulate-cbp", "approximate"])
+def test_horizon_must_be_a_finite_positive_real(tmp_path, capsys, command, value):
+    # "1" and true were read with float(); NaN, Infinity and 1e400 exited 2
+    # with "time grid must start at 0"
+    text = json.dumps(FLAG_CONFIGS[command]).replace('"horizon": 1.0',
+                                                     f'"horizon": {value}')
+    assert_config_error_names(*run(capsys, command, "--config",
+                                   write_raw_config(tmp_path, text),
+                                   "--out", str(tmp_path / "run")), "horizon")
+
+
+REQUIRED_KEYS = ([("simulate-srbm", key)
+                  for key in ("matrix", "mu", "covariance", "z0", "horizon")]
+                 + [("simulate-cbp", key)
+                    for key in ("g", "sigma2", "q", "y0", "horizon")])
+
+
+@pytest.mark.parametrize("command, key", REQUIRED_KEYS)
+def test_missing_required_key_is_named(tmp_path, capsys, command, key):
+    # these exited 1 through cli.main's blanket mapping, as KeyError('key')
+    cfg = json.loads(json.dumps(METHOD_CONFIGS[command]))
+    del (cfg["cbp"] if command == "simulate-cbp" else cfg)[key]
+    code, out, err = run(capsys, command, "--config", write_config(tmp_path, cfg),
+                         "--out", str(tmp_path / "run"))
+    assert_config_error_names(code, out, err, key)
+    assert "KeyError" not in json.loads(err)["message"]

@@ -623,3 +623,10 @@ def test_gap_matrix_is_built_and_validated_once_per_shares(monkeypatch):
     simulate_cbp(spec)
     simulate_cbp(CbpSpec(spec.g, spec.sigma2, q, spec.y0, 1.0, 50, 4))
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("horizon", [float("inf"), float("nan"), 0.0])
+def test_cbp_spec_horizon_must_be_finite_and_positive(horizon):
+    with pytest.raises(ParameterError, match="horizon"):
+        CbpSpec((0.0, 0.0), (1.0, 1.0), CollisionParams.symmetric(2), (0.0, 0.1),
+                horizon, 10, 1)

@@ -468,3 +468,9 @@ def test_value_objects_compare_and_hash_by_value(make):
     assert len({a, b, other}) == 2 and {a: 1}[b] == 1
     assert a != "a value of another type"
     assert make(0.0) != make(-0.0)  # bytes differ, as in the solvers' output
+
+
+@pytest.mark.parametrize("horizon", [float("inf"), float("nan"), 0.0])
+def test_brownian_spec_horizon_must_be_finite_and_positive(horizon):
+    with pytest.raises(ParameterError, match="horizon"):
+        BrownianSpec(1, [0.0], [[1.0]], horizon, 10, 3)

@@ -468,3 +468,11 @@ def test_csv_and_events_export():
     events = json.loads(ev_buf.getvalue())
     assert events[0]["tau"] == 2.0
     assert events[0]["active_after"] == [1, 2]
+
+
+@pytest.mark.parametrize("tol", [0.0, float("inf"), float("nan")])
+def test_grid_oracle_tol_must_be_finite_and_positive(tol):
+    # an infinite tol stopped the iteration after one sweep, far from a solution
+    X = SampledPath([0.0, 1.0], [[0.5, 0.5], [-1.0, 0.2]])
+    with pytest.raises(ParameterError, match="tol"):
+        solve_grid_oracle(R_HALF, X, tol=tol)

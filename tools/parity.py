@@ -1,0 +1,161 @@
+"""Bit-for-bit parity digests of the solvers' outputs.
+
+    python3 tools/parity.py --out digests.json        # record the digests
+    python3 tools/parity.py --against digests.json    # exit 1 on the first difference
+
+Run from any directory; the library is imported from ``src/`` next to this
+directory, so two checkouts can be compared by recording with one and
+checking with the other.  Every input is fixed, so a record's digest changes
+only when the code's output does.
+
+Each record solves one input and hashes, with SHA-256, the bytes of every
+path's times and values (Z, L and, for particles, Y), the events as JSON and
+the diagnostics with every float written as ``float.hex``.  The records are:
+
+- SRBM, exact: d = 1..20 at rho(Q) = 0, 0.5 and 0.95, each from start 0.7
+  with drift 0 and from start 0 with drift -0.5, one matrix per (d, rho) so
+  that its second solve runs warm;
+- CBP: N = 2..20, exact and grid routes through the gap problem;
+- particles on a regular driver: N = 2..20 (the block-phase kernel);
+- ``gap_srbm``: N = 2..20;
+- all nine comparison suites, two instances each.
+"""
+
+import argparse
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from orthantsim import comparison  # noqa: E402
+from orthantsim.mmatrix import ReflectionMatrix  # noqa: E402
+from orthantsim.particles import (  # noqa: E402
+    CbpSpec,
+    CollisionParams,
+    driving_path_for,
+    gap_srbm,
+    simulate_cbp,
+    solve_competing,
+)
+from orthantsim.paths import standard_regular_approximation  # noqa: E402
+from orthantsim.skorokhod import simulate_srbm  # noqa: E402
+
+STEPS = 1000
+SEED = 17
+RHOS = (0.0, 0.5, 0.95)
+SRBM_CASES = ((0.7, 0.0), (0.0, -0.5))  # (start, drift)
+MAX_SIZE = 20
+SUITE_INSTANCES = 2
+
+
+def _plain(obj):
+    """JSON-ready copy of obj with every float as ``float.hex``."""
+    if isinstance(obj, dict):
+        return {str(k): _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return _plain(obj.tolist())
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (float, np.floating)):
+        return float(obj).hex()
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    return obj
+
+
+def solution_digest(sol) -> str:
+    h = hashlib.sha256()
+    for name in ("Y", "Z", "L"):
+        path = getattr(sol, name, None)
+        if path is not None:
+            h.update(name.encode())
+            h.update(np.ascontiguousarray(path.times).tobytes())
+            h.update(np.ascontiguousarray(path.values).tobytes())
+    h.update(json.dumps(_plain(sol.events_to_jsonable()), sort_keys=True).encode())
+    h.update(json.dumps(_plain(sol.diagnostics), sort_keys=True).encode())
+    return h.hexdigest()
+
+
+def suite_digest(res) -> str:
+    out = res.to_jsonable()
+    for inst, r in zip(out["instances"], res.results):
+        if r.report is not None:
+            inst["details"] = r.report.details
+    return hashlib.sha256(json.dumps(_plain(out), sort_keys=True).encode()).hexdigest()
+
+
+def _rng(*key) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence([SEED, *key]))
+
+
+def _srbm_matrix(rng, d: int, rho: float) -> np.ndarray:
+    Q = rng.uniform(0.05, 1.0, (d, d))
+    np.fill_diagonal(Q, 0.0)
+    radius = np.abs(np.linalg.eigvals(Q)).max()
+    return np.eye(d) - (Q * (rho / radius) if radius > 0 else 0.0 * Q)
+
+
+def _cbp_spec(n: int) -> CbpSpec:
+    rng = _rng(2, n)
+    qminus = rng.uniform(0.4, 0.6, n)
+    q = CollisionParams((0.5, *(1.0 - qminus[:-1])), tuple(qminus))
+    return CbpSpec(tuple(rng.uniform(-0.1, 0.1, n)), tuple(rng.uniform(0.9, 1.1, n)),
+                   q, tuple(np.arange(n) * 0.3), 1.0, STEPS, SEED + n)
+
+
+def records():
+    """(name, digest) of every record, in a fixed order."""
+    for d in range(1, MAX_SIZE + 1):
+        for rho in RHOS:
+            rng = _rng(1, d, int(rho * 100))
+            R = ReflectionMatrix(_srbm_matrix(rng, d, rho))
+            A = np.eye(d) + 0.1 * np.ones((d, d))
+            for start, drift in SRBM_CASES:
+                sol = simulate_srbm(R, np.full(d, drift), A, np.full(d, start), 1.0,
+                                    STEPS, SEED + d)
+                yield f"srbm_d{d}_rho{rho}_start{start}_drift{drift}", solution_digest(sol)
+    for n in range(2, MAX_SIZE + 1):
+        spec = _cbp_spec(n)
+        for method in ("exact", "grid"):
+            yield f"cbp_n{n}_{method}", solution_digest(simulate_cbp(spec, method))
+        Xr = standard_regular_approximation(driving_path_for(spec), STEPS // 4)
+        yield f"particles_regular_n{n}", solution_digest(solve_competing(spec.q, Xr))
+        yield f"gap_srbm_n{n}", solution_digest(gap_srbm(spec))
+    for name in comparison.SUITES:
+        res = comparison.run_suite(name, SUITE_INSTANCES, SEED)
+        yield f"suite_{name}", suite_digest(res)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    group = parser.add_mutually_exclusive_group(required=True)
+    group.add_argument("--out", help="write the digests to this JSON file")
+    group.add_argument("--against", help="compare with the digests in this JSON file")
+    args = parser.parse_args(argv)
+    if args.out:
+        digests = dict(records())
+        Path(args.out).write_text(json.dumps(digests, indent=1) + "\n")
+        print(f"{len(digests)} records written to {args.out}")
+        return 0
+    want = json.loads(Path(args.against).read_text())
+    seen = 0
+    for name, digest in records():
+        if want.get(name) != digest:
+            print(f"DIFFERS: {name}: {digest} against {want.get(name)}")
+            return 1
+        seen += 1
+    if seen != len(want):
+        print(f"DIFFERS: {len(want)} records expected, {seen} computed")
+        return 1
+    print(f"{seen} records match")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
