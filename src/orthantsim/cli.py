@@ -129,6 +129,7 @@ def _load_path(cfg, base: Path):
         except OrthantSimError as exc:
             raise ConfigError(f"malformed path CSV {file}: {exc}") from exc
     if kind == "brownian":
+        _required(cfg, "drift", "covariance")
         for name in ("dim", "steps", "seed", "horizon"):
             _option(None, cfg, name, required=True)
         return sample_brownian(BrownianSpec.from_jsonable(cfg))

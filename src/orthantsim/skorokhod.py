@@ -209,17 +209,17 @@ def _stitch(X: RegularPath, row0: np.ndarray, width: int, run):
     """Chain single-segment solves along X's pieces by memoryless restart.
 
     ``run(row, pieces, append)``, a solver's run function, solves the pieces
-    (col, slope, duration) from the float list ``row`` in place.  It passes
-    each free piece's new ``row[col]`` to ``append`` in its own loop, with no
-    call of its own, and yields each pushing piece's phase ends (times, rows,
-    boundary rows of ``width`` entries), events (tau, before, after), all
-    local to the piece, and one extra value.  A phase end that rounds onto
-    the previous time, or onto the piece's end before its last phase, keeps
-    its event but adds no row.  With no arithmetic, Z is forward-filled from
-    the last row that set each entry and L repeats each row until the next
-    push.  Returns the times (breakpoints with the phase times inserted at
-    ``pos``), Z, L, ``pos``, the phase times, the events, each piece's phase
-    count and the extra values of the phased pieces.
+    (col, slope, duration) from the float list ``row`` in place.  Inside its
+    own loop it passes each free piece's new ``row[col]`` to ``append``, and
+    it yields each pushing piece's phase ends (times, rows, boundary rows of
+    ``width`` entries), events (tau, before, after), all local to the piece,
+    and one extra value.  A phase end that rounds onto the previous time, or
+    onto the piece's end before its last phase, keeps its event but adds no
+    row.  With no arithmetic, Z is forward-filled from the last row that set
+    each entry and L repeats each row until the next push.  Returns the
+    times (breakpoints with the phase times inserted at ``pos``), Z, L,
+    ``pos``, the phase times, the events, each piece's phase count and the
+    extra values of the phased pieces.
     """
     z = row0.tolist()
     free, phased = array("d"), []  # the end value of each free piece; phased pieces
@@ -251,7 +251,7 @@ def _stitch(X: RegularPath, row0: np.ndarray, width: int, run):
     del pieces  # and the lists it reads, before the tables are built
     times = np.insert(X.breakpoints + 0.0, pos, phase_times)  # a -0.0 start is +0.0
     n, d = len(times), len(z)
-    # I: each set entry's flat index into V, then by a running maximum the last above
+    # I: the flat index into V of the last entry set at or above, by column
     V, I = np.empty((n, d)), np.zeros((n, d), np.intp)
     V[rows_at], I[rows_at] = rows, np.array(rows_at)[:, None] * d + np.arange(d)
     at = np.delete(np.arange(n), rows_at) * d + np.delete(X.cols, phased)

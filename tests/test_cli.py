@@ -720,14 +720,16 @@ def test_horizon_must_be_a_finite_positive_real(tmp_path, capsys, command, value
 REQUIRED_KEYS = ([("simulate-srbm", key)
                   for key in ("matrix", "mu", "covariance", "z0", "horizon")]
                  + [("simulate-cbp", key)
-                    for key in ("g", "sigma2", "q", "y0", "horizon")])
+                    for key in ("g", "sigma2", "q", "y0", "horizon")]
+                 + [("approximate", key) for key in ("drift", "covariance")])
 
 
 @pytest.mark.parametrize("command, key", REQUIRED_KEYS)
 def test_missing_required_key_is_named(tmp_path, capsys, command, key):
     # these exited 1 through cli.main's blanket mapping, as KeyError('key')
-    cfg = json.loads(json.dumps(METHOD_CONFIGS[command]))
-    del (cfg["cbp"] if command == "simulate-cbp" else cfg)[key]
+    cfg = json.loads(json.dumps(FLAG_CONFIGS[command]))
+    block = {"simulate-cbp": "cbp", "approximate": "path"}.get(command)
+    del (cfg[block] if block else cfg)[key]
     code, out, err = run(capsys, command, "--config", write_config(tmp_path, cfg),
                          "--out", str(tmp_path / "run"))
     assert_config_error_names(code, out, err, key)
