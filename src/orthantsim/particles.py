@@ -49,6 +49,7 @@ from .skorokhod import (
 )
 
 PARAM_SUM_TOL = 1e-12
+GAP_MATRIX_CACHE_MAX = 8  # each pins a rate cache of up to ~5 MiB at N = 20
 
 
 @dataclass(frozen=True)
@@ -117,7 +118,7 @@ def invert_system(q: CollisionParams) -> CollisionParams:
     return CollisionParams(qp, qm)
 
 
-@lru_cache(maxsize=128)  # both are values; validation is a power iteration
+@lru_cache(maxsize=GAP_MATRIX_CACHE_MAX)  # values; validation is a power iteration
 def reflection_matrix_from_params(q: CollisionParams) -> ReflectionMatrix:
     """Tridiagonal gap-process reflection matrix of size N-1, cached per q."""
     n = q.n_particles
@@ -313,21 +314,6 @@ def _cp_diagnostics(q: CollisionParams, Y, X, gaps, identity_residual) -> dict:
     }
 
 
-def _with_times(sk, ts: np.ndarray) -> list[np.ndarray]:
-    """Times, L and Z of the gap solution ``sk`` with the ``ts`` its grid
-    lacks inserted, read as values_at reads them; only those interpolated."""
-    grid = sk.Z.times
-    at = np.searchsorted(grid, ts)
-    new = grid[np.minimum(at, len(grid) - 1)] != ts
-    at, ts = at[new], ts[new]
-    out = [np.insert(grid, at, ts)]
-    for P in (sk.L, sk.Z):  # values_at's sums: v[r] + 0.0 v[r+1], last 0.0 v[-2] + v[-1]
-        own = 0.0 * np.concatenate([P.values[1:], P.values[-2:-1]])
-        own += P.values  # in place, a sum is the same either way round
-        out.append(np.insert(own, at, P.values_at(ts), axis=0))
-    return out
-
-
 def solve_regular_linear(q: CollisionParams, y0, i: int, alpha: float,
                          T: float) -> ParticleSystemSolution:
     """Exact solution when only ranked particle i is driven, at constant rate.
@@ -357,7 +343,8 @@ def solve_competing(q: CollisionParams, X, n: int | None = None,
         raise DimensionError("driver dimension must match the particle count")
     _check_w_point(X.values[0])
     sk = solve(reflection_matrix_from_params(q), difference_path(X), method, n, tol)
-    times, Lu, Zu = _with_times(sk, X.times)
+    times = np.union1d(sk.Z.times, X.times)
+    Lu, Zu = sk.L.values_at(times), sk.Z.values_at(times)
     events, skd = sk.events, sk.diagnostics
     del sk  # its Z and L are read: free them before the positions are built
     Xu = X.values_at(times)
@@ -378,9 +365,8 @@ def _solve_competing_regular(q: CollisionParams, X: RegularPath) -> ParticleSyst
     if X.dim != n:
         raise DimensionError("driver dimension must match the particle count")
     y0 = _check_w_point(X.start, n)
-    tall, Yall, Lall, pos, phase_times, events, _, consistency = _stitch(
+    tall, Yall, Lall, Xv, events, _, consistency = _stitch(
         X, y0, n - 1, partial(_run_blocks, q.qplus, q.qminus))
-    Xv = np.insert(X.vertices, pos, X.values_at(phase_times), axis=0)  # as in solve_regular
     gaps = np.diff(Yall, axis=1)
     diag = _cp_diagnostics(q, Yall, Xv, gaps,
                            np.abs(Yall - _positions(q, Xv, Lall)).max())

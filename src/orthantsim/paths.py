@@ -72,7 +72,9 @@ class _Path(_ArrayValue):
 
     def _in_horizon(self, ts) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
-        if ts.size and (ts.min() < 0.0 or ts.max() > self.horizon):
+        if ts.ndim != 1:
+            raise DimensionError(f"evaluation times must be 1-d, got shape {ts.shape}")
+        if ts.size and not (ts.min() >= 0.0 and ts.max() <= self.horizon):  # NaN fails
             raise RangeError(f"evaluation times outside [0, {self.horizon}]")
         return ts
 
@@ -128,15 +130,15 @@ class SampledPath(_Path):
         return float(self.times[-1])
 
     def values_at(self, ts) -> np.ndarray:
-        """Vectorized linear interpolation; exact at grid times."""
+        """Rows at the 1-d times ``ts`` by linear interpolation, gathered with
+        ``take``; exact at grid times but for the sign of a zero."""
         ts = self._in_horizon(ts)
-        idx = np.clip(np.searchsorted(self.times, ts, side="right") - 1,
-                      0, len(self.times) - 2)
-        t0 = self.times[idx]
-        t1 = self.times[idx + 1]
-        w = ((ts - t0) / (t1 - t0))[:, None]
-        out, upper = self.values[idx], self.values[idx + 1]  # in place: no temporaries
-        out *= 1.0 - w
+        idx = np.searchsorted(self.times, ts, side="right") - 1
+        np.clip(idx, 0, len(self.times) - 2, out=idx)
+        t0 = self.times.take(idx)
+        w = ((ts - t0) / (self.times.take(idx + 1) - t0))[:, None]
+        out, upper = self.values.take(idx, axis=0), self.values.take(idx + 1, axis=0)
+        out *= 1.0 - w  # in place: no temporaries
         out += np.multiply(upper, w, out=upper)
         return out
 
@@ -232,12 +234,14 @@ class RegularPath(_Path):
         return out
 
     def values_at(self, ts) -> np.ndarray:
+        """Rows at the 1-d times ``ts``: the vertex of the piece holding t
+        moved along its axis, gathered with ``take``."""
         ts = self._in_horizon(ts)
-        idx = np.clip(np.searchsorted(self.breakpoints, ts, side="right") - 1,
-                      0, len(self.axes) - 1)
-        out = self.vertices[idx].copy()
-        out[np.arange(len(ts)), self.cols[idx]] += (
-            self.slopes[idx] * (ts - self.breakpoints[idx]))
+        idx = np.searchsorted(self.breakpoints, ts, side="right") - 1
+        np.clip(idx, 0, len(self.axes) - 1, out=idx)
+        out = self.vertices.take(idx, axis=0)  # a copy
+        out[np.arange(len(ts)), self.cols.take(idx)] += (
+            self.slopes.take(idx) * (ts - self.breakpoints.take(idx)))
         return out
 
     def restrict_members(self, members: tuple[int, ...]) -> "RegularPath":

@@ -217,9 +217,9 @@ def _stitch(X: RegularPath, row0: np.ndarray, width: int, run):
     onto the piece's end before its last phase, keeps its event but adds no
     row.  With no arithmetic, Z is forward-filled from the last row that set
     each entry and L repeats each row until the next push.  Returns the
-    times (breakpoints with the phase times inserted at ``pos``), Z, L,
-    ``pos``, the phase times, the events, each piece's phase count and the
-    extra values of the phased pieces.
+    times (the breakpoints with the phase times inserted), Z, L, X at those
+    times (``X.vertices`` with ``X.values_at`` at the phase times inserted),
+    the events, each piece's phase count and the phased pieces' extra values.
     """
     z = row0.tolist()
     free, phased = array("d"), []  # the end value of each free piece; phased pieces
@@ -262,7 +262,8 @@ def _stitch(X: RegularPath, row0: np.ndarray, width: int, run):
     del V, I  # before L is built, so that the four tables never coexist
     # L is constant between pushes: each row stands until the next one starts
     L = np.repeat(np.array(Lrows), np.diff(rows_at, append=n), axis=0)
-    return times, Z, L, pos, phase_times, tuple(events), phase_counts, extras
+    Xv = np.insert(X.vertices, pos, X.values_at(phase_times), axis=0)
+    return times, Z, L, Xv, tuple(events), phase_counts, extras
 
 
 def solve_regular(R: ReflectionMatrix, X: RegularPath) -> SkorokhodSolution:
@@ -275,10 +276,9 @@ def solve_regular(R: ReflectionMatrix, X: RegularPath) -> SkorokhodSolution:
     if X.dim != R.dim:
         raise DimensionError("path dimension must match the matrix dimension")
     z0 = _check_start(X.start, R.dim)
-    times, Zv, Lv, pos, phase_times, events, phase_counts, idle = _stitch(
+    times, Zv, Lv, Xv, events, phase_counts, idle = _stitch(
         X, z0, R.dim, partial(_run_segments, R.entries, R._rates))
-    # X at the breakpoints is X.vertices but for the sign of a zero: abs ignores it
-    resid = Zv - np.insert(X.vertices, pos, X.values_at(phase_times), axis=0)
+    resid = np.subtract(Zv, Xv, out=Xv)  # in place; abs ignores the sign of a zero
     resid -= Lv @ R.entries.T
     diag = {"max_identity_residual": float(np.abs(resid, out=resid).max()),
             "min_z": float(Zv.min()),
@@ -382,11 +382,11 @@ def restart_inputs(R: ReflectionMatrix, X, sol: SkorokhodSolution, T: float):
     terms shifted by L(T).
     """
     horizon = X.horizon
-    if T < 0 or T > sol.Z.horizon or T > horizon:
+    if not 0 <= T <= min(sol.Z.horizon, horizon):  # NaN fails
         raise RangeError(f"restart time {T} outside the solved horizon")
     if T == horizon:
         raise RangeError("nothing remains beyond the full horizon")
-    zT = sol.Z.values_at(np.asarray([T]))[0]
+    zT = sol.Z.evaluate(T)
     if isinstance(X, RegularPath):
         bp = X.breakpoints
         k = int(np.searchsorted(bp, T, side="right") - 1)

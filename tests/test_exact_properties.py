@@ -10,9 +10,9 @@ on which nothing reaches the boundary or a neighbour, must change only its
 own axis, to the kernel's value, bit for bit, and every event of a pushing
 piece must name the zero sets of the rows around it.  The solvers' residual
 diagnostics, read off ``RegularPath.vertices``, and the gap route's union
-grid, built from its own rows, must equal the plain ``values_at`` reading
-bit for bit.  Every draw is derandomized, so a run cannot pass or fail by
-the draw.
+grid must equal the plain ``values_at`` reading bit for bit, and
+``values_at`` must give the bits of its reference fancy-index formula.
+Every draw is derandomized, so a run cannot pass or fail by the draw.
 """
 
 from functools import partial
@@ -27,7 +27,6 @@ from orthantsim.particles import (
     CollisionParams,
     _block_phases,
     _positions,
-    _with_times,
     alphas,
     reflection_matrix_from_params,
     solve_competing,
@@ -340,14 +339,43 @@ def gap_solution_and_times(draw):
     return sk, on_or_off_grid(draw, grid, T)
 
 
-@given(gap_solution_and_times())
+def sampled_reference(P, ts):
+    """SampledPath.values_at written with fancy indexing."""
+    idx = np.clip(np.searchsorted(P.times, ts, side="right") - 1, 0, len(P.times) - 2)
+    t0, t1 = P.times[idx], P.times[idx + 1]
+    w = ((ts - t0) / (t1 - t0))[:, None]
+    return P.values[idx] * (1.0 - w) + P.values[idx + 1] * w
+
+
+def regular_reference(P, ts):
+    """RegularPath.values_at written with fancy indexing."""
+    idx = np.clip(np.searchsorted(P.breakpoints, ts, side="right") - 1, 0, len(P.axes) - 1)
+    out = P.vertices[idx].copy()
+    out[np.arange(len(ts)), P.cols[idx]] += P.slopes[idx] * (ts - P.breakpoints[idx])
+    return out
+
+
+@st.composite
+def both_paths_and_times(draw):
+    """A sampled and a regular path on one grid, with signed zeros and
+    subnormals in their values and slopes, and times on or one ulp off it."""
+    sk, ts = draw(gap_solution_and_times())
+    grid, n = sk.Z.times, sk.Z.dim
+    axes = draw(st.lists(st.integers(1, n), min_size=len(grid) - 1,
+                         max_size=len(grid) - 1))
+    return sk.Z, RegularPath(sk.Z.values[0], grid, tuple(axes), sk.L.values[1:, 0]), ts
+
+
+@given(both_paths_and_times())
 @settings(max_examples=150, deadline=None, derandomize=True)
-def test_own_rows_read_as_values_at(case):
-    sk, ts = case
-    times, L, Z = _with_times(sk, ts)
-    assert times.tobytes() == np.union1d(sk.Z.times, ts).tobytes()
-    assert L.tobytes() == sk.L.values_at(times).tobytes()
-    assert Z.tobytes() == sk.Z.values_at(times).tobytes()
+def test_values_at_gives_the_reference_bits(case):
+    # ts holds 0 and T; its empty slice must read as zero rows
+    S, X, ts = case
+    for P, reference in ((S, sampled_reference), (X, regular_reference)):
+        for t in (ts, ts[:0]):
+            got, want = P.values_at(t), reference(P, t)
+            assert got.shape == want.shape == (len(t), P.dim)
+            assert got.tobytes() == want.tobytes()
 
 
 @st.composite

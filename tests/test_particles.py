@@ -1,5 +1,7 @@
+import gc
 import io
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -140,6 +142,19 @@ def test_reflection_matrix_always_valid():
         q = random_params(rng, int(rng.integers(2, 8)))
         R = reflection_matrix_from_params(q)
         assert validate_reflection_m_matrix(R.entries).accepted
+
+
+def test_gap_matrix_cache_frees_the_oldest_parameter_set():
+    # each cached matrix pins its boundary-rate cache, so only 8 are kept
+    qs = [CollisionParams.from_qminus([0.5, 0.3 + 0.01 * k, 0.5]) for k in range(9)]
+    first = weakref.ref(reflection_matrix_from_params(qs[0]))
+    for q in qs[1:-1]:
+        reflection_matrix_from_params(q)
+    gc.collect()
+    assert first() is not None
+    reflection_matrix_from_params(qs[-1])
+    gc.collect()
+    assert first() is None
 
 
 def test_gap_drift_and_covariance_patterns():

@@ -61,12 +61,24 @@ def test_evaluate_breakpoint_continuity():
     assert np.abs(right - at).max() < 3e-9
 
 
+BOTH_KINDS = [RegularPath([0.0], [0.0, 1.0], (1,), [1.0]),
+              SampledPath([0.0, 1.0], [[0.0], [1.0]])]
+
+
 def test_evaluate_out_of_range():
-    p = RegularPath([0.0], [0.0, 1.0], (1,), [1.0])
-    with pytest.raises(RangeError):
-        p.evaluate(1.5)
-    with pytest.raises(RangeError):
-        p.evaluate(-0.1)
+    for p in BOTH_KINDS:
+        for t in (1.5, -0.1, np.nan):
+            with pytest.raises(RangeError):
+                p.evaluate(t)
+            with pytest.raises(RangeError):
+                p.values_at([0.5, t])
+
+
+def test_values_at_needs_one_dim_times():
+    for p in BOTH_KINDS:
+        for ts in (0.5, [[0.5]], np.zeros((0, 1))):
+            with pytest.raises(DimensionError, match="1-d"):
+                p.values_at(ts)
 
 
 def test_sampled_interpolates_linearly():

@@ -382,6 +382,14 @@ def test_restart_out_of_range():
         restart_inputs(R_HALF, X, sol, X.horizon + 1.0)
 
 
+def test_restart_at_nan_is_out_of_range():
+    X = random_regular_path(np.random.default_rng(1), 2)
+    for Y in (X, SampledPath(X.breakpoints, X.vertices)):
+        sol = solve(R_HALF, Y)
+        with pytest.raises(RangeError, match="restart time nan"):
+            restart_inputs(R_HALF, Y, sol, np.nan)
+
+
 def test_idle_boundary_component_flagged():
     # decoupled faces: the idle face stays pinned with zero boundary growth
     sol = solve_linear_segment(ReflectionMatrix(np.eye(2)), [0.0, 0.0],
