@@ -9,6 +9,7 @@ with JSON events sidecars.  Exit codes: 0 success, 1 config/IO error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from numbers import Real
@@ -313,6 +314,7 @@ def cmd_verify(cfg: dict, args) -> int:
     return EXIT_OK if all_passed else EXIT_VALIDATION
 
 
+@functools.cache  # parse_args leaves the parser as it was
 def _build_parser() -> _Parser:
     parser = _Parser(prog="orthantsim",
                      description="Oblique reflection and competing-particle "

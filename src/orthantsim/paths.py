@@ -13,6 +13,7 @@ Axis indices are 1-based everywhere in the public API.
 from __future__ import annotations
 
 import csv
+import math
 import operator
 from dataclasses import dataclass, field, fields
 from functools import cached_property
@@ -484,16 +485,141 @@ def increments_dominated(X: SampledPath, Xbar: SampledPath) -> DominationCheck:
     return DominationCheck(True)
 
 
+# write_path_csv formats at most this many cells per numpy pass; at 4096 its
+# temporaries reach 128 KiB, where each one is mapped and faulted in afresh
+CSV_BLOCK_CELLS = 2048
+
+# Tables of _format_cells, the exact "%.17g" kernel.  A finite x = m 2^q with
+# decimal exponent E in [-10, 15] is written from D = round-half-even(
+# x 10^(16-E)), its 17 significant digits.  Each cell gets six 8-byte words
+# whose NULs are dropped on output: byte 0 the sign, bytes 1..5 the "0.000"
+# of E in [-4, -1], digit j = 0..16 at byte 6 + 2j with a point slot after
+# it, bytes 40..43 the exponent of E < -4 and byte 47 the separator.
+_M32 = 0xFFFFFFFF
+
+
+def _cell_tables():
+    # per row E + 10 (row 26: +-0): the fixed bytes, and the digit after
+    # which the point goes (-1: in the "0.000")
+    template = np.zeros((27, 48), np.uint8)
+    point = np.zeros(27, np.int64)
+    for E in range(-10, 16):
+        if -4 <= E < 0:
+            point[E + 10], at, text = -1, 1, b"0." + b"0" * (-E - 1)
+        else:
+            point[E + 10] = max(E, 0)
+            at = 7 + 2 * point[E + 10]
+            text = b"." + (bytes(32) + b"e-%02d" % -E if E < -4 else b"")
+        template[E + 10, at:at + len(text)] = np.frombuffer(text, np.uint8)
+    # per last kept digit K: digits 1..K and the point slots before digit K
+    mask = np.full((17, 48), 0xFF, np.uint8)
+    for K in range(17):
+        mask[K, 7 + 2 * K:40] = 0
+    # per biased binary exponent b: E + 10 for x = 2^(b-1023), and the bits of
+    # the power of ten from which E is one more (never reached: all ones)
+    est = np.floor((np.arange(2048) - 1023) * math.log10(2)).astype(np.int64)
+    tens = np.array([float(f"1e{j}") for j in range(-9, 16)]).view(np.uint64)
+    step = np.where((est >= -10) & (est < 15), tens[np.clip(est + 10, 0, 24)],
+                    2 ** 64 - 1)
+    # digits 1..16 are the pairs of word w = 0..3, half h = 0..1; entry
+    # 100 (4 h + w) + v holds pair v's digits in that word, and the digit
+    # (1..16) of its last nonzero digit, 0 if none
+    v = np.arange(100)
+    chars = np.zeros((2, 4, 100, 8), np.uint8)
+    chars[0, ..., 0:4:2] = chars[1, ..., 4:8:2] = np.stack([v // 10, v % 10], 1) + 48
+    length = np.sign(v) + np.sign(v % 10)  # of its text without trailing zeros
+    last = np.where(length > 0, length + 2 * np.arange(2)[:, None, None]
+                    + 4 * np.arange(4)[:, None], 0).astype(np.uint8)
+    pow5 = np.array([5 ** (16 - E) for E in range(-10, 16)], np.uint64)
+    return (template.view(np.uint64).T.copy(), point, mask.view(np.uint64).T.copy(),
+            np.clip(est, -10, 15) + 10, step, chars.view(np.uint64).ravel(),
+            last.ravel(), pow5 & _M32, pow5 >> 32)
+
+
+(_CELL_TEMPLATE, _POINT_DIGIT, _CELL_MASK, _E10_OF_BINARY, _E10_STEP,
+ _PAIR_CHARS, _PAIR_LAST, _POW5_LOW, _POW5_HIGH) = _cell_tables()
+_PAIR_OFFSET = np.arange(0, 800, 100).reshape(2, 4, 1)
+
+
+def _format_cells(x: np.ndarray, sep: np.ndarray) -> str:
+    """Each float64 of x as ``"%.17g" % v``, followed by its byte of sep.
+
+    Integer arithmetic gives the exact digits wherever it can prove them;
+    every other nonzero cell (non-finite, subnormal, |x| < 1e-10 or >= 1e16,
+    or a rounding that carries into a new decade) is formatted by ``%``.
+    Every array used as indices is intp, which ``take`` need not copy.
+    """
+    n = x.size
+    bits = x.view(np.uint64)
+    b = (bits >> 52 & 0x7FF).view(np.int64)
+    e10 = _E10_OF_BINARY.take(b) + (bits & (1 << 63) - 1 >= _E10_STEP.take(b))
+    # m 5^k with k = 16 - E as a 128-bit (hi, lo), from 32-bit limbs
+    m0, m1 = bits & _M32, bits >> 32 & 0xFFFFF | 1 << 20
+    f0, f1 = _POW5_LOW.take(e10), _POW5_HIGH.take(e10)
+    low, mid = m0 * f0, m0 * f1 + m1 * f0
+    t = (low >> 32) + (mid & _M32)
+    lo = (low & _M32) | (t << 32)
+    hi = m1 * f1 + (mid >> 32) + (t >> 32)
+    s = (e10 + 1049 - b).view(np.uint64)  # x 10^k = m 5^k / 2^s
+    floor = (hi << 64 - s) | (lo >> s)
+    d = floor + ((lo & (1 << s) - 1) + (floor & 1) > 1 << s - 1)
+    # 1 <= s <= 63 bounds x 10^k below 10^19 < 2^64: floor lost no bit of hi
+    exact = (s - 1 <= 62) & (floor >= 10 ** 16) & (d < 10 ** 17)
+    d = (d * exact).view(np.int64)
+    row = np.where(exact, e10, 26)
+    # D = lead 10^16 + two 8-digit halves = four 4-digit groups = eight pairs
+    lead = d // 10 ** 16
+    d -= lead * 10 ** 16
+    halves = np.empty((2, n), np.int64)
+    np.floor_divide(d, 10 ** 8, out=halves[0])
+    np.subtract(d, halves[0] * 10 ** 8, out=halves[1])
+    groups = np.empty((4, n), np.int64)
+    np.floor_divide(halves, 10 ** 4, out=groups[::2])
+    np.subtract(halves, groups[::2] * 10 ** 4, out=groups[1::2])
+    pairs = np.empty((2, 4, n), np.int64)
+    np.floor_divide(groups, 100, out=pairs[0])
+    np.subtract(groups, pairs[0] * 100, out=pairs[1])
+    pairs += _PAIR_OFFSET
+    chars = _PAIR_CHARS.take(pairs)
+    last = _PAIR_LAST.take(pairs).reshape(8, n).max(axis=0)
+    words = _CELL_TEMPLATE.take(row, axis=1)  # word w of cell i at [w, i]
+    words[1:5] |= chars[0] | chars[1]
+    words &= _CELL_MASK.take(np.maximum(last, _POINT_DIGIT.take(row)), axis=1)
+    cells = words.view(np.uint8).reshape(6, n, 8)  # byte j of word w of cell i
+    cells[0, :, 0] = np.signbit(x) * ord("-")
+    cells[0, :, 6] = lead + ord("0")
+    for i in np.flatnonzero(~exact & (x != 0)).tolist():
+        text = b"%.17g" % x[i]
+        cells[:, i] = np.frombuffer(text.ljust(48, b"\0"), np.uint8).reshape(6, 8)
+    cells[5, :, 7] = sep
+    return words.T.tobytes().translate(None, b"\0").decode("ascii")
+
+
 def write_path_csv(fileobj, times: np.ndarray, values: np.ndarray,
                    header: list[str]) -> None:
     """CSV with header ``t,<header>`` and one ``%.17g`` row per grid time.
 
-    Rows are formatted and written one at a time, never the whole table.
+    The cells are formatted and written in blocks of whole rows, at most
+    ``CSV_BLOCK_CELLS`` cells each (one row if a row is wider), never the
+    whole table.  Times, rows and header names that do not match raise
+    ``DimensionError``.
     """
+    times = np.asarray(times, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 2:
+        raise DimensionError(f"path values must be 2-d, got shape {values.shape}")
+    if times.shape != values.shape[:1]:
+        raise DimensionError(f"{times.size} times for {len(values)} value rows")
+    if len(header) != values.shape[1]:
+        raise DimensionError(f"{len(header)} header names for {values.shape[1]} columns")
     fileobj.write(",".join(["t", *header]) + "\n")
-    row = ",".join(["%.17g"] * (values.shape[1] + 1)) + "\n"
-    for t, r in zip(times.tolist(), values):
-        fileobj.write(row % (t, *r.tolist()))
+    cols = values.shape[1] + 1
+    rows = max(1, CSV_BLOCK_CELLS // cols)
+    sep = np.full((rows, cols), ord(","), np.uint8)
+    sep[:, -1] = ord("\n")
+    for r in range(0, len(times), rows):
+        block = np.column_stack((times[r:r + rows], values[r:r + rows])).ravel()
+        fileobj.write(_format_cells(block, sep.ravel()[:block.size]))
 
 
 def read_path_csv(fileobj) -> tuple[np.ndarray, np.ndarray]:

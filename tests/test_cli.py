@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from orthantsim.cli import main
+import orthantsim
+from orthantsim.cli import _build_parser, main
 from orthantsim.paths import RegularPath, SampledPath
 from orthantsim.particles import CbpSpec, CollisionParams, simulate_cbp, solve_competing
 
@@ -311,6 +316,29 @@ def test_verify_unknown_suite_exits_two(tmp_path, capsys):
 
 def test_usage_error_exits_one(capsys):
     assert main(["solve"]) == 1  # missing --config
+
+
+def test_one_process_runs_as_fresh_processes_do(tmp_path, capsys):
+    """The parser is built once per process: a good run, an unknown flag and
+    a validate run in one process print, exit and write as fresh ones."""
+    out = tmp_path / "out"
+    calls = [["simulate-srbm", "--config", srbm_config(tmp_path), "--out", str(out)],
+             ["simulate-srbm", "--config", srbm_config(tmp_path), "--bogus", "1"],
+             ["validate", "--config", write_config(
+                 tmp_path, {"collision_params": {"symmetric": 3}}, "params.json")]]
+    ours = [run(capsys, *argv) for argv in calls]
+    files = [out / "srbm.csv", out / "srbm_events.json"]
+    written = [f.read_bytes() for f in files]
+    assert _build_parser() is _build_parser()
+    env = {**os.environ, "PYTHONPATH": str(Path(orthantsim.__file__).parents[1])}
+    fresh = [subprocess.run([sys.executable, "-m", "orthantsim.cli", *argv], env=env,
+                            capture_output=True, text=True, timeout=120)
+             for argv in calls]
+    assert [(p.returncode, p.stdout, p.stderr) for p in fresh] == ours
+    assert [c for c, _, _ in ours] == [0, 1, 0]
+    assert json.loads(ours[1][2]) == {"error": "config",
+                                      "message": "unrecognized arguments: --bogus 1"}
+    assert [f.read_bytes() for f in files] == written
 
 
 # ------------------------------------------------- malformed path CSV sources

@@ -9,8 +9,9 @@ checking with the other.  Every input is fixed, so a record's digest changes
 only when the code's output does.
 
 Each record solves one input and hashes, with SHA-256, the bytes of every
-path's times and values (Z, L and, for particles, Y), the events as JSON and
-the diagnostics with every float written as ``float.hex``.  The records are:
+path's times and values (Z, L and, for particles, Y), the events as JSON, the
+diagnostics with every float written as ``float.hex``, and, for a solution,
+the text its ``to_csv`` writes.  The records are:
 
 - SRBM, exact: d = 1..20 at rho(Q) = 0, 0.5 and 0.95, each from start 0.7
   with drift 0 and from start 0 with drift -0.5, one matrix per (d, rho) so
@@ -23,6 +24,7 @@ the diagnostics with every float written as ``float.hex``.  The records are:
 
 import argparse
 import hashlib
+import io
 import json
 import sys
 from pathlib import Path
@@ -79,6 +81,9 @@ def solution_digest(sol) -> str:
             h.update(np.ascontiguousarray(path.values).tobytes())
     h.update(json.dumps(_plain(sol.events_to_jsonable()), sort_keys=True).encode())
     h.update(json.dumps(_plain(sol.diagnostics), sort_keys=True).encode())
+    csv = io.StringIO()
+    sol.to_csv(csv)
+    h.update(csv.getvalue().encode())
     return h.hexdigest()
 
 
