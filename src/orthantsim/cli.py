@@ -1,54 +1,38 @@
 """Command-line front end.
 
 Commands: ``validate``, ``solve``, ``simulate-srbm``, ``simulate-cbp``,
-``approximate``, ``verify``.  Configuration is JSON; trajectories are CSV
+``approximate``, ``verify``.  Configuration is JSON, read through one key
+table per command (``COMMANDS``) before anything runs; trajectories are CSV
 with JSON events sidecars.  Exit codes: 0 success, 1 config/IO error,
-2 validation or suite failure, 3 solver failure.
+2 validation or suite failure, 3 solver failure, 4 internal error (a defect).
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
+import contextlib
 import functools
+import itertools
 import json
 import sys
-from numbers import Real
 from pathlib import Path
 
 import numpy as np
 
 from . import comparison
-from .errors import (
-    ConfigError,
-    ConvergenceError,
-    OrthantSimError,
-)
+from .errors import ConfigError, ConvergenceError, OrthantSimError
 from .mmatrix import RADIUS_MARGIN, ReflectionMatrix, validate_reflection_m_matrix
-from .paths import (
-    BrownianSpec,
-    RegularPath,
-    SampledPath,
-    sample_brownian,
-    standard_regular_approximation,
-)
-from .particles import (
-    CbpSpec,
-    CollisionParams,
-    gap_srbm,
-    simulate_cbp,
-    solve_competing,
-)
-from .skorokhod import (
-    GRID_TOL,
-    simulate_srbm,
-    solve,
-    write_solution,
-)
+from .paths import (BrownianSpec, RegularPath, SampledPath, sample_brownian,
+                    standard_regular_approximation)
+from .particles import CbpSpec, CollisionParams, gap_srbm, simulate_cbp, solve_competing
+from .skorokhod import GRID_TOL, simulate_srbm, solve, write_solution
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_VALIDATION = 2
 EXIT_SOLVER = 3
+EXIT_INTERNAL = 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -60,97 +44,173 @@ class _Parser(argparse.ArgumentParser):
 def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
+            return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError("config must be a JSON object")
-    return cfg
 
 
 def _emit(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
 
 
-def _option(args, cfg: dict, name: str, default=None, required=False):
-    """``--name`` if given, else the config's value, else ``default``.
+# A table maps each key of a config block to a Key.  A kind is an int k (an
+# integer >= k), a tuple of choices, a rule of KINDS, a table (a nested block),
+# a function of the block that gives its table, or a one-table list (a nonempty
+# list of blocks that hold no other key).  A value is ``--key`` if the Key has
+# a flag, else the block's (not for FLAG_ONLY), else the default; null is unset.
 
-    A tol or horizon must be a finite real > 0, a seed or stream_offset an
-    integer >= 0, any other option (level, steps, ...) an integer >= 1; a bool,
-    a string, a float for an integer, a value out of bounds or a missing
-    ``required`` one raises ``ConfigError``; ``args`` may be None if nested.
-    """
-    value, source = getattr(args, name, None), f"--{name}"
-    if value is None:
-        value, source = cfg.get(name), f"config {name!r}"
-    if value is None and not required:
-        return default
-    if name in ("tol", "horizon"):  # at most the largest float: finite as one
-        rule = "finite, > 0 and of type real"
-        ok = isinstance(value, Real) and 0 < value <= sys.float_info.max
+REALS = frozenset((int, float))  # the types of a JSON number; a bool is not one
+
+
+def _list_of(v, types) -> bool:
+    return type(v) is list and len(v) > 0 and set(map(type, v)) <= types
+
+
+KINDS = {  # rule -> test of a JSON value
+    "finite, > 0 and of type real": lambda v: type(v) in REALS and 0 < v <= sys.float_info.max,
+    "of type real": lambda v: type(v) in REALS,
+    "a nonempty list of reals": lambda v: _list_of(v, REALS),
+    "a nonempty list of integers": lambda v: _list_of(v, {int}),
+    "a nonempty list of equal-length nonempty lists of reals": lambda v: _list_of(v, {list})
+        and len(set(map(len, v))) == 1 and _list_of([*itertools.chain(*v)], REALS),
+    "true or false": lambda v: type(v) is bool,
+    "a string": lambda v: type(v) is str,
+}
+REAL, NUMBER, VECTOR, INTS, MATRIX, BOOL, TEXT = KINDS
+REQUIRED = object()  # the default of a key that has none
+FLAG, FLAG_ONLY = 1, 2
+Key = collections.namedtuple("Key", "kind default flag", defaults=(None, 0))
+
+
+def _one_of(first: dict, second: dict):
+    """The table of a block written in one of two forms: ``second`` if the
+    block holds a key of ``second`` alone and none of ``first`` alone."""
+    only_first, only_second = first.keys() - second.keys(), second.keys() - first.keys()
+    return lambda block: (second if block.keys().isdisjoint(only_first)
+                          and not block.keys().isdisjoint(only_second) else first)
+
+
+PATHS = {  # path sources, by their "kind"
+    "regular": {"start": Key(VECTOR, REQUIRED), "breakpoints": Key(VECTOR, REQUIRED),
+                "axes": Key(INTS, REQUIRED), "slopes": Key(VECTOR, REQUIRED)},
+    "csv": {"file": Key(TEXT, REQUIRED)},
+    "brownian": {"dim": Key(1, REQUIRED), "drift": Key(VECTOR, REQUIRED),
+                 "covariance": Key(MATRIX, REQUIRED), "horizon": Key(REAL, REQUIRED),
+                 "steps": Key(1, REQUIRED), "seed": Key(0, REQUIRED)},
+}
+PATH = lambda block: {"kind": Key(tuple(PATHS), REQUIRED), **next(  # noqa: E731
+    (table for kind, table in PATHS.items() if kind == block.get("kind")), {})}
+PARAMS = _one_of({"symmetric": Key(NUMBER, REQUIRED)},
+                 {"qplus": Key(VECTOR, REQUIRED), "qminus": Key(VECTOR, REQUIRED)})
+RUN = {"out": Key(TEXT, ".", FLAG), "method": Key(("exact", "grid"), "exact", FLAG),
+       "level": Key(1, None, FLAG), "tol": Key(REAL, GRID_TOL, FLAG)}
+CBP = {"g": Key(VECTOR, REQUIRED), "sigma2": Key(VECTOR, REQUIRED),
+       "q": Key(PARAMS, REQUIRED), "y0": Key(VECTOR, REQUIRED),
+       "horizon": Key(REAL, REQUIRED), "steps": Key(1, REQUIRED),
+       "seed": Key(0, REQUIRED, FLAG), "stream_offset": Key(0, 0)}
+SUITE = {"name": Key(TEXT, REQUIRED), "instances": Key(1, 1), "tol": Key(REAL, None, FLAG),
+         "level": Key(1, None, FLAG), "steps": Key(1), "n_max": Key(1), "d_max": Key(1),
+         "grid": Key(1), "break_hypothesis": Key(BOOL), "r21": Key(REAL)}
+
+
+def _read(table, block, args, path: str = "", strict: bool = False) -> dict:
+    """The checked values of ``table``'s keys in the JSON object ``block``, at
+    ``path`` in the config (e.g. ``cbp.q``); ``strict``: no other key."""
+    where = f"{path}: " if path else ""
+    if type(block) is not dict:
+        raise ConfigError(f"config {path or 'file'} must be a JSON object, got {block!r}")
+    table = table(block) if callable(table) else table
+    if strict and (unknown := sorted(block.keys() - table.keys())):
+        raise ConfigError(f"config {where}unknown key {unknown[0]!r}, not one of {list(table)}")
+    out = {}
+    for key, (kind, default, flag) in table.items():
+        value, name = getattr(args, key, None) if flag else None, f"--{key}"
+        if value is None and flag != FLAG_ONLY:
+            value, name = block.get(key), f"config {where}{key!r}"
+        if value is not None:
+            out[key] = _check(kind, value, name, f"{path}.{key}" if path else key, args)
+        elif default is REQUIRED:
+            raise ConfigError(f"config {where}{key!r} is required")
+        elif default is not None:
+            out[key] = default
+    return out
+
+
+def _check(kind, value, name: str, path: str, args):
+    """``value`` if it is of ``kind`` (a block: read through its table), else a
+    ``ConfigError`` that names it."""
+    if isinstance(kind, dict) or callable(kind):
+        return _read(kind, value, args, path)
+    if isinstance(kind, list):
+        rule, ok = "a nonempty list", type(value) is list and len(value) > 0
+    elif isinstance(kind, tuple):
+        rule, ok = " or ".join(map(repr, kind)), value in kind
+    elif isinstance(kind, int):
+        rule, ok = f">= {kind} and of type int", type(value) is int and value >= kind
     else:
-        least = 0 if name in ("seed", "stream_offset") else 1
-        rule, ok = f">= {least} and of type int", isinstance(value, int) and value >= least
-    if isinstance(value, bool) or not ok:
-        raise ConfigError(f"{source} must be {rule}, got {value!r}")
+        rule, ok = kind, KINDS[kind](value)
+    if not ok:
+        raise ConfigError(f"{name} must be {rule}, got {value!r}")
+    if isinstance(kind, list):
+        return [_read(kind[0], v, args, f"{path}[{i}]", True) for i, v in enumerate(value)]
     return value
 
 
-def _required(cfg: dict, *names: str) -> list:
-    """The config's values of ``names``; a missing one raises ``ConfigError``."""
-    if missing := [name for name in names if name not in cfg]:
-        raise ConfigError(f"config needs {missing[0]!r}")
-    return [cfg[name] for name in names]
+def _flags(table) -> dict:
+    """``--key`` -> argparse options, for each flagged key of ``table``'s blocks."""
+    flags = {}
+    for key, (kind, _, flag) in (table({}) if callable(table) else table).items():
+        if flag:
+            flags[f"--{key}"] = ({"type": int} if isinstance(kind, int) else
+                                 {"type": float} if kind == REAL else
+                                 {"choices": kind} if isinstance(kind, tuple) else {})
+        elif isinstance(kind, (dict, list)):
+            flags.update(_flags(kind if isinstance(kind, dict) else kind[0]))
+    return flags
 
 
-def _method(args, cfg: dict) -> str:
-    """``--method`` if given, else the config's ``"method"`` (default exact)."""
-    method = args.method or cfg.get("method", "exact")
-    if method not in ("exact", "grid"):
-        raise ConfigError(f"config 'method' must be 'exact' or 'grid', got {method!r}")
-    return method
+def _load_path(src: dict, base: Path):
+    """The driving path of a checked path source."""
+    if src["kind"] == "brownian":
+        return sample_brownian(BrownianSpec.from_jsonable(src))
+    try:
+        if src["kind"] == "regular":
+            return RegularPath.from_jsonable(src)
+        with open(base / src["file"]) as fh:
+            return SampledPath.from_csv(fh)
+    except (OSError, OrthantSimError) as exc:
+        what = ("malformed regular path" if src["kind"] == "regular"
+                else f"'file' {base / src['file']} is unreadable")
+        raise ConfigError(f"config path: {what}: {exc}") from exc
 
 
-def _load_path(cfg, base: Path):
-    if not isinstance(cfg, dict) or "kind" not in cfg:
-        raise ConfigError("path source needs a 'kind' field")
-    kind = cfg["kind"]
-    if kind == "regular":
-        try:
-            return RegularPath.from_jsonable(cfg)
-        except OrthantSimError as exc:
-            raise ConfigError(f"malformed regular path: {exc}") from exc
-    if kind == "csv":
-        file = base / cfg["file"]
-        try:
-            with open(file) as fh:
-                return SampledPath.from_csv(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read path CSV {file}: {exc}") from exc
-        except OrthantSimError as exc:
-            raise ConfigError(f"malformed path CSV {file}: {exc}") from exc
-    if kind == "brownian":
-        _required(cfg, "drift", "covariance")
-        for name in ("dim", "steps", "seed", "horizon"):
-            _option(None, cfg, name, required=True)
-        return sample_brownian(BrownianSpec.from_jsonable(cfg))
-    raise ConfigError(f"unknown path kind {cfg['kind']!r}")
+@contextlib.contextmanager
+def _output(path: Path):
+    """``path`` open for writing, its directory made; an OSError names it."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w") as fh:
+            yield fh
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
+def _write_solution(sol, out: str, stem: str) -> dict:
+    csv_path, events_path = Path(out) / f"{stem}.csv", Path(out) / f"{stem}_events.json"
+    with _output(csv_path) as fh, _output(events_path) as eh:
+        write_solution(sol, fh, eh)
+    return {"csv": str(csv_path), "events": str(events_path)}
 
 
 def cmd_validate(cfg: dict, args) -> int:
     """Validate a reflection matrix and/or collision parameters."""
-    report = {}
-    accepted = True
+    report, accepted = {}, True
     if "matrix" not in cfg and "collision_params" not in cfg:
         raise ConfigError("config needs 'matrix' and/or 'collision_params'")
     if "matrix" in cfg:
-        res = validate_reflection_m_matrix(np.asarray(cfg["matrix"], dtype=float),
-                                           tol=_option(args, {}, "tol", RADIUS_MARGIN))
-        report["matrix"] = {
-            "accepted": res.accepted,
-            "reason": res.reason,
-            "spectral_radius": res.spectral_radius,
-        }
+        res = validate_reflection_m_matrix(cfg["matrix"], tol=cfg["tol"])
+        report["matrix"] = {"accepted": res.accepted, "reason": res.reason,
+                            "spectral_radius": res.spectral_radius}
         accepted &= res.accepted
     if "collision_params" in cfg:
         try:
@@ -165,98 +225,57 @@ def cmd_validate(cfg: dict, args) -> int:
     return EXIT_OK if accepted else EXIT_VALIDATION
 
 
-def _out_dir(cfg: dict, args) -> Path:
-    out = Path(args.out or cfg.get("out", "."))
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _write_solution(sol, out: Path, stem: str) -> dict:
-    csv_path = out / f"{stem}.csv"
-    events_path = out / f"{stem}_events.json"
-    with open(csv_path, "w") as fh:
-        with open(events_path, "w") as eh:
-            write_solution(sol, fh, eh)
-    return {"csv": str(csv_path), "events": str(events_path)}
-
-
 def cmd_solve(cfg: dict, args) -> int:
     """Solve one Skorohod or competing-particle problem and export it."""
-    out = _out_dir(cfg, args)
-    method = _method(args, cfg)
-    level = _option(args, cfg, "level")
-    tol = _option(args, cfg, "tol", GRID_TOL)
-    path = _load_path(cfg.get("path"), Path(args.config).parent)
+    if "matrix" not in cfg and "collision_params" not in cfg:
+        raise ConfigError("config needs 'matrix' or 'collision_params'")
+    method, level, tol = cfg["method"], cfg.get("level"), cfg["tol"]
+    path = _load_path(cfg["path"], Path(args.config).parent)
     summary = {"method": method}
     # the grid oracle needs a sampled path: sample a regular one on a grid
     regrid = path
-    grid_points = _option(args, cfg, "grid_points", 2000)
     if isinstance(path, RegularPath):
-        grid = np.linspace(0.0, path.horizon, grid_points + 1)
+        grid = np.linspace(0.0, path.horizon, cfg["grid_points"] + 1)
         regrid = SampledPath(grid, path.values_at(grid))
     driver = regrid if method == "grid" else path
-
     if "matrix" in cfg:
-        R = ReflectionMatrix(np.asarray(cfg["matrix"], dtype=float))
+        R = ReflectionMatrix(cfg["matrix"])
         sol = solve(R, driver, method, level, tol)
-        if cfg.get("compare_methods"):
+        if cfg["compare_methods"]:
             other = solve(R, regrid, "grid", tol=tol)
             ts = other.Z.times
             summary["sup_difference"] = float(
                 np.abs(sol.Z.values_at(ts) - other.Z.values).max())
-        summary["files"] = _write_solution(sol, out, "skorokhod")
+        summary["files"] = _write_solution(sol, cfg["out"], "skorokhod")
         summary["final_l"] = sol.final_boundary_terms.tolist()
-    elif "collision_params" in cfg:
+    else:
         q = CollisionParams.from_jsonable(cfg["collision_params"])
         sol = solve_competing(q, driver, n=level, method=method, tol=tol)
-        summary["files"] = _write_solution(sol, out, "particles")
+        summary["files"] = _write_solution(sol, cfg["out"], "particles")
         summary["final_l"] = sol.final_collision_terms.tolist()
-    else:
-        raise ConfigError("config needs 'matrix' or 'collision_params'")
-
     summary["phases"] = len(sol.events) + 1
     _emit(summary)
     return EXIT_OK
 
 
 def cmd_simulate_srbm(cfg: dict, args) -> int:
-    out = _out_dir(cfg, args)
-    matrix, mu, covariance, z0 = _required(cfg, "matrix", "mu", "covariance", "z0")
-    sol = simulate_srbm(
-        ReflectionMatrix(np.asarray(matrix, dtype=float)),
-        np.asarray(mu, dtype=float),
-        np.asarray(covariance, dtype=float),
-        np.asarray(z0, dtype=float),
-        float(_option(args, cfg, "horizon", required=True)),
-        _option(args, cfg, "steps", required=True),
-        _option(args, cfg, "seed", required=True),
-        method=_method(args, cfg),
-        level=_option(args, cfg, "level"),
-        tol=_option(args, cfg, "tol", GRID_TOL),
-    )
-    files = _write_solution(sol, out, "srbm")
+    sol = simulate_srbm(ReflectionMatrix(cfg["matrix"]), cfg["mu"], cfg["covariance"],
+                        cfg["z0"], float(cfg["horizon"]), cfg["steps"], cfg["seed"],
+                        cfg["method"], cfg.get("level"), cfg["tol"])
+    files = _write_solution(sol, cfg["out"], "srbm")
     _emit({"files": files, "phases": len(sol.events) + 1,
            "final_l": sol.final_boundary_terms.tolist()})
     return EXIT_OK
 
 
 def cmd_simulate_cbp(cfg: dict, args) -> int:
-    out = _out_dir(cfg, args)
-    spec_cfg = dict(cfg.get("cbp", cfg))
-    _required(spec_cfg, "g", "sigma2", "q", "y0")
-    _option(None, spec_cfg, "horizon", required=True)
-    spec_cfg["seed"] = _option(args, spec_cfg, "seed", required=True)
-    _option(None, spec_cfg, "steps", required=True)
-    _option(None, spec_cfg, "stream_offset")
-    spec = CbpSpec.from_jsonable(spec_cfg)
-    level = _option(args, cfg, "level")
-    sol = simulate_cbp(spec, _method(args, cfg), level,
-                       _option(args, cfg, "tol", GRID_TOL))
-    files = _write_solution(sol, out, "cbp")
+    spec = CbpSpec.from_jsonable(cfg.get("cbp", cfg))
+    sol = simulate_cbp(spec, cfg["method"], cfg.get("level"), cfg["tol"])
+    files = _write_solution(sol, cfg["out"], "cbp")
     summary = {"files": files, "phases": len(sol.events) + 1,
                "final_l": sol.final_collision_terms.tolist()}
-    if cfg.get("gap_check"):
-        srbm = gap_srbm(spec, level)
+    if cfg["gap_check"]:
+        srbm = gap_srbm(spec, cfg.get("level"))
         ts = np.union1d(sol.Z.times, srbm.Z.times)
         summary["gap_srbm_discrepancy"] = float(
             np.abs(sol.Z.values_at(ts) - srbm.Z.values_at(ts)).max())
@@ -265,17 +284,15 @@ def cmd_simulate_cbp(cfg: dict, args) -> int:
 
 
 def cmd_approximate(cfg: dict, args) -> int:
-    path = _load_path(cfg.get("path"), Path(args.config).parent)
-    if isinstance(path, RegularPath):
-        raise ConfigError("approximate expects a sampled path source")
-    reg = standard_regular_approximation(path, _option(args, cfg, "level", 1))
-    obj = reg.to_jsonable()
-    obj["kind"] = "regular"
-    if args.out:
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
-        _emit({"file": str(out), "segments": len(reg.axes)})
+    if cfg["path"]["kind"] == "regular":
+        raise ConfigError("config path: 'kind' must be a sampled path source for approximate")
+    path = _load_path(cfg["path"], Path(args.config).parent)
+    reg = standard_regular_approximation(path, cfg["level"])
+    obj = {**reg.to_jsonable(), "kind": "regular"}
+    if "out" in cfg:
+        with _output(Path(cfg["out"])) as fh:
+            fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+        _emit({"file": str(Path(cfg["out"])), "segments": len(reg.axes)})
     else:
         _emit(obj)
     return EXIT_OK
@@ -283,35 +300,42 @@ def cmd_approximate(cfg: dict, args) -> int:
 
 def cmd_verify(cfg: dict, args) -> int:
     """Run the named comparison suites and report per-instance outcomes."""
-    suites = cfg.get("suites")
-    if not isinstance(suites, list) or not suites:
-        raise ConfigError("config needs a nonempty 'suites' list")
-    seed = _option(args, cfg, "seed", 0)
-    results = []
-    all_passed = True
-    checked = ("tol", "level", "steps", "n_max", "d_max", "grid")
-    for entry in suites:
-        if not isinstance(entry, dict) or "name" not in entry:
-            raise ConfigError("each suite entry needs a 'name'")
-        opts = {k: v for k, v in entry.items()
-                if k not in ("name", "instances", *checked)}
-        for name in checked:
-            value = _option(args, entry, name)
-            if value is not None:
-                opts[name] = value
-        res = comparison.run_suite(entry["name"], _option(args, entry, "instances", 1),
-                                   seed, **opts)
+    results, all_passed = [], True
+    for opts in cfg["suites"]:
+        opts = dict(opts)
+        res = comparison.run_suite(opts.pop("name"), opts.pop("instances"),
+                                   cfg["seed"], **opts)
         results.append(res.to_jsonable())
         all_passed &= res.passed
-    report = {"passed": all_passed, "seed": seed, "suites": results}
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "verify_report.json").write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n")
+    report = {"passed": all_passed, "seed": cfg["seed"], "suites": results}
+    if "out" in cfg:
+        with _output(Path(cfg["out"]) / "verify_report.json") as fh:
+            fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     _emit({"passed": all_passed,
            "suites": {r["suite"]: r["passed"] for r in results}})
     return EXIT_OK if all_passed else EXIT_VALIDATION
+
+
+COMMANDS = {  # name -> (function, key table)
+    "validate": (cmd_validate, {"matrix": Key(MATRIX), "collision_params": Key(PARAMS),
+                                "tol": Key(REAL, RADIUS_MARGIN, FLAG)}),
+    "solve": (cmd_solve, {**RUN, "path": Key(PATH, REQUIRED), "matrix": Key(MATRIX),
+                          "collision_params": Key(PARAMS),
+                          "compare_methods": Key(BOOL, False), "grid_points": Key(1, 2000)}),
+    "simulate-srbm": (cmd_simulate_srbm, {
+        **RUN, "matrix": Key(MATRIX, REQUIRED), "mu": Key(VECTOR, REQUIRED),
+        "covariance": Key(MATRIX, REQUIRED), "z0": Key(VECTOR, REQUIRED),
+        "horizon": Key(REAL, REQUIRED), "steps": Key(1, REQUIRED),
+        "seed": Key(0, REQUIRED, FLAG)}),
+    # the spec is the "cbp" block, or the config itself if it holds a spec key
+    "simulate-cbp": (cmd_simulate_cbp, _one_of(
+        {**RUN, "gap_check": Key(BOOL, False), "cbp": Key(CBP, REQUIRED)},
+        {**RUN, "gap_check": Key(BOOL, False), **CBP})),
+    "approximate": (cmd_approximate, {"out": Key(TEXT, None, FLAG_ONLY),
+                                      "level": Key(1, 1, FLAG), "path": Key(PATH, REQUIRED)}),
+    "verify": (cmd_verify, {"out": Key(TEXT, None, FLAG_ONLY), "seed": Key(0, 0, FLAG),
+                            "suites": Key([SUITE], REQUIRED)}),
+}
 
 
 @functools.cache  # parse_args leaves the parser as it was
@@ -320,59 +344,34 @@ def _build_parser() -> _Parser:
                      description="Oblique reflection and competing-particle "
                                  "simulation and verification")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in COMMANDS.items():
+    for name, (fn, table) in COMMANDS.items():
         p = sub.add_parser(name, help=fn.__doc__)
         p.add_argument("--config", required=True, help="JSON config file")
-        for flag in COMMAND_FLAGS[name]:
-            p.add_argument(f"--{flag}", **FLAGS[flag])
+        for flag, options in _flags(table).items():
+            p.add_argument(flag, **options)
     return parser
 
 
-COMMANDS = {
-    "validate": cmd_validate,
-    "solve": cmd_solve,
-    "simulate-srbm": cmd_simulate_srbm,
-    "simulate-cbp": cmd_simulate_cbp,
-    "approximate": cmd_approximate,
-    "verify": cmd_verify,
-}
-
-# flag -> argparse options; each command takes only the flags it reads, and
-# any other flag exits 1
-FLAGS = {"seed": {"type": int}, "out": {"help": "output directory/file"},
-         "method": {"choices": ["exact", "grid"]}, "level": {"type": int},
-         "tol": {"type": float}}
-COMMAND_FLAGS = {
-    "validate": ("tol",),
-    "solve": ("out", "method", "level", "tol"),
-    "simulate-srbm": ("seed", "out", "method", "level", "tol"),
-    "simulate-cbp": ("seed", "out", "method", "level", "tol"),
-    "approximate": ("out", "level"),
-    "verify": ("seed", "out", "level", "tol"),
-}
+def _fail(code: int, kind: str, message: str) -> int:
+    print(json.dumps({"error": kind, "message": message}), file=sys.stderr)
+    return code
 
 
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        cfg = _load_config(args.config)
-        return COMMANDS[args.command](cfg, args)
+        fn, table = COMMANDS[args.command]
+        return fn(_read(table, _load_config(args.config), args), args)
     except ConfigError as exc:
-        print(json.dumps({"error": "config", "message": str(exc)}),
-              file=sys.stderr)
-        return EXIT_CONFIG
-    except (KeyError, TypeError, ValueError) as exc:
-        print(json.dumps({"error": "config", "message": repr(exc)}),
-              file=sys.stderr)
-        return EXIT_CONFIG
+        return _fail(EXIT_CONFIG, "config", str(exc))
     except ConvergenceError as exc:
-        print(json.dumps({"error": "solver", "message": str(exc)}),
-              file=sys.stderr)
-        return EXIT_SOLVER
+        return _fail(EXIT_SOLVER, "solver", str(exc))
     except OrthantSimError as exc:
-        print(json.dumps({"error": "validation", "message": str(exc)}),
-              file=sys.stderr)
-        return EXIT_VALIDATION
+        return _fail(EXIT_VALIDATION, "validation", str(exc))
+    except Exception as exc:  # a defect: every expected failure is typed above
+        import traceback  # only on this path
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        return _fail(EXIT_INTERNAL, "internal", f"{exc!r} at {where.filename}:{where.lineno}")
 
 
 if __name__ == "__main__":

@@ -589,7 +589,7 @@ def _skorokhod_comparison_instance(rng, opts):
 
 
 def _particle_comparison_instance(rng, opts):
-    n = int(rng.integers(2, opts.get("n_max", 6) + 1))
+    n = _particle_count(rng, opts, 2, 6)
     q, qbar = random_dominated_params(rng, n)
     if opts.get("break_hypothesis"):
         q, qbar = qbar, q
@@ -604,11 +604,19 @@ def _particle_comparison_instance(rng, opts):
     return check_particle_comparison(q, qbar, X, Xbar, tol=opts.get("tol"))
 
 
+def _particle_count(rng, opts, n_min: int, n_max: int) -> int:
+    """A particle count drawn from n_min..n_max, the suite's ``n_max`` first."""
+    n_max = opts.get("n_max", n_max)
+    if n_max < n_min:
+        raise ParameterError(f"'n_max' must be >= {n_min} for this suite, got {n_max}")
+    return int(rng.integers(n_min, n_max + 1))
+
+
 def _random_spec(rng, opts, n_min: int = 2, n_max: int = 6,
                  steps: int = 1000) -> CbpSpec:
     """A particle count, then a spec of that size, under the suite options."""
-    n = int(rng.integers(n_min, opts.get("n_max", n_max) + 1))
-    return random_cbp_spec(rng, n, steps=opts.get("steps", steps))
+    return random_cbp_spec(rng, _particle_count(rng, opts, n_min, n_max),
+                           steps=opts.get("steps", steps))
 
 
 def _corollary_options(opts) -> dict:

@@ -33,6 +33,7 @@ from .mmatrix import ReflectionMatrix
 from .paths import (
     RegularPath,
     SampledPath,
+    _check_integer,
     brownian_components,
     cbp_driving_path,
     difference_path,
@@ -406,13 +407,11 @@ class CbpSpec:
         if any(v <= 0 for v in s2):
             raise ParameterError("sigma2 must be strictly positive")
         _check_w_point(y0, n)
-        if self.steps < 1:
-            raise ParameterError("steps must be >= 1")
+        _check_integer("steps", self.steps, 1)
+        _check_integer("seed", self.seed, 0)
         if not 0 < self.horizon < math.inf:
             raise ParameterError(f"horizon must be finite and > 0, got {self.horizon!r}")
-        offset = self.stream_offset
-        if isinstance(offset, bool) or not isinstance(offset, Integral) or offset < 0:
-            raise ParameterError(f"'stream_offset' must be an integer >= 0, got {offset!r}")
+        _check_integer("stream_offset", self.stream_offset, 0)
 
     @property
     def n_particles(self) -> int:

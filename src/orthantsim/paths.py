@@ -17,6 +17,7 @@ import math
 import operator
 from dataclasses import dataclass, field, fields
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
@@ -35,6 +36,13 @@ from .errors import (
 COVARIANCE_EIG_FLOOR = -1e-12
 COVARIANCE_SYMMETRY_RTOL = 1e-12
 DOMINATION_RTOL = 1e-12
+
+
+def _check_integer(name: str, value, least: int) -> None:
+    """A ``ParameterError`` naming ``name`` unless ``value`` is an integer
+    (numpy's too, but not a bool) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+        raise ParameterError(f"{name!r} must be an integer >= {least}, got {value!r}")
 
 
 def _freeze(a) -> np.ndarray:
@@ -294,8 +302,8 @@ class BrownianSpec(_ArrayValue):
         A = np.asarray(self.covariance, dtype=float)
         if mu.size != self.dim or A.shape != (self.dim, self.dim):
             raise DimensionError("drift/covariance sizes must match dim")
-        if self.steps < 1:
-            raise ParameterError("steps must be >= 1")
+        _check_integer("steps", self.steps, 1)
+        _check_integer("seed", self.seed, 0)
         if not 0 < self.horizon < np.inf:
             raise ParameterError(f"horizon must be finite and > 0, got {self.horizon!r}")
         scale = max(1.0, float(np.abs(A).max()))
@@ -355,8 +363,9 @@ def brownian_components(dim: int, horizon: float, steps: int, seed: int,
     ``stream_offset + k``; restricting to a component range and bumping the
     offset reproduces exactly the same columns.
     """
-    if steps < 1:
-        raise ParameterError("steps must be >= 1")
+    _check_integer("steps", steps, 1)
+    _check_integer("seed", seed, 0)
+    _check_integer("stream_offset", stream_offset, 0)
     dt = horizon / steps
     incs = _standard_normals(seed, steps, dim, stream_offset)
     values = np.vstack([np.zeros(dim), np.cumsum(incs * np.sqrt(dt), axis=0)])
@@ -414,8 +423,7 @@ def standard_regular_approximation(X: SampledPath,
     """
     if n is None:
         n = len(X.times) - 1
-    if n < 1:
-        raise ParameterError("approximation level n must be >= 1")
+    _check_integer("level", n, 1)
     d = X.dim
     T = X.horizon
     anchors = np.linspace(0.0, T, n + 1)

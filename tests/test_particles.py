@@ -645,3 +645,14 @@ def test_cbp_spec_horizon_must_be_finite_and_positive(horizon):
     with pytest.raises(ParameterError, match="horizon"):
         CbpSpec((0.0, 0.0), (1.0, 1.0), CollisionParams.symmetric(2), (0.0, 0.1),
                 horizon, 10, 1)
+
+
+@pytest.mark.parametrize("value", [1.5, True, -1, "2", np.float64(2.0)])
+@pytest.mark.parametrize("name, least", [("seed", 0), ("steps", 1)])
+def test_cbp_spec_seed_and_steps_are_integers_not_truncated(name, least, value):
+    # seed=1.5 ran as seed 1; steps=2.5 raised a bare TypeError
+    obj = dict(spec_for().to_jsonable(), **{name: value})
+    with pytest.raises(ParameterError, match=f"'{name}' must be an integer >= {least}"):
+        CbpSpec.from_jsonable(obj)
+    spec = CbpSpec.from_jsonable(dict(obj, **{name: np.int64(2)}))
+    assert spec == CbpSpec.from_jsonable(dict(obj, **{name: 2}))

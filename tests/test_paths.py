@@ -486,3 +486,33 @@ def test_value_objects_compare_and_hash_by_value(make):
 def test_brownian_spec_horizon_must_be_finite_and_positive(horizon):
     with pytest.raises(ParameterError, match="horizon"):
         BrownianSpec(1, [0.0], [[1.0]], horizon, 10, 3)
+
+
+SAMPLED_1D = SampledPath([0.0, 0.5, 1.0], [[0.0], [1.0], [0.5]])
+BAD_COUNTS = [  # (call with the field set to the value, field, its least value)
+    (lambda v: BrownianSpec(1, [0.0], [[1.0]], 1.0, 10, v), "seed", 0),
+    (lambda v: BrownianSpec(1, [0.0], [[1.0]], 1.0, v, 3), "steps", 1),
+    (lambda v: brownian_components(2, 1.0, 10, v), "seed", 0),
+    (lambda v: brownian_components(2, 1.0, v, 3), "steps", 1),
+    (lambda v: brownian_components(2, 1.0, 10, 3, v), "stream_offset", 0),
+    (lambda v: standard_regular_approximation(SAMPLED_1D, v), "level", 1),
+]
+
+
+@pytest.mark.parametrize("value", [1.5, True, -1, "2", np.float64(2.0)])
+@pytest.mark.parametrize("call, name, least", BAD_COUNTS,
+                         ids=["spec-seed", "spec-steps", "components-seed",
+                              "components-steps", "components-stream_offset",
+                              "approximation-level"])
+def test_a_seed_step_count_or_level_is_an_integer_not_truncated(call, name, least,
+                                                                 value):
+    # seed=1.5 ran as seed 1, a level of True as level 1; 2.5 steps raised a
+    # bare TypeError and seed -1 numpy's bare ValueError
+    with pytest.raises(ParameterError, match=f"'{name}' must be an integer >= {least}"):
+        call(value)
+
+
+@pytest.mark.parametrize("call, name, least", BAD_COUNTS)
+def test_a_numpy_integer_count_gives_the_bits_of_the_int(call, name, least):
+    a, b = call(np.int64(2)), call(2)
+    assert type(a) is type(b) and a == b
