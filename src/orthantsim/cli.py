@@ -45,7 +45,7 @@ def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or a >4300-digit int
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
 
@@ -53,26 +53,34 @@ def _emit(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
 
 
-# A table maps each key of a config block to a Key.  A kind is an int k (an
-# integer >= k), a tuple of choices, a rule of KINDS, a table (a nested block),
-# a function of the block that gives its table, or a one-table list (a nonempty
-# list of blocks that hold no other key).  A value is ``--key`` if the Key has
-# a flag, else the block's (not for FLAG_ONLY), else the default; null is unset.
+# The tables are the only reader of the config format.  A table maps each key
+# a config block may hold to a Key.  A kind is an int k (an integer >= k), a
+# tuple of choices, a rule of KINDS, a table (a nested block), a function of the
+# block that gives its table, or a one-table list (a nonempty list of blocks).
+# A value is ``--key`` if the Key has a flag, else the block's (not for
+# FLAG_ONLY, no config key), else the default; null is unset.
 
 REALS = frozenset((int, float))  # the types of a JSON number; a bool is not one
+MAX = sys.float_info.max  # the bound of a JSON integer, which becomes a float
 
 
-def _list_of(v, types) -> bool:
-    return type(v) is list and len(v) > 0 and set(map(type, v)) <= types
+def _real(v, types=REALS) -> bool:  # of types; an int only in the float range
+    return type(v) in types and (type(v) is float or -MAX <= v <= MAX)
+
+
+def _list_of(v, test) -> bool:
+    return type(v) is list and len(v) > 0 and all(map(test, v))
 
 
 KINDS = {  # rule -> test of a JSON value
-    "finite, > 0 and of type real": lambda v: type(v) in REALS and 0 < v <= sys.float_info.max,
-    "of type real": lambda v: type(v) in REALS,
-    "a nonempty list of reals": lambda v: _list_of(v, REALS),
-    "a nonempty list of integers": lambda v: _list_of(v, {int}),
-    "a nonempty list of equal-length nonempty lists of reals": lambda v: _list_of(v, {list})
-        and len(set(map(len, v))) == 1 and _list_of([*itertools.chain(*v)], REALS),
+    "finite, > 0 and of type real": lambda v: type(v) in REALS and 0 < v <= MAX,
+    "of type real, in the float range": _real,
+    "a nonempty list of reals in the float range": lambda v: _list_of(v, _real),
+    "a nonempty list of integers in the float range":
+        lambda v: _list_of(v, lambda x: _real(x, {int})),
+    "a nonempty list of equal-length nonempty lists of reals in the float range":
+        lambda v: _list_of(v, lambda row: type(row) is list)
+        and len(set(map(len, v))) == 1 and _list_of([*itertools.chain(*v)], _real),
     "true or false": lambda v: type(v) is bool,
     "a string": lambda v: type(v) is str,
 }
@@ -113,15 +121,13 @@ SUITE = {"name": Key(TEXT, REQUIRED), "instances": Key(1, 1), "tol": Key(REAL, N
          "grid": Key(1), "break_hypothesis": Key(BOOL), "r21": Key(REAL)}
 
 
-def _read(table, block, args, path: str = "", strict: bool = False) -> dict:
+def _read(table, block, args, path: str = "") -> dict:
     """The checked values of ``table``'s keys in the JSON object ``block``, at
-    ``path`` in the config (e.g. ``cbp.q``); ``strict``: no other key."""
+    ``path`` in the config (e.g. ``cbp.q``), which may hold no other key."""
     where = f"{path}: " if path else ""
     if type(block) is not dict:
         raise ConfigError(f"config {path or 'file'} must be a JSON object, got {block!r}")
     table = table(block) if callable(table) else table
-    if strict and (unknown := sorted(block.keys() - table.keys())):
-        raise ConfigError(f"config {where}unknown key {unknown[0]!r}, not one of {list(table)}")
     out = {}
     for key, (kind, default, flag) in table.items():
         value, name = getattr(args, key, None) if flag else None, f"--{key}"
@@ -133,6 +139,9 @@ def _read(table, block, args, path: str = "", strict: bool = False) -> dict:
             raise ConfigError(f"config {where}{key!r} is required")
         elif default is not None:
             out[key] = default
+    known = [key for key, entry in table.items() if entry.flag != FLAG_ONLY]
+    if unknown := sorted(block.keys() - set(known)):
+        raise ConfigError(f"config {where}unknown key {unknown[0]!r}, not one of {known}")
     return out
 
 
@@ -146,13 +155,14 @@ def _check(kind, value, name: str, path: str, args):
     elif isinstance(kind, tuple):
         rule, ok = " or ".join(map(repr, kind)), value in kind
     elif isinstance(kind, int):
-        rule, ok = f">= {kind} and of type int", type(value) is int and value >= kind
+        rule, ok = f">= {kind}, of type int and in the float range", (
+            _real(value, {int}) and value >= kind)
     else:
         rule, ok = kind, KINDS[kind](value)
     if not ok:
         raise ConfigError(f"{name} must be {rule}, got {value!r}")
     if isinstance(kind, list):
-        return [_read(kind[0], v, args, f"{path}[{i}]", True) for i, v in enumerate(value)]
+        return [_read(kind[0], v, args, f"{path}[{i}]") for i, v in enumerate(value)]
     return value
 
 
@@ -169,17 +179,25 @@ def _flags(table) -> dict:
     return flags
 
 
+def _params(block: dict) -> CollisionParams:
+    """The collision shares of a checked shares block."""
+    if "symmetric" in block:
+        return CollisionParams.symmetric(block["symmetric"])
+    return CollisionParams(**block)
+
+
 def _load_path(src: dict, base: Path):
     """The driving path of a checked path source."""
-    if src["kind"] == "brownian":
-        return sample_brownian(BrownianSpec.from_jsonable(src))
+    kind, fields = src["kind"], {key: v for key, v in src.items() if key != "kind"}
+    if kind == "brownian":
+        return sample_brownian(BrownianSpec(**fields))
     try:
-        if src["kind"] == "regular":
-            return RegularPath.from_jsonable(src)
+        if kind == "regular":
+            return RegularPath(**fields)
         with open(base / src["file"]) as fh:
             return SampledPath.from_csv(fh)
     except (OSError, OrthantSimError) as exc:
-        what = ("malformed regular path" if src["kind"] == "regular"
+        what = ("malformed regular path" if kind == "regular"
                 else f"'file' {base / src['file']} is unreadable")
         raise ConfigError(f"config path: {what}: {exc}") from exc
 
@@ -214,7 +232,7 @@ def cmd_validate(cfg: dict, args) -> int:
         accepted &= res.accepted
     if "collision_params" in cfg:
         try:
-            q = CollisionParams.from_jsonable(cfg["collision_params"])
+            q = _params(cfg["collision_params"])
             report["collision_params"] = {"accepted": True,
                                           "n_particles": q.n_particles}
         except OrthantSimError as exc:
@@ -249,7 +267,7 @@ def cmd_solve(cfg: dict, args) -> int:
         summary["files"] = _write_solution(sol, cfg["out"], "skorokhod")
         summary["final_l"] = sol.final_boundary_terms.tolist()
     else:
-        q = CollisionParams.from_jsonable(cfg["collision_params"])
+        q = _params(cfg["collision_params"])
         sol = solve_competing(q, driver, n=level, method=method, tol=tol)
         summary["files"] = _write_solution(sol, cfg["out"], "particles")
         summary["final_l"] = sol.final_collision_terms.tolist()
@@ -269,7 +287,8 @@ def cmd_simulate_srbm(cfg: dict, args) -> int:
 
 
 def cmd_simulate_cbp(cfg: dict, args) -> int:
-    spec = CbpSpec.from_jsonable(cfg.get("cbp", cfg))
+    block = cfg.get("cbp", cfg)  # the "cbp" block, or the config in the flat form
+    spec = CbpSpec(**{key: block[key] for key in CBP} | {"q": _params(block["q"])})
     sol = simulate_cbp(spec, cfg["method"], cfg.get("level"), cfg["tol"])
     files = _write_solution(sol, cfg["out"], "cbp")
     summary = {"files": files, "phases": len(sol.events) + 1,

@@ -21,6 +21,7 @@ from .mmatrix import ReflectionMatrix, spectral_radius_nonneg
 from .paths import (
     RegularPath,
     SampledPath,
+    _check_integer,
     difference_path,
     increments_dominated,
     standard_regular_approximation,
@@ -702,8 +703,8 @@ def run_suite(name: str, instances: int, seed: int, **options) -> SuiteResult:
     """Run a named randomized suite with per-instance derived seeds."""
     if name not in SUITES:
         raise ParameterError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    if instances < 1:
-        raise ParameterError(f"a suite needs at least one instance, got {instances}")
+    _check_integer("instances", instances, 1)
+    _check_integer("seed", seed, 0)
     runner = SUITES[name]
     results = []
     for idx in range(instances):

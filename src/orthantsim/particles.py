@@ -102,15 +102,6 @@ class CollisionParams:
         qp = (float(qplus1),) + tuple(1.0 - v for v in qm[:-1])
         return cls(qp, qm)
 
-    def to_jsonable(self) -> dict:
-        return {"qplus": list(self.qplus), "qminus": list(self.qminus)}
-
-    @classmethod
-    def from_jsonable(cls, obj) -> "CollisionParams":
-        if "symmetric" in obj:
-            return cls.symmetric(obj["symmetric"])
-        return cls(tuple(obj["qplus"]), tuple(obj["qminus"]))
-
 
 def invert_system(q: CollisionParams) -> CollisionParams:
     """Parameters of the rank-reversed, negated system; an involution."""
@@ -416,27 +407,6 @@ class CbpSpec:
     @property
     def n_particles(self) -> int:
         return self.q.n_particles
-
-    def to_jsonable(self) -> dict:
-        return {
-            "g": list(self.g),
-            "sigma2": list(self.sigma2),
-            "q": self.q.to_jsonable(),
-            "y0": list(self.y0),
-            "horizon": self.horizon,
-            "steps": self.steps,
-            "seed": self.seed,
-            "stream_offset": self.stream_offset,
-        }
-
-    @classmethod
-    def from_jsonable(cls, obj) -> "CbpSpec":
-        return cls(
-            tuple(obj["g"]), tuple(obj["sigma2"]),
-            CollisionParams.from_jsonable(obj["q"]), tuple(obj["y0"]),
-            float(obj["horizon"]), obj["steps"], obj["seed"],
-            obj.get("stream_offset", 0),
-        )
 
 
 def driving_path_for(spec: CbpSpec) -> SampledPath:

@@ -280,11 +280,6 @@ class RegularPath(_Path):
             "slopes": self.slopes.tolist(),
         }
 
-    @classmethod
-    def from_jsonable(cls, obj) -> "RegularPath":
-        return cls(np.asarray(obj["start"]), np.asarray(obj["breakpoints"]),
-                   obj["axes"], np.asarray(obj["slopes"]))
-
 
 @dataclass(frozen=True, eq=False)
 class BrownianSpec(_ArrayValue):
@@ -311,22 +306,6 @@ class BrownianSpec(_ArrayValue):
             raise CovarianceError("covariance must be symmetric")
         object.__setattr__(self, "drift", _freeze(mu))
         object.__setattr__(self, "covariance", _freeze(A))
-
-    def to_jsonable(self) -> dict:
-        return {
-            "dim": self.dim,
-            "drift": self.drift.tolist(),
-            "covariance": self.covariance.tolist(),
-            "horizon": self.horizon,
-            "steps": self.steps,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_jsonable(cls, obj) -> "BrownianSpec":
-        return cls(obj["dim"], np.asarray(obj["drift"]),
-                   np.asarray(obj["covariance"]), float(obj["horizon"]),
-                   obj["steps"], obj["seed"])
 
 
 def symmetric_sqrt(A: np.ndarray) -> np.ndarray:

@@ -580,7 +580,7 @@ def test_simulate_cbp_tol_reaches_the_grid_oracle(tmp_path, capsys, source):
     code, out, _ = run(capsys, "simulate-cbp", "--config", cfg,
                        "--out", str(tmp_path / "run"), *extra)
     assert code == 0
-    spec = CbpSpec.from_jsonable(CBP_4)
+    spec = CbpSpec(**CBP_4 | {"q": CollisionParams(**CBP_4["q"])})
     tight = simulate_cbp(spec, "grid", tol=1e-12)
     assert json.loads(out)["final_l"] == tight.final_collision_terms.tolist()
     loose = simulate_cbp(spec, "grid")
@@ -603,9 +603,9 @@ def test_solve_particles_grid_regrids_a_regular_path(tmp_path, capsys):
     assert code == 0
     rows = (tmp_path / "run" / "particles.csv").read_text().splitlines()[1:]
     assert len(rows) == 64 + 1
-    X = RegularPath.from_jsonable(path)
+    X = RegularPath(**{key: v for key, v in path.items() if key != "kind"})
     grid = np.linspace(0.0, X.horizon, 64 + 1)
-    want = solve_competing(CollisionParams.from_jsonable(qparams),
+    want = solve_competing(CollisionParams(**qparams),
                            SampledPath(grid, X.values_at(grid)), method="grid")
     table = np.array([[float(v) for v in row.split(",")] for row in rows])
     assert np.array_equal(table[:, 0], want.Y.times)

@@ -1,9 +1,10 @@
 """The CLI reads every config through one key table per command.
 
-A fuzz over small configs of every command deletes keys, retypes them and
-nests them wrongly: each run ends in a documented exit, and a config error
-names the key it is about.  The other tests pin the cases the table closed:
-output paths that cannot be written, unknown suite-entry keys, ``validate``'s
+A fuzz over small configs of every command deletes keys, retypes them, nests
+them wrongly, adds an unknown key beside them or makes their numbers exceed
+the float range: each run ends in a documented exit, and a config error names
+the key it is about.  The other tests pin the cases the table closed: output
+paths that cannot be written, unknown keys in nested blocks, ``validate``'s
 config ``tol``, the README's examples, and the internal-error exit.
 """
 
@@ -71,6 +72,15 @@ CONFIGS = [
 ]
 VALUES = [None, "x", 1.5, -1, [], {}, [[1.0]], [1.0, "a"], True, [[1, 2, 3]]]
 DELETE, IN_LIST, IN_OBJECT = "delete", "in a list", "in an object"
+EXTRA, HUGE = "an unknown key beside it", "numbers beyond the float range"
+
+
+def huge(value):
+    """value with every number 10**400: a list of numbers entry by entry,
+    anything else as a whole."""
+    if isinstance(value, list) and value and not isinstance(value[0], dict):
+        return [huge(v) for v in value]
+    return 10**400
 
 
 def key_paths(obj, prefix=()):
@@ -97,17 +107,22 @@ def mutations(draw):
     command, cfg = draw(st.sampled_from(CONFIGS))
     cfg = copy.deepcopy(cfg)
     path = draw(st.sampled_from(list(key_paths(cfg))))
-    how = draw(st.sampled_from([DELETE, IN_LIST, IN_OBJECT, *range(len(VALUES))]))
+    how = draw(st.sampled_from([DELETE, IN_LIST, IN_OBJECT, EXTRA, HUGE,
+                                *range(len(VALUES))]))
     node = cfg
     for part in path[:-1]:
         node = node[part]
     key = path[-1]
     if how == DELETE:
         del node[key]
+    elif how == EXTRA:
+        node["extra"] = 1.0
+    elif how == HUGE:
+        node[key] = huge(node[key])
     else:
         node[key] = ([node[key]] if how == IN_LIST else {key: node[key]}
                      if how == IN_OBJECT else copy.deepcopy(VALUES[how]))
-    return command, cfg, path
+    return command, cfg, path, how
 
 
 @pytest.fixture(scope="module")
@@ -120,7 +135,7 @@ def workdir(tmp_path_factory):
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(case=mutations())
 def test_every_mutated_config_ends_in_a_documented_exit(workdir, case):
-    command, cfg, path = case
+    command, cfg, path, how = case
     argv = [command, "--config", write_config(workdir, cfg)]
     if command != "validate":
         argv += ["--out", str(workdir / ("approx.json" if command == "approximate"
@@ -129,10 +144,14 @@ def test_every_mutated_config_ends_in_a_documented_exit(workdir, case):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(argv)  # a traceback would fail the test here
     err = err.getvalue()
-    assert code in (0, 1, 2, 3), err
+    assert code in ((1,) if how in (EXTRA, HUGE) else (0, 1, 2, 3)), err
     if code == 1:
         message = json.loads(err)["message"]
         *parent, leaf = path
+        if how == EXTRA:  # the block that holds the unknown key is named
+            block = f"config {dotted(parent)}: " if parent else "config "
+            assert message.startswith(f"{block}unknown key 'extra'"), (path, message)
+            return
         named = f"{dotted(parent)}: {leaf!r}" if parent else repr(leaf)
         assert named in message or re.search(
             rf"config {re.escape(dotted(path))}[\[: ]", message), (path, message)
@@ -178,6 +197,23 @@ def test_a_bad_suite_entry_key_is_named(tmp_path, capsys, entry, key):
     assert (code, out) == (1, "")
     message = json.loads(err)["message"]
     assert "suites[0]" in message and repr(key) in message
+
+
+@pytest.mark.parametrize("command, cfg, message", [
+    ("simulate-cbp", {"cbp": dict(CBP, stream_ofset=3)}, "config cbp: unknown key 'stream_ofset'"),
+    ("simulate-cbp", {"cbp": dict(CBP, q={"symmetric": 2, "qplus": [0.5, 0.5]})},
+     "config cbp.q: unknown key 'qplus'"),
+    ("solve", {"matrix": [[1.0]], "path": {"kind": "csv", "file": "p.csv", "fiel": 1}},
+     "config path: unknown key 'fiel'"),
+    ("approximate", {"path": BROWNIAN, "out": "approx.json"}, "config unknown key 'out'"),
+    ("simulate-srbm", dict(SRBM_1D, mu=[10**400]), "config 'mu' must be"),
+], ids=["cbp", "cbp.q", "path", "top level", "integer beyond the float range"])
+def test_a_key_outside_its_table_is_named(tmp_path, capsys, command, cfg, message):
+    # the unknown keys were ignored and the run exited 0 ("stream_ofset" ran at
+    # stream offset 0); the integer beyond the float range ended at exit 4
+    code, out, err = run(capsys, command, "--config", write_config(tmp_path, cfg))
+    assert (code, out) == (1, "")
+    assert json.loads(err)["message"].startswith(message)
 
 
 # -------------------------------------------------------------- validate tol

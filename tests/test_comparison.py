@@ -331,6 +331,14 @@ def test_suite_needs_an_instance(instances):
         run_suite("initial_shift", instances, 0)
 
 
+@pytest.mark.parametrize("instances, seed, name", [
+    (1.5, 0, "instances"), (True, 0, "instances"), (1, 2.9, "seed"), (1, -1, "seed")])
+def test_suite_instances_and_seed_are_integers_not_truncated(instances, seed, name):
+    # seed=2.9 ran seed 2 tagged "2.9:0"; instances=True ran one instance
+    with pytest.raises(ParameterError, match=f"'{name}' must be an integer"):
+        run_suite("counterexample", instances, seed)
+
+
 def test_suite_reports_are_seeded_and_reproducible():
     a = run_suite("particle_comparison", 5, seed=77)
     b = run_suite("particle_comparison", 5, seed=77)

@@ -2,6 +2,7 @@ import gc
 import io
 import json
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -86,11 +87,6 @@ def test_params_open_interval():
 def test_params_symmetric():
     q = CollisionParams.symmetric(4)
     assert q.qplus == (0.5,) * 4 and q.qminus == (0.5,) * 4
-
-
-def test_params_roundtrip():
-    q = CollisionParams.from_qminus([0.3, 0.6, 0.2], qplus1=0.4)
-    assert CollisionParams.from_jsonable(q.to_jsonable()) == q
 
 
 # ---------------------------------------------------------------- inversion
@@ -586,17 +582,11 @@ def test_zero_level_is_not_unset():
         gap_srbm(spec, 0)
 
 
-def test_cbp_spec_roundtrip():
-    spec = spec_for(seed=8)
-    assert CbpSpec.from_jsonable(spec.to_jsonable()) == spec
-
-
 @pytest.mark.parametrize("offset", [1.5, 1.0, True, -1, "1"])
 def test_cbp_spec_stream_offset_is_a_nonnegative_integer(offset):
-    obj = dict(spec_for().to_jsonable(), stream_offset=offset)
     with pytest.raises(ParameterError, match="'stream_offset'"):
-        CbpSpec.from_jsonable(obj)
-    assert CbpSpec.from_jsonable(dict(obj, stream_offset=np.int64(2))).stream_offset == 2
+        replace(spec_for(), stream_offset=offset)
+    assert replace(spec_for(), stream_offset=np.int64(2)).stream_offset == 2
 
 
 # ------------------------------------------------------------------ exports
@@ -651,8 +641,7 @@ def test_cbp_spec_horizon_must_be_finite_and_positive(horizon):
 @pytest.mark.parametrize("name, least", [("seed", 0), ("steps", 1)])
 def test_cbp_spec_seed_and_steps_are_integers_not_truncated(name, least, value):
     # seed=1.5 ran as seed 1; steps=2.5 raised a bare TypeError
-    obj = dict(spec_for().to_jsonable(), **{name: value})
     with pytest.raises(ParameterError, match=f"'{name}' must be an integer >= {least}"):
-        CbpSpec.from_jsonable(obj)
-    spec = CbpSpec.from_jsonable(dict(obj, **{name: np.int64(2)}))
-    assert spec == CbpSpec.from_jsonable(dict(obj, **{name: 2}))
+        replace(spec_for(), **{name: value})
+    spec = replace(spec_for(), **{name: np.int64(2)})
+    assert spec == replace(spec_for(), **{name: 2})

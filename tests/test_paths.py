@@ -1,4 +1,5 @@
 import io
+import json
 
 import numpy as np
 import pytest
@@ -360,9 +361,10 @@ def test_csv_roundtrip():
 
 
 def test_json_roundtrip_regular():
+    # what ``approximate`` writes, read back by keyword as the CLI reads it
     p = RegularPath([0.0, 1.0], [0.0, 0.5, 1.0], (2, 1), [1.0, -1.0])
-    back = RegularPath.from_jsonable(p.to_jsonable())
-    assert np.array_equal(back.vertices, p.vertices)
+    back = RegularPath(**json.loads(json.dumps(p.to_jsonable())))
+    assert back == p
 
 
 @pytest.mark.parametrize("axes", [(1.9,), (2**70,), (np.float64(1.0),), 1])
@@ -386,14 +388,6 @@ def test_regular_path_cols_are_the_axes_zero_based():
     assert "cols" not in repr(p)
     same = RegularPath(p.start, p.breakpoints, p.axes, p.slopes)
     assert same == p and hash(same) == hash(p)
-
-
-def test_brownian_spec_roundtrip():
-    spec = BrownianSpec(2, [0.0, 1.0], np.eye(2), 1.0, 10, 3)
-    back = BrownianSpec.from_jsonable(spec.to_jsonable())
-    assert back.dim == spec.dim and back.seed == spec.seed
-    assert np.array_equal(back.drift, spec.drift)
-    assert np.array_equal(back.covariance, spec.covariance)
 
 
 def running_sum_vertices(X):
