@@ -116,9 +116,12 @@ CBP = {"g": Key(VECTOR, REQUIRED), "sigma2": Key(VECTOR, REQUIRED),
        "q": Key(PARAMS, REQUIRED), "y0": Key(VECTOR, REQUIRED),
        "horizon": Key(REAL, REQUIRED), "steps": Key(1, REQUIRED),
        "seed": Key(0, REQUIRED, FLAG), "stream_offset": Key(0, 0)}
-SUITE = {"name": Key(TEXT, REQUIRED), "instances": Key(1, 1), "tol": Key(REAL, None, FLAG),
-         "level": Key(1, None, FLAG), "steps": Key(1), "n_max": Key(1), "d_max": Key(1),
-         "grid": Key(1), "break_hypothesis": Key(BOOL), "r21": Key(REAL)}
+OPTIONS = {"tol": Key(REAL, None, FLAG), "level": Key(1, None, FLAG), "steps": Key(1),
+           "n_max": Key(1), "d_max": Key(1), "grid": Key(1), "break_hypothesis": Key(BOOL),
+           "r21": Key(REAL)}  # a suite block takes those of its comparison.SUITES entry
+SUITE = lambda block: {"name": Key(TEXT, REQUIRED), "instances": Key(1, 1), **{  # noqa: E731
+    key: OPTIONS[key] for key in next((keys for name, (_, keys) in comparison.SUITES.items()
+                                       if name == block.get("name")), OPTIONS)}}
 
 
 def _read(table, block, args, path: str = "") -> dict:
@@ -245,8 +248,10 @@ def cmd_validate(cfg: dict, args) -> int:
 
 def cmd_solve(cfg: dict, args) -> int:
     """Solve one Skorohod or competing-particle problem and export it."""
-    if "matrix" not in cfg and "collision_params" not in cfg:
-        raise ConfigError("config needs 'matrix' or 'collision_params'")
+    if ("matrix" in cfg) == ("collision_params" in cfg):
+        raise ConfigError("config needs exactly one of 'matrix' and 'collision_params'")
+    if cfg["compare_methods"] and "collision_params" in cfg:
+        raise ConfigError("config 'compare_methods' needs 'matrix', not 'collision_params'")
     method, level, tol = cfg["method"], cfg.get("level"), cfg["tol"]
     path = _load_path(cfg["path"], Path(args.config).parent)
     summary = {"method": method}

@@ -13,6 +13,7 @@ which implies the all-pairs increment relation by telescoping.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -573,26 +574,24 @@ def _instance_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), int(index)]))
 
 
-def _skorokhod_comparison_instance(rng, opts):
-    d = int(rng.integers(1, opts.get("d_max", 5) + 1))
+def _skorokhod_comparison_instance(rng, *, d_max, grid, level, tol, break_hypothesis):
+    _check_integer("d_max", d_max, 1)
+    _check_integer("grid", grid, 1)
+    d = int(rng.integers(1, d_max + 1))
     R, Rbar = random_dominated_matrix_pair(rng, d)
-    if opts.get("break_hypothesis"):
+    if break_hypothesis:
         R, Rbar = Rbar, R  # violates R <= Rbar unless equal
         if np.array_equal(R.entries, Rbar.entries):
             raise PreconditionError("degenerate broken instance")
-    X, Xbar = random_dominated_sampled_pair(rng, d,
-                                            grid=opts.get("grid", 24))
-    n = int(opts.get("level", 6))
-    Xr = standard_regular_approximation(X, n)
-    Xbarr = standard_regular_approximation(Xbar, n)
-    return check_skorokhod_comparison(R, Rbar, Xr, Xbarr,
-                                      tol=opts.get("tol"))
+    X, Xbar = random_dominated_sampled_pair(rng, d, grid=grid)
+    return check_skorokhod_comparison(R, Rbar, standard_regular_approximation(X, level),
+                                      standard_regular_approximation(Xbar, level), tol=tol)
 
 
-def _particle_comparison_instance(rng, opts):
-    n = _particle_count(rng, opts, 2, 6)
+def _particle_comparison_instance(rng, *, n_max, tol, break_hypothesis):
+    n = _particle_count(rng, 2, n_max)
     q, qbar = random_dominated_params(rng, n)
-    if opts.get("break_hypothesis"):
+    if break_hypothesis:
         q, qbar = qbar, q
     y0 = np.cumsum(rng.uniform(0.0, 0.4, n))
     ybar0 = y0 + np.cumsum(rng.uniform(0.0, 0.3, n))
@@ -602,82 +601,69 @@ def _particle_comparison_instance(rng, opts):
     T = float(rng.uniform(0.5, 2.0))
     X = RegularPath(y0, np.asarray([0.0, T]), (i,), np.asarray([alpha]))
     Xbar = RegularPath(ybar0, np.asarray([0.0, T]), (i,), np.asarray([alpha_bar]))
-    return check_particle_comparison(q, qbar, X, Xbar, tol=opts.get("tol"))
+    return check_particle_comparison(q, qbar, X, Xbar, tol=tol)
 
 
-def _particle_count(rng, opts, n_min: int, n_max: int) -> int:
-    """A particle count drawn from n_min..n_max, the suite's ``n_max`` first."""
-    n_max = opts.get("n_max", n_max)
-    if n_max < n_min:
-        raise ParameterError(f"'n_max' must be >= {n_min} for this suite, got {n_max}")
+def _particle_count(rng, n_min: int, n_max: int) -> int:
+    """A particle count drawn from n_min..n_max."""
+    _check_integer("n_max", n_max, n_min)
     return int(rng.integers(n_min, n_max + 1))
 
 
-def _random_spec(rng, opts, n_min: int = 2, n_max: int = 6,
-                 steps: int = 1000) -> CbpSpec:
-    """A particle count, then a spec of that size, under the suite options."""
-    return random_cbp_spec(rng, _particle_count(rng, opts, n_min, n_max),
-                           steps=opts.get("steps", steps))
+def _random_spec(rng, n_max: int, steps: int, n_min: int = 2) -> CbpSpec:
+    """A particle count, then a spec of that size."""
+    return random_cbp_spec(rng, _particle_count(rng, n_min, n_max), steps=steps)
 
 
-def _corollary_options(opts) -> dict:
-    """``tol`` and ``level`` of a corollary check, with the suite defaults."""
-    return {"tol": opts.get("tol", EXACT_TOL), "level": opts.get("level", 200)}
-
-
-def _removal_instance(rng, opts, two_sided: bool):
-    spec = _random_spec(rng, opts, n_min=3)
+def _removal_instance(rng, two_sided: bool, *, n_max, steps, tol, level):
+    spec = _random_spec(rng, n_max, steps, n_min=3)
     n = spec.n_particles
     if two_sided:
         lo = int(rng.integers(2, n))
         hi = int(rng.integers(lo + 1, n + 1))
     else:
         lo, hi = 1, int(rng.integers(2, n))
-    return check_removal_corollaries(spec, lo, hi, **_corollary_options(opts))
+    return check_removal_corollaries(spec, lo, hi, tol=tol, level=level)
 
 
-def _initial_shift_instance(rng, opts):
-    spec = _random_spec(rng, opts)
+def _initial_shift_instance(rng, *, n_max, steps, tol, level):
+    spec = _random_spec(rng, n_max, steps)
     n = spec.n_particles
     y0 = np.asarray(spec.y0)
     y0bar = y0 + np.cumsum(rng.uniform(0.0, 0.5, n))
     z0bar = np.diff(y0) + rng.uniform(0.0, 0.5, n - 1)
-    return check_initial_shift(spec, y0bar=y0bar, z0bar=z0bar,
-                               **_corollary_options(opts))
+    return check_initial_shift(spec, y0bar=y0bar, z0bar=z0bar, tol=tol, level=level)
 
 
-def _increase_q_instance(rng, opts):
-    spec = _random_spec(rng, opts)
+def _increase_q_instance(rng, *, n_max, steps, tol, level):
+    spec = _random_spec(rng, n_max, steps)
     q, qbar = random_dominated_params(rng, spec.n_particles)
-    return check_parameter_monotonicity(replace(spec, q=q), qbar=qbar,
-                                        **_corollary_options(opts))
+    return check_parameter_monotonicity(replace(spec, q=q), qbar=qbar, tol=tol, level=level)
 
 
-def _drift_instance(rng, opts):
-    spec = _random_spec(rng, opts)
+def _drift_instance(rng, *, n_max, steps, tol, level):
+    spec = _random_spec(rng, n_max, steps)
     n = spec.n_particles
     if rng.uniform() < 0.5:
         gbar = np.asarray(spec.g) + rng.uniform(0.0, 1.0, n)
     else:
         gbar = np.asarray(spec.g) + np.cumsum(rng.uniform(0.0, 0.8, n))
-    return check_parameter_monotonicity(spec, gbar=gbar,
-                                        **_corollary_options(opts))
+    return check_parameter_monotonicity(spec, gbar=gbar, tol=tol, level=level)
 
 
-def _gap_srbm_instance(rng, opts):
-    spec = _random_spec(rng, opts, n_max=5, steps=300)
-    level = opts.get("level")  # None: both solves default to spec.steps
-    cbp = simulate_cbp(spec, level=level)
+def _gap_srbm_instance(rng, *, n_max, steps, tol, level):
+    spec = _random_spec(rng, n_max, steps)
+    cbp = simulate_cbp(spec, level=level)  # level None: both solves use spec.steps
     srbm = gap_srbm(spec, level)
     times = np.union1d(cbp.Z.times, srbm.Z.times)
     m = _Margins()
     m.add(np.abs(cbp.Z.values_at(times) - srbm.Z.values_at(times)), times,
           "|Z_cbp - Z_srbm| <= tol")
-    return m.report(opts.get("tol", GAP_SRBM_TOL))
+    return m.report(tol)
 
 
-def _counterexample_instance(rng, opts):
-    r21 = float(opts.get("r21", rng.uniform(0.1, 1.0)))
+def _counterexample_instance(rng, *, r21):
+    r21 = float(rng.uniform(0.1, 1.0) if r21 is None else r21)
     res = counterexample_positive_offdiag(r21)
     expected = abs(res.max_violation - r21) <= COUNTEREXAMPLE_TOL and res.certified
     m = _Margins()
@@ -686,32 +672,40 @@ def _counterexample_instance(rng, opts):
     return m.report(COUNTEREXAMPLE_CUT, r21=r21)
 
 
-SUITES = {
-    "skorokhod_comparison": _skorokhod_comparison_instance,
-    "particle_comparison": _particle_comparison_instance,
-    "removal_right": lambda rng, opts: _removal_instance(rng, opts, False),
-    "removal_two_sided": lambda rng, opts: _removal_instance(rng, opts, True),
-    "initial_shift": _initial_shift_instance,
-    "increase_qplus": _increase_q_instance,
-    "drift": _drift_instance,
-    "gap_srbm": _gap_srbm_instance,
-    "counterexample": _counterexample_instance,
+COROLLARY_OPTIONS = {"n_max": 6, "steps": 1000, "tol": EXACT_TOL, "level": 200}
+SUITES = {  # name -> (runner, the options it takes with their defaults)
+    "skorokhod_comparison": (_skorokhod_comparison_instance, {
+        "d_max": 5, "grid": 24, "level": 6, "tol": None, "break_hypothesis": False}),
+    "particle_comparison": (_particle_comparison_instance,
+                            {"n_max": 6, "tol": None, "break_hypothesis": False}),
+    "removal_right": (partial(_removal_instance, two_sided=False), COROLLARY_OPTIONS),
+    "removal_two_sided": (partial(_removal_instance, two_sided=True), COROLLARY_OPTIONS),
+    "initial_shift": (_initial_shift_instance, COROLLARY_OPTIONS),
+    "increase_qplus": (_increase_q_instance, COROLLARY_OPTIONS),
+    "drift": (_drift_instance, COROLLARY_OPTIONS),
+    "gap_srbm": (_gap_srbm_instance,
+                 {"n_max": 5, "steps": 300, "tol": GAP_SRBM_TOL, "level": None}),
+    "counterexample": (_counterexample_instance, {"r21": None}),
 }
 
 
 def run_suite(name: str, instances: int, seed: int, **options) -> SuiteResult:
-    """Run a named randomized suite with per-instance derived seeds."""
+    """Run a named randomized suite with per-instance derived seeds, under
+    ``options``, which may hold only the suite's own (``SUITES[name][1]``, where
+    each one left out has its default); any other raises ``ParameterError``."""
     if name not in SUITES:
         raise ParameterError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+    runner, defaults = SUITES[name]
+    if unknown := sorted(options.keys() - defaults.keys()):
+        raise ParameterError(f"suite {name!r} takes no option {unknown[0]!r}")
     _check_integer("instances", instances, 1)
     _check_integer("seed", seed, 0)
-    runner = SUITES[name]
     results = []
     for idx in range(instances):
         rng = _instance_rng(seed, idx)
         tag = f"{seed}:{idx}"
         try:
-            report = replace(runner(rng, options), seed=tag)
+            report = replace(runner(rng, **(defaults | options)), seed=tag)
             results.append(InstanceResult(idx, tag, report))
         except PreconditionError as exc:
             results.append(InstanceResult(idx, tag, None,

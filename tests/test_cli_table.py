@@ -4,8 +4,10 @@ A fuzz over small configs of every command deletes keys, retypes them, nests
 them wrongly, adds an unknown key beside them or makes their numbers exceed
 the float range: each run ends in a documented exit, and a config error names
 the key it is about.  The other tests pin the cases the table closed: output
-paths that cannot be written, unknown keys in nested blocks, ``validate``'s
-config ``tol``, the README's examples, and the internal-error exit.
+paths that cannot be written, unknown keys in nested blocks, a suite entry
+with another suite's option, ``solve`` inputs that would be ignored,
+``validate``'s config ``tol``, the README's examples, and the internal-error
+exit.
 """
 
 import contextlib
@@ -188,15 +190,31 @@ def test_an_output_path_that_cannot_be_written_exits_one(tmp_path, capsys, comma
 @pytest.mark.parametrize("entry, key", [
     ({"name": "counterexample", "instances": 1, "levle": 5}, "levle"),
     ({"name": "counterexample", "instances": 1, "r21": "x"}, "r21"),
+    ({"name": "gap_srbm", "break_hypothesis": True}, "break_hypothesis"),
+    ({"name": "particle_comparison", "level": 5}, "level"),
+    ({"name": "skorokhod_comparison", "n_max": 2}, "n_max"),
+    ({"name": "counterexample", "steps": 10**30}, "steps"),
 ])
 def test_a_bad_suite_entry_key_is_named(tmp_path, capsys, entry, key):
     # "levle" was passed on to the runner, which ignored it, and exited 0;
-    # "r21": "x" exited through a bare ValueError repr
+    # "r21": "x" exited through a bare ValueError repr; the last four are
+    # options of other suites, which the suite dropped unread and passed
     cfg = write_config(tmp_path, {"suites": [entry]})
     code, out, err = run(capsys, "verify", "--config", cfg)
     assert (code, out) == (1, "")
     message = json.loads(err)["message"]
     assert "suites[0]" in message and repr(key) in message
+
+
+def test_a_suite_flag_applies_to_the_entries_that_take_it(tmp_path, capsys):
+    # particle_comparison takes no level: --level leaves its entry alone
+    cfg = write_config(tmp_path, {"suites": [{"name": "particle_comparison"}]})
+    code, out, err = run(capsys, "verify", "--config", cfg, "--level", "5")
+    assert code == 0, err
+    assert json.loads(out) == {"passed": True, "suites": {"particle_comparison": True}}
+    with pytest.raises(SystemExit), contextlib.redirect_stdout(io.StringIO()) as usage:
+        main(["verify", "--help"])
+    assert "--tol" in usage.getvalue() and "--level" in usage.getvalue()
 
 
 @pytest.mark.parametrize("command, cfg, message", [
@@ -214,6 +232,21 @@ def test_a_key_outside_its_table_is_named(tmp_path, capsys, command, cfg, messag
     code, out, err = run(capsys, command, "--config", write_config(tmp_path, cfg))
     assert (code, out) == (1, "")
     assert json.loads(err)["message"].startswith(message)
+
+
+@pytest.mark.parametrize("cfg, keys", [
+    ({"matrix": [[1.0, -0.4], [-0.3, 1.0]], "collision_params": {"symmetric": 2}},
+     ("'matrix'", "'collision_params'")),
+    ({"collision_params": {"symmetric": 2}, "compare_methods": True},
+     ("'compare_methods'", "'collision_params'")),
+], ids=["matrix and collision_params", "compare_methods with collision_params"])
+def test_solve_rejects_an_input_it_would_ignore(tmp_path, capsys, cfg, keys):
+    # the matrix won and the shares were dropped; no comparison was computed
+    cfg = write_config(tmp_path, dict(cfg, path=REGULAR))
+    code, out, err = run(capsys, "solve", "--config", cfg, "--out", str(tmp_path / "run"))
+    assert (code, out) == (1, "")
+    error = json.loads(err)
+    assert error["error"] == "config" and all(key in error["message"] for key in keys)
 
 
 # -------------------------------------------------------------- validate tol

@@ -339,6 +339,29 @@ def test_suite_instances_and_seed_are_integers_not_truncated(instances, seed, na
         run_suite("counterexample", instances, seed)
 
 
+@pytest.mark.parametrize("name, options", [
+    ("gap_srbm", {"break_hypothesis": True}), ("particle_comparison", {"level": 5}),
+    ("skorokhod_comparison", {"n_max": 2}), ("counterexample", {"steps": 10**30})])
+def test_an_option_the_suite_does_not_take_is_rejected(name, options):
+    # each was dropped unread and the suite reported passed
+    (key,) = options
+    with pytest.raises(ParameterError, match=f"^suite '{name}' takes no option '{key}'$"):
+        run_suite(name, 1, 0, **options)
+
+
+@pytest.mark.parametrize("name, key, value, least", [
+    ("skorokhod_comparison", "d_max", 0, 1), ("skorokhod_comparison", "d_max", 2.5, 1),
+    ("skorokhod_comparison", "grid", 0, 1), ("skorokhod_comparison", "grid", 2.5, 1),
+    ("particle_comparison", "n_max", 3.5, 2), ("removal_right", "n_max", 2, 3),
+    ("gap_srbm", "n_max", True, 2)])
+def test_a_suite_count_option_is_an_integer_not_truncated(name, key, value, least):
+    # d_max=0 raised a bare ValueError, grid=0 a ZeroDivisionError and grid=2.5 a
+    # TypeError; d_max=2.5 and n_max=3.5 ran truncated and passed
+    with pytest.raises(ParameterError,
+                       match=rf"^'{key}' must be an integer >= {least}, got {value!r}$"):
+        run_suite(name, 1, 0, **{key: value})
+
+
 def test_suite_reports_are_seeded_and_reproducible():
     a = run_suite("particle_comparison", 5, seed=77)
     b = run_suite("particle_comparison", 5, seed=77)

@@ -19,7 +19,17 @@ the text its ``to_csv`` writes.  The records are:
 - CBP: N = 2..20, exact and grid routes through the gap problem;
 - particles on a regular driver: N = 2..20 (the block-phase kernel);
 - ``gap_srbm``: N = 2..20;
-- all nine comparison suites, two instances each.
+- all nine comparison suites, two instances each, at their default options;
+- all nine suites again, two instances each, with every option the suite
+  takes set to a value other than its default (``SUITE_OPTIONS``, records
+  ``suite_<name>_options``): the five corollary suites and ``gap_srbm`` at
+  ``n_max`` 4, ``steps`` 120, ``level`` 30 and ``tol`` 1e-7;
+  ``skorokhod_comparison`` at ``d_max`` 3, ``grid`` 12, ``level`` 4 and
+  ``tol`` 1e-7, and ``particle_comparison`` at ``n_max`` 4 and ``tol`` 1e-7,
+  both with ``break_hypothesis``; ``counterexample`` at ``r21`` 0.3;
+- since a broken instance reports only its failed precondition, those two
+  suites once more with the same options but ``break_hypothesis`` left
+  false (``suite_<name>_options_unbroken``).
 """
 
 import argparse
@@ -52,6 +62,24 @@ RHOS = (0.0, 0.5, 0.95)
 SRBM_CASES = ((0.7, 0.0), (0.0, -0.5))  # (start, drift)
 MAX_SIZE = 20
 SUITE_INSTANCES = 2
+SMALL = {"n_max": 4, "steps": 120, "level": 30, "tol": 1e-7}  # of a corollary suite
+SKOROKHOD = {"d_max": 3, "grid": 12, "level": 4, "tol": 1e-7}
+PARTICLE = {"n_max": 4, "tol": 1e-7}
+SUITE_OPTIONS = {  # record -> (suite, options)
+    "removal_right_options": ("removal_right", SMALL),
+    "removal_two_sided_options": ("removal_two_sided", SMALL),
+    "initial_shift_options": ("initial_shift", SMALL),
+    "increase_qplus_options": ("increase_qplus", SMALL),
+    "drift_options": ("drift", SMALL),
+    "gap_srbm_options": ("gap_srbm", SMALL),
+    "skorokhod_comparison_options": ("skorokhod_comparison",
+                                     dict(SKOROKHOD, break_hypothesis=True)),
+    "skorokhod_comparison_options_unbroken": ("skorokhod_comparison", SKOROKHOD),
+    "particle_comparison_options": ("particle_comparison",
+                                    dict(PARTICLE, break_hypothesis=True)),
+    "particle_comparison_options_unbroken": ("particle_comparison", PARTICLE),
+    "counterexample_options": ("counterexample", {"r21": 0.3}),
+}
 
 
 def _plain(obj):
@@ -135,6 +163,9 @@ def records():
     for name in comparison.SUITES:
         res = comparison.run_suite(name, SUITE_INSTANCES, SEED)
         yield f"suite_{name}", suite_digest(res)
+    for record, (name, options) in SUITE_OPTIONS.items():
+        res = comparison.run_suite(name, SUITE_INSTANCES, SEED, **options)
+        yield f"suite_{record}", suite_digest(res)
 
 
 def main(argv=None) -> int:
