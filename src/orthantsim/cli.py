@@ -23,8 +23,8 @@ import numpy as np
 from . import comparison
 from .errors import ConfigError, ConvergenceError, OrthantSimError
 from .mmatrix import RADIUS_MARGIN, ReflectionMatrix, validate_reflection_m_matrix
-from .paths import (BrownianSpec, RegularPath, SampledPath, sample_brownian,
-                    standard_regular_approximation)
+from .paths import (COUNT_MAX, BrownianSpec, RegularPath, SampledPath,
+                    _check_integer, sample_brownian, standard_regular_approximation)
 from .particles import CbpSpec, CollisionParams, gap_srbm, simulate_cbp, solve_competing
 from .skorokhod import GRID_TOL, simulate_srbm, solve, write_solution
 
@@ -258,6 +258,7 @@ def cmd_solve(cfg: dict, args) -> int:
     # the grid oracle needs a sampled path: sample a regular one on a grid
     regrid = path
     if isinstance(path, RegularPath):
+        _check_integer("grid_points", cfg["grid_points"], 1, COUNT_MAX)
         grid = np.linspace(0.0, path.horizon, cfg["grid_points"] + 1)
         regrid = SampledPath(grid, path.values_at(grid))
     driver = regrid if method == "grid" else path

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import ParameterError, PreconditionError
 from .mmatrix import ReflectionMatrix, spectral_radius_nonneg
 from .paths import (
+    COUNT_MAX,
     RegularPath,
     SampledPath,
     _check_integer,
@@ -124,20 +125,21 @@ def _pair_margins(m: _Margins, sol, bar, relations, cols=slice(None),
     ``"Y<=Ybar"`` and ``"Y>=Ybar"``; the first two also apply to Skorohod
     solutions.  ``cols`` picks the components of ``sol`` compared with all of
     ``bar``'s, and ``offset`` shifts the reported component numbers.  Margins
-    are taken on the union of the two time grids (Y, L and Z of one solution
-    share a grid).
+    are taken on the union of the two time grids, each solution's paths read
+    through one interpolation table (Y, L and Z of one solution share a grid).
     """
     times = np.union1d(sol.Z.times, bar.Z.times)
+    table, bar_table = sol.Z._weights(times), bar.Z._weights(times)
     for relation in relations:
+        path = relation.lstrip("d")[0]
+        own = getattr(sol, path)._gather(table)[:, cols]
+        other = getattr(bar, path)._gather(bar_table)
         if relation == "dL>=dLbar":
-            dL = np.diff(sol.L.values_at(times)[:, cols], axis=0)
-            dLbar = np.diff(bar.L.values_at(times), axis=0)
-            m.add(dLbar - dL, times[1:], relation, component_offset=offset)
-            continue
-        own = getattr(sol, relation[0]).values_at(times)[:, cols]
-        other = getattr(bar, relation[0]).values_at(times)
-        m.add(own - other if "<=" in relation else other - own, times,
-              relation, component_offset=offset)
+            m.add(np.diff(other, axis=0) - np.diff(own, axis=0), times[1:], relation,
+                  component_offset=offset)
+        else:
+            m.add(own - other if "<=" in relation else other - own, times,
+                  relation, component_offset=offset)
 
 
 def _grid_residual(sol: SkorokhodSolution) -> float:
@@ -575,8 +577,8 @@ def _instance_rng(seed: int, index: int) -> np.random.Generator:
 
 
 def _skorokhod_comparison_instance(rng, *, d_max, grid, level, tol, break_hypothesis):
-    _check_integer("d_max", d_max, 1)
-    _check_integer("grid", grid, 1)
+    _check_integer("d_max", d_max, 1, COUNT_MAX)
+    _check_integer("grid", grid, 1, COUNT_MAX)
     d = int(rng.integers(1, d_max + 1))
     R, Rbar = random_dominated_matrix_pair(rng, d)
     if break_hypothesis:
@@ -606,7 +608,7 @@ def _particle_comparison_instance(rng, *, n_max, tol, break_hypothesis):
 
 def _particle_count(rng, n_min: int, n_max: int) -> int:
     """A particle count drawn from n_min..n_max."""
-    _check_integer("n_max", n_max, n_min)
+    _check_integer("n_max", n_max, n_min, COUNT_MAX)
     return int(rng.integers(n_min, n_max + 1))
 
 

@@ -31,6 +31,7 @@ from .errors import (
 )
 from .mmatrix import ReflectionMatrix
 from .paths import (
+    COUNT_MAX,
     RegularPath,
     SampledPath,
     _check_integer,
@@ -191,7 +192,7 @@ def _check_w_point(y, n=None) -> np.ndarray:
     y = np.asarray(y, dtype=float).ravel()
     if n is not None and y.size != n:
         raise DimensionError(f"start point has size {y.size}, expected {n}")
-    if np.any(np.diff(y) < 0):
+    if (y[1:] < y[:-1]).any():
         raise OrderingError(f"start point {y} is not weakly increasing")
     return y
 
@@ -210,71 +211,86 @@ def _run_blocks(qp, qm, y: list, pieces, append):
     idle even when initially tied with it.  Moves are rounded as
     s * (s * y + d) with s the sign of alpha, so a downward move is bit for
     bit the negated upward move of the rank-reversed system (-0.0 where
-    y - d gives +0.0).  Yields the phase ends (times, Y rows, L rows), events
-    (tau, block before, block after) and the block consistency residual.
+    y - d gives +0.0); a free piece writes that out per direction, and y
+    stays weakly increasing, so a zero slope leaves it as it is.  Yields the
+    phase ends (times, Y rows, L rows), events (tau, block before, block
+    after) and the block consistency residual.
     """
     n = len(y)
+    # pair p joins ranks p and p+1; near/far are the shares of its particle
+    # nearer to and farther from i0, and pairs lists them in crossing order
+    up, down = (qm[:-1], qp[1:]), (qp[1:], qm[:-1])
     for i0, alpha, T in pieces:
-        s = 1 if alpha > 0.0 else -1
-        if alpha == 0.0 or not 0 <= i0 + s < n or (
-                y[i0 + s] != y[i0] and (y[i0 + s] - y[i0]) / alpha >= T):
-            v = s * (s * y[i0] + abs(alpha) * T) if alpha else y[i0]
-            if 0 <= i0 + s < n and s * (y[i0 + s] - v) < 0.0:
-                v = y[i0 + s]  # the gap / |alpha| rounded up onto T
-            y[i0] = v
-            append(v)
+        x = y[i0]
+        if alpha > 0.0:
+            w = y[i0 + 1] if i0 < n - 1 else math.inf
+            if w != x and (w - x) / alpha >= T:
+                v = x + alpha * T
+                y[i0] = v = w if w < v else v  # the gap / alpha rounded up onto T
+                append(v)
+                continue
+            s, a, (near, far), pairs = 1, alpha, up, range(i0, n - 1)
+        elif alpha < 0.0:
+            w = y[i0 - 1] if i0 else -math.inf
+            if w != x and (w - x) / alpha >= T:
+                v = -(-x + -alpha * T)
+                y[i0] = v = w if w > v else v
+                append(v)
+                continue
+            s, a, (near, far), pairs = -1, -alpha, down, range(i0 - 1, -1, -1)
+        else:
+            append(x)
             continue
-        a = abs(alpha)
-        # pair p joins ranks p and p+1; near/far are the shares of its particle
-        # nearer to and farther from i0, and pairs lists them in crossing order
-        near, far = (qm[:-1], qp[1:]) if s > 0 else (qp[1:], qm[:-1])
-        pairs = range(i0, n - 1) if s > 0 else range(i0 - 1, -1, -1)
         times, Yr, Lr, events = [], [], [], []
         l = [0.0] * (n - 1)
-        t = 0.0
-        front = i0  # the block runs from i0 to front
-        while 0 <= front + s < n and y[front + s] == y[i0]:
+        t = consistency = 0.0
+        front, end = i0, (n - 1 if s > 0 else 0)  # the block runs from i0 to front
+        while front != end and y[front + s] == x:
             front += s
-        block = slice(min(i0, front), max(i0, front) + 1)
-        guard = 0
-        consistency = 0.0
+        S = c = 1.0  # S over the first k crossed pairs, c its last term
+        k = guard = 0
         while t < T:
             guard += 1
             if guard > n + 2:
                 raise ConvergenceError("block phase loop exceeded the N+1 bound",
                                        details={"t": t, "y": y})
-            crossed = pairs[:abs(front - i0)]
-            S = 1.0
-            c = 1.0
-            for p in crossed:
+            crossed = pairs[:s * (front - i0)]
+            for p in crossed[k:]:
                 c *= near[p] / far[p]
                 S += c
+            k = len(crossed)
             beta = a / S
             lam, carry = [], a  # carry: the push passed on across each pair
             for p in crossed:
-                lam.append((carry - beta) / near[p])
-                carry = far[p] * lam[-1]
-            if crossed:
+                r = (carry - beta) / near[p]
+                lam.append(r)
+                carry = far[p] * r
+            if k:
                 consistency = max(consistency, abs(carry - beta) / max(a, 1.0))
-            ahead = front + s
-            # a subnormal |alpha| can make beta 0.0: the block then never arrives
-            dt_hit = s * (y[ahead] - y[i0]) / beta if 0 <= ahead < n and beta else math.inf
-            t_next = min(t + dt_hit, T)
+            if front != end:
+                w = y[front + s]
+                # a subnormal |alpha| can make beta 0.0: the block then never arrives
+                t_next = min(t + s * (w - y[i0]) / beta, T) if beta else T
+            else:
+                w, t_next = None, T
             dt = t_next - t
-            y[block] = [s * (s * v + beta * dt) for v in y[block]]
             for p, r in zip(crossed, lam):
                 if r > 0.0:  # a rate below 0 is roundoff of a subnormal |alpha|
                     l[p] += r * dt
+            lo, hi = (i0, front) if s > 0 else (front, i0)
             if t_next < T:
-                y[block] = [y[ahead]] * (block.stop - block.start)  # snap the collision
-                front = ahead
-                while 0 <= front + s < n and y[front + s] == y[i0]:
+                y[lo:hi + 1] = [w] * (hi + 1 - lo)  # snap the collision
+                front += s
+                while front != end and y[front + s] == w:
                     front += s
-                before, block = block, slice(min(i0, front), max(i0, front) + 1)
-                events.append((t_next, tuple(range(before.start + 1, before.stop + 1)),
-                               tuple(range(block.start + 1, block.stop + 1))))
-            elif 0 <= ahead < n and s * (y[ahead] - y[i0]) < 0.0:
-                y[block] = [y[ahead]] * (block.stop - block.start)  # rounded past it
+                events.append((t_next, tuple(range(lo + 1, hi + 2)),
+                               tuple(range(min(i0, front) + 1, max(i0, front) + 2))))
+            else:
+                # the block is tied, so each of its entries moves to the same bits
+                v = s * (s * y[i0] + beta * dt)
+                if w is not None and s * (w - v) < 0.0:
+                    v = w  # rounded past it
+                y[lo:hi + 1] = [v] * (hi + 1 - lo)
             times.append(t_next)
             Yr.append(y.copy())
             Lr.append(l.copy())
@@ -336,7 +352,8 @@ def solve_competing(q: CollisionParams, X, n: int | None = None,
     _check_w_point(X.values[0])
     sk = solve(reflection_matrix_from_params(q), difference_path(X), method, n, tol)
     times = np.union1d(sk.Z.times, X.times)
-    Lu, Zu = sk.L.values_at(times), sk.Z.values_at(times)
+    table = sk.Z._weights(times)  # sk.L shares the grid of sk.Z
+    Lu, Zu = sk.L._gather(table), sk.Z._gather(table)
     events, skd = sk.events, sk.diagnostics
     del sk  # its Z and L are read: free them before the positions are built
     Xu = X.values_at(times)
@@ -398,7 +415,7 @@ class CbpSpec:
         if any(v <= 0 for v in s2):
             raise ParameterError("sigma2 must be strictly positive")
         _check_w_point(y0, n)
-        _check_integer("steps", self.steps, 1)
+        _check_integer("steps", self.steps, 1, COUNT_MAX)
         _check_integer("seed", self.seed, 0)
         if not 0 < self.horizon < math.inf:
             raise ParameterError(f"horizon must be finite and > 0, got {self.horizon!r}")

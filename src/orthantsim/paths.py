@@ -38,11 +38,18 @@ COVARIANCE_SYMMETRY_RTOL = 1e-12
 DOMINATION_RTOL = 1e-12
 
 
-def _check_integer(name: str, value, least: int) -> None:
+# the largest count: an array of count + 1 entries is one numpy can index
+COUNT_MAX = int(np.iinfo(np.intp).max) - 1
+
+
+def _check_integer(name: str, value, least: int, most: int | None = None) -> None:
     """A ``ParameterError`` naming ``name`` unless ``value`` is an integer
-    (numpy's too, but not a bool) of at least ``least``."""
+    (numpy's too, but not a bool) of at least ``least`` and, if given, at
+    most ``most``."""
     if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
         raise ParameterError(f"{name!r} must be an integer >= {least}, got {value!r}")
+    if most is not None and value > most:
+        raise ParameterError(f"{name!r} must be at most {most}, got {value!r}")
 
 
 def _freeze(a) -> np.ndarray:
@@ -115,9 +122,9 @@ class SampledPath(_Path):
             raise DimensionError("path dimension must be >= 1")
         if t[0] != 0.0:
             raise ParameterError("time grid must start at 0")
-        if np.any(np.diff(t) <= 0):
+        if (t[1:] - t[:-1] <= 0).any():  # as diff: equal infinities pass here
             raise ParameterError("time grid must be strictly increasing")
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
+        if not (np.isfinite(t).all() and np.isfinite(v).all()):
             raise InvalidEntryError("path contains NaN or infinite entries")
 
     @classmethod
@@ -141,13 +148,23 @@ class SampledPath(_Path):
     def values_at(self, ts) -> np.ndarray:
         """Rows at the 1-d times ``ts`` by linear interpolation, gathered with
         ``take``; exact at grid times but for the sign of a zero."""
+        return self._gather(self._weights(ts))
+
+    def _weights(self, ts) -> tuple:
+        """The interpolation table of ``values_at`` at the times ``ts``: each
+        time's grid interval (lower, upper row) and weights (1 - w, w).  Every
+        path on this grid reads its rows at ``ts`` through it with ``_gather``."""
         ts = self._in_horizon(ts)
-        idx = np.searchsorted(self.times, ts, side="right") - 1
-        np.clip(idx, 0, len(self.times) - 2, out=idx)
+        idx = np.searchsorted(self.times[1:-1], ts, side="right")  # t's interval
         t0 = self.times.take(idx)
         w = ((ts - t0) / (self.times.take(idx + 1) - t0))[:, None]
-        out, upper = self.values.take(idx, axis=0), self.values.take(idx + 1, axis=0)
-        out *= 1.0 - w  # in place: no temporaries
+        return idx, idx + 1, 1.0 - w, w
+
+    def _gather(self, table: tuple) -> np.ndarray:
+        """The rows that ``table`` (``_weights`` of a path on this grid) reads."""
+        lower, upper_idx, w0, w = table
+        out, upper = self.values.take(lower, axis=0), self.values.take(upper_idx, axis=0)
+        out *= w0  # in place: no temporaries
         out += np.multiply(upper, w, out=upper)
         return out
 
@@ -194,14 +211,14 @@ class RegularPath(_Path):
             raise DimensionError("need at least one segment")
         if bp[0] != 0.0:
             raise ParameterError("breakpoints must start at 0")
-        if np.any(np.diff(bp) <= 0):
+        if (bp[1:] - bp[:-1] <= 0).any():
             raise ParameterError("breakpoints must be strictly increasing")
         if len(self.axes) != len(bp) - 1 or len(sl) != len(bp) - 1:
             raise DimensionError("need one axis and slope per segment")
         if cols.min() < 0 or cols.max() >= x0.size:
             raise ParameterError(f"axis indices must lie in 1..{x0.size}")
-        if not (np.all(np.isfinite(x0)) and np.all(np.isfinite(bp))
-                and np.all(np.isfinite(sl))):
+        if not (np.isfinite(x0).all() and np.isfinite(bp).all()
+                and np.isfinite(sl).all()):
             raise InvalidEntryError("path contains NaN or infinite entries")
         cols.setflags(write=False)  # a fresh array: frozen in place
         object.__setattr__(self, "start", _freeze(x0))
@@ -246,8 +263,7 @@ class RegularPath(_Path):
         """Rows at the 1-d times ``ts``: the vertex of the piece holding t
         moved along its axis, gathered with ``take``."""
         ts = self._in_horizon(ts)
-        idx = np.searchsorted(self.breakpoints, ts, side="right") - 1
-        np.clip(idx, 0, len(self.axes) - 1, out=idx)
+        idx = np.searchsorted(self.breakpoints[1:-1], ts, side="right")  # t's piece
         out = self.vertices.take(idx, axis=0)  # a copy
         out[np.arange(len(ts)), self.cols.take(idx)] += (
             self.slopes.take(idx) * (ts - self.breakpoints.take(idx)))
@@ -297,7 +313,7 @@ class BrownianSpec(_ArrayValue):
         A = np.asarray(self.covariance, dtype=float)
         if mu.size != self.dim or A.shape != (self.dim, self.dim):
             raise DimensionError("drift/covariance sizes must match dim")
-        _check_integer("steps", self.steps, 1)
+        _check_integer("steps", self.steps, 1, COUNT_MAX)
         _check_integer("seed", self.seed, 0)
         if not 0 < self.horizon < np.inf:
             raise ParameterError(f"horizon must be finite and > 0, got {self.horizon!r}")
@@ -342,7 +358,7 @@ def brownian_components(dim: int, horizon: float, steps: int, seed: int,
     ``stream_offset + k``; restricting to a component range and bumping the
     offset reproduces exactly the same columns.
     """
-    _check_integer("steps", steps, 1)
+    _check_integer("steps", steps, 1, COUNT_MAX)
     _check_integer("seed", seed, 0)
     _check_integer("stream_offset", stream_offset, 0)
     dt = horizon / steps
@@ -375,9 +391,9 @@ def cbp_driving_path(y0, g, sigma, B: SampledPath) -> SampledPath:
     sigma = np.asarray(sigma, dtype=float).ravel()
     if not (y0.size == g.size == sigma.size == B.dim):
         raise DimensionError("y0, g, sigma and B must share the dimension")
-    if np.any(np.diff(y0) < 0):
+    if (y0[1:] < y0[:-1]).any():
         raise OrderingError("y0 must be weakly increasing")
-    if np.any(sigma <= 0):
+    if (sigma <= 0).any():
         raise ParameterError("sigma must be strictly positive")
     values = y0 + g * B.times[:, None] + sigma * B.values
     return SampledPath(B.times, values)
@@ -402,8 +418,8 @@ def standard_regular_approximation(X: SampledPath,
     """
     if n is None:
         n = len(X.times) - 1
-    _check_integer("level", n, 1)
     d = X.dim
+    _check_integer("level", n, 1, COUNT_MAX // d)  # n * d pieces
     T = X.horizon
     anchors = np.linspace(0.0, T, n + 1)
     V = X.values_at(anchors)

@@ -215,22 +215,29 @@ def _stitch(X: RegularPath, row0: np.ndarray, width: int, run):
     ``width`` entries), events (tau, before, after), all local to the piece,
     and one extra value.  A phase end that rounds onto the previous time, or
     onto the piece's end before its last phase, keeps its event but adds no
-    row.  With no arithmetic, Z is forward-filled from the last row that set
-    each entry and L repeats each row until the next push.  Returns the
-    times (the breakpoints with the phase times inserted), Z, L, X at those
-    times (``X.vertices`` with ``X.values_at`` at the phase times inserted),
-    the events, each piece's phase count and the phased pieces' extra values.
+    row.  The kept rows go into two flat buffers, with the push that set each
+    one; a push's boundary rows are offset by the running sum (one
+    ``cumsum``) of the last local rows of the pushes before it.  With no
+    other arithmetic, Z is forward-filled from the last row that set each
+    entry and L repeats each row until the next push.  Returns the times
+    (the breakpoints with the phase times inserted), Z, L, X at those times
+    (``X.vertices`` with ``X.values_at`` at the phase times inserted), the
+    events, each piece's phase count and the phased pieces' extra values.
     """
     z = row0.tolist()
+    bp = X.breakpoints.tolist()
     free, phased = array("d"), []  # the end value of each free piece; phased pieces
-    rows, Lrows, rows_at = [z.copy()], [[0.0] * width], [0]  # rows set in full
-    pos, phase_times, events, extras = [], [], [], []
+    # the rows set in full: Z rows, local L rows, their index into the times
+    # and the push that set each (row 0, the start, counts as push 0's); ends
+    # holds the index among them of each push's last row
+    rows, lrows, rows_at, push = array("d", z), array("d", [0.0] * width), [0], [0]
+    ends, pos, phase_times, events, extras = [], [], [], [], []
     phase_counts = [1] * len(X.axes)
     pieces = zip(X.cols.tolist(), X.slopes.tolist(), np.diff(X.breakpoints).tolist())
     for seg_t, seg_rows, seg_L, seg_events, extra in run(z, pieces, free.append):
-        k = len(free) + len(phased)
-        t0, t1 = X.breakpoints[k:k + 2].tolist()
-        last, offset = t0, Lrows[-1]
+        k, p = len(free) + len(phased), len(phased)
+        t0, t1 = bp[k], bp[k + 1]
+        last = t0
         for t, row, l in zip(seg_t[:-1], seg_rows, seg_L):
             t += t0
             if last < t < t1:
@@ -238,11 +245,14 @@ def _stitch(X: RegularPath, row0: np.ndarray, width: int, run):
                 rows_at.append(k + 1 + len(phase_times))
                 pos.append(k + 1)
                 phase_times.append(t)
-                rows.append(row)
-                Lrows.append([a + b for a, b in zip(offset, l)])
+                rows.extend(row)
+                lrows.extend(l)
+                push.append(p)
+        ends.append(len(rows_at))
         rows_at.append(k + 1 + len(phase_times))
-        rows.append(seg_rows[-1])  # the last phase ends on the breakpoint
-        Lrows.append([a + b for a, b in zip(offset, seg_L[-1])])
+        rows.extend(seg_rows[-1])  # the last phase ends on the breakpoint
+        lrows.extend(seg_L[-1])
+        push.append(p)
         events.extend(PhaseEvent(t0 + tau, before, after)
                       for tau, before, after in seg_events)
         phase_counts[k] = len(seg_events) + 1
@@ -251,17 +261,22 @@ def _stitch(X: RegularPath, row0: np.ndarray, width: int, run):
     del pieces  # and the lists it reads, before the tables are built
     times = np.insert(X.breakpoints + 0.0, pos, phase_times)  # a -0.0 start is +0.0
     n, d = len(times), len(z)
+    rows_at = np.array(rows_at)
     # I: the flat index into V of the last entry set at or above, by column
     V, I = np.empty((n, d)), np.zeros((n, d), np.intp)
-    V[rows_at], I[rows_at] = rows, np.array(rows_at)[:, None] * d + np.arange(d)
+    V[rows_at] = np.frombuffer(rows).reshape(-1, d)
+    I[rows_at] = rows_at[:, None] * d + np.arange(d)
     at = np.delete(np.arange(n), rows_at) * d + np.delete(X.cols, phased)
     V.put(at, np.frombuffer(free))
     I.put(at, at)
     np.maximum.accumulate(I, axis=0, out=I)
     Z = V.take(I)
     del V, I  # before L is built, so that the four tables never coexist
+    # push p's offset is 0.0 + the last local rows of pushes 0..p-1, summed in order
+    local = np.frombuffer(lrows).reshape(-1, width)
+    offsets = np.cumsum(local.take([0, *ends[:-1]], axis=0), axis=0)
     # L is constant between pushes: each row stands until the next one starts
-    L = np.repeat(np.array(Lrows), np.diff(rows_at, append=n), axis=0)
+    L = np.repeat(offsets.take(push, axis=0) + local, np.diff(rows_at, append=n), axis=0)
     Xv = np.insert(X.vertices, pos, X.values_at(phase_times), axis=0)
     return times, Z, L, Xv, tuple(events), phase_counts, extras
 

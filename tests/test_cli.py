@@ -9,7 +9,7 @@ import pytest
 
 import orthantsim
 from orthantsim.cli import _build_parser, main
-from orthantsim.paths import RegularPath, SampledPath
+from orthantsim.paths import COUNT_MAX, RegularPath, SampledPath
 from orthantsim.particles import CbpSpec, CollisionParams, simulate_cbp, solve_competing
 
 
@@ -762,3 +762,40 @@ def test_missing_required_key_is_named(tmp_path, capsys, command, key):
                          "--out", str(tmp_path / "run"))
     assert_config_error_names(code, out, err, key)
     assert "KeyError" not in json.loads(err)["message"]
+
+
+# ------------------------------------------- counts numpy cannot index
+
+GRID_SOLVE = {"matrix": [[1.0]], "method": "grid",
+              "path": {"kind": "regular", "start": [0.5], "breakpoints": [0.0, 1.0],
+                       "axes": [1], "slopes": [-1.0]}}
+COUNTS = [("simulate-srbm", SRBM_1D, "steps"), ("simulate-srbm", SRBM_1D, "level"),
+          ("solve", GRID_SOLVE, "grid_points")]
+SUITE_COUNTS = [("removal_right", "n_max"), ("removal_right", "steps"),
+                ("removal_right", "level"), ("skorokhod_comparison", "d_max"),
+                ("skorokhod_comparison", "grid")]
+
+
+@pytest.mark.parametrize("command, config, name", COUNTS, ids=[c[2] for c in COUNTS])
+@pytest.mark.parametrize("value", [10**300, 2**63], ids=["10**300", "2**63"])
+def test_count_beyond_the_index_range_is_rejected(tmp_path, capsys, command, config,
+                                                  name, value):
+    # these exited 4, "Maximum allowed dimension exceeded" from the grid; the
+    # check comes before any array is sized, so nothing is allocated
+    cfg = write_config(tmp_path, dict(config, **{name: value}))
+    code, out, err = run(capsys, command, "--config", cfg, "--out", str(tmp_path / "run"))
+    assert (code, out) == (2, "")
+    error = json.loads(err)
+    assert error["error"] == "validation"
+    assert f"{name!r} must be at most {COUNT_MAX}" in error["message"]
+
+
+@pytest.mark.parametrize("suite, name", SUITE_COUNTS)
+@pytest.mark.parametrize("value", [10**300, 2**63], ids=["10**300", "2**63"])
+def test_suite_count_beyond_the_index_range_is_rejected(tmp_path, capsys, suite, name,
+                                                        value):
+    cfg = write_config(tmp_path, {"suites": [{"name": suite, "instances": 1,
+                                              name: value}]})
+    code, out, err = run(capsys, "verify", "--config", cfg)
+    assert (code, out) == (2, "")
+    assert f"{name!r} must be at most" in json.loads(err)["message"]

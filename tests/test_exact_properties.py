@@ -12,9 +12,14 @@ piece must name the zero sets of the rows around it.  The solvers' residual
 diagnostics, read off ``RegularPath.vertices``, and the gap route's union
 grid must equal the plain ``values_at`` reading bit for bit, and
 ``values_at`` must give the bits of its reference fancy-index formula.
+A particle free piece must give the bits of the sign-product formula
+s * (s * y + |alpha| * T) and its snap, and the boundary rows that ``_stitch``
+offsets with one ``cumsum`` must be those of a running sum over the pushes.
 Every draw is derandomized, so a run cannot pass or fail by the draw.
 """
 
+import math
+from array import array
 from functools import partial
 from types import SimpleNamespace
 
@@ -27,12 +32,19 @@ from orthantsim.particles import (
     CollisionParams,
     _block_phases,
     _positions,
+    _run_blocks,
     alphas,
     reflection_matrix_from_params,
     solve_competing,
 )
 from orthantsim.paths import RegularPath, SampledPath, difference_path
-from orthantsim.skorokhod import HIT_TIE_RTOL, _segment_arrays, solve, solve_regular
+from orthantsim.skorokhod import (
+    HIT_TIE_RTOL,
+    _run_segments,
+    _segment_arrays,
+    solve,
+    solve_regular,
+)
 
 NEAR = 0.1 * HIT_TIE_RTOL
 STARTS = [0.0, -0.0, 5e-324, 1e-300, 0.3, 0.3 * (1 + NEAR), 0.3 * (1 - NEAR),
@@ -409,3 +421,122 @@ def test_gap_route_union_grid_reads_as_values_at(case):
     assert sol.L.times.tobytes() == times.tobytes()
     assert sol.L.values.tobytes() == sk.L.values_at(times).tobytes()
     assert sol.Z.values.tobytes() == sk.Z.values_at(times).tobytes()
+
+
+PIECE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -0.3, 0.3, 1.0]
+PIECE_SLOPES = SLOPES + [1e-300, 5e-324]
+
+
+def free_piece_reference(y, i0, alpha, T):
+    """A particle piece's free test and end value, written with the sign
+    s of alpha as s * (s * y + |alpha| * T) and snapped onto the neighbour it
+    rounds past; None if the piece pushes."""
+    n, s = len(y), 1 if alpha > 0.0 else -1
+    if alpha == 0.0 or not 0 <= i0 + s < n or (
+            y[i0 + s] != y[i0] and (y[i0 + s] - y[i0]) / alpha >= T):
+        v = s * (s * y[i0] + abs(alpha) * T) if alpha else y[i0]
+        if 0 <= i0 + s < n and s * (y[i0 + s] - v) < 0.0:
+            v = y[i0 + s]
+        return v
+    return None
+
+
+@st.composite
+def particle_piece(draw):
+    """Ranks with signed zeros, subnormals and ties, one driven rank (often
+    rank 1 or N) and a slope with, at times, a duration that ends one hit of
+    the neighbour ahead away, or one ulp on either side of it."""
+    n = draw(st.integers(2, 8))
+    y = sorted(draw(st.lists(st.sampled_from(PIECE_VALUES) | st.floats(-2.0, 2.0),
+                             min_size=n, max_size=n)))
+    if draw(st.booleans()):  # a tie, as equal floats or as the two zeros
+        k = draw(st.integers(0, n - 2))
+        y[k + 1] = draw(st.sampled_from([y[k], -y[k] if y[k] == 0.0 else y[k]]))
+    i0 = draw(st.sampled_from([0, n - 1]) | st.integers(0, n - 1))
+    alpha = draw(st.sampled_from(PIECE_SLOPES + [-v for v in PIECE_SLOPES])
+                 | st.floats(-3.0, 3.0))
+    T = draw(st.sampled_from(DURATIONS) | st.floats(1e-3, 1.0))
+    s = 1 if alpha > 0.0 else -1
+    if alpha and 0 <= i0 + s < n and draw(st.booleans()):
+        hit = (y[i0 + s] - y[i0]) / alpha
+        if 0.0 < hit < math.inf:
+            T = float(np.nextafter(hit, draw(st.sampled_from([-math.inf, math.inf, hit]))))
+    return y, i0, alpha, T
+
+
+@given(particle_piece(), st.lists(st.floats(0.1, 0.9), min_size=8, max_size=8))
+@settings(max_examples=400, deadline=None, derandomize=True)
+@example(([-0.0, 0.0, 1.0], 1, -1.0, 0.5), [0.5] * 8)  # tied with rank 1 across zeros
+@example(([0.0, 0.3, 1.0], 1, -5e-324, 0.5), [0.5] * 8)  # a subnormal slope
+@example(([0.0, 0.3, 1.0], 2, -0.0, 0.5), [0.5] * 8)
+@example(([0.0, 0.5, 1.0], 1, -0.5, 1.0), [0.5] * 8)  # ends on rank 1 at -0.0
+# the gap / |alpha| rounds up onto T, yet the move rounds past the neighbour
+@example(([-X_ROUND, 0.0], 0, A_ROUND, T_ROUND), [0.5] * 8)
+@example(([0.0, X_ROUND], 1, -A_ROUND, T_ROUND), [0.5] * 8)
+def test_particle_free_piece_gives_the_sign_product_bits(case, qminus):
+    y, i0, alpha, T = case
+    q = CollisionParams.from_qminus(qminus[:len(y)])
+    want = free_piece_reference(y, i0, alpha, T)
+    got = _block_phases(q.qplus, q.qminus, y, i0, alpha, T)
+    if want is None:
+        assert not isinstance(got, float)
+    else:
+        assert isinstance(got, float) and bits(got) == bits(want)
+
+
+def running_sum_L(X, row0, width, run):
+    """L of ``_stitch`` built as a running sum: each push's rows plus the
+    row the push before it ended on, each row kept until the next push."""
+    z, free, pushes = row0.tolist(), array("d"), 0
+    Lrows, rows_at, inner = [[0.0] * width], [0], 0
+    pieces = zip(X.cols.tolist(), X.slopes.tolist(), np.diff(X.breakpoints).tolist())
+    for seg_t, _, seg_L, _, _ in run(z, pieces, free.append):
+        k = len(free) + pushes
+        t0, t1 = X.breakpoints[k:k + 2].tolist()
+        last, offset = t0, Lrows[-1]
+        for t, l in zip(seg_t[:-1], seg_L):
+            if last < t + t0 < t1:
+                last = t + t0
+                inner += 1
+                rows_at.append(k + inner)
+                Lrows.append([a + b for a, b in zip(offset, l)])
+        rows_at.append(k + 1 + inner)
+        Lrows.append([a + b for a, b in zip(offset, seg_L[-1])])
+        pushes += 1
+    n = len(X.axes) + 1 + inner
+    return np.repeat(np.array(Lrows), np.diff(rows_at, append=n), axis=0)
+
+
+@st.composite
+def push_dense_driver(draw, dim, ordered):
+    """Up to 40 pieces from starts close to 0 (and to each other), at slopes
+    up to 3 in size: most pieces reach the boundary or a neighbour."""
+    m = draw(st.integers(1, 40))
+    start = draw(st.lists(st.sampled_from([0.0, -0.0, 5e-324, 0.05, 0.1])
+                          | st.floats(0.0, 0.2), min_size=dim, max_size=dim))
+    if ordered:
+        start.sort()
+    durations = draw(st.lists(st.sampled_from(DURATIONS) | st.floats(1e-3, 0.5),
+                              min_size=m, max_size=m))
+    axes = draw(st.lists(st.integers(1, dim), min_size=m, max_size=m))
+    slopes = draw(st.lists(st.sampled_from(SLOPES) | st.floats(-3.0, 3.0),
+                           min_size=m, max_size=m))
+    return RegularPath(start, np.concatenate([[0.0], np.cumsum(durations)]),
+                       tuple(axes), slopes)
+
+
+@given(st.integers(2, 8).flatmap(lambda n: st.tuples(
+    reflection_matrix(n), push_dense_driver(n, ordered=False),
+    st.lists(st.floats(0.1, 0.9), min_size=n, max_size=n),
+    push_dense_driver(n, ordered=True))))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_stitched_boundary_rows_are_the_running_sums(case):
+    R, X, qminus, Y = case
+    sol = solve_regular(R, X)
+    want = running_sum_L(X, X.start, R.dim, partial(_run_segments, R.entries, {}))
+    assert sol.L.values.tobytes() == want.tobytes()
+    q = CollisionParams.from_qminus(qminus)
+    sol = solve_competing(q, Y)
+    want = running_sum_L(Y, Y.start, len(qminus) - 1,
+                         partial(_run_blocks, q.qplus, q.qminus))
+    assert sol.L.values.tobytes() == want.tobytes()

@@ -1,7 +1,7 @@
 """Bit-for-bit parity digests of the solvers' outputs.
 
     python3 tools/parity.py --out digests.json        # record the digests
-    python3 tools/parity.py --against digests.json    # exit 1 on the first difference
+    python3 tools/parity.py --against digests.json    # exit 1 if any record differs
 
 Run from any directory; the library is imported from ``src/`` next to this
 directory, so two checkouts can be compared by recording with one and
@@ -18,6 +18,9 @@ the text its ``to_csv`` writes.  The records are:
   that its second solve runs warm;
 - CBP: N = 2..20, exact and grid routes through the gap problem;
 - particles on a regular driver: N = 2..20 (the block-phase kernel);
+- particles on the regular drivers that ``verify`` solves
+  (``particles_verify_n<N>``): N = 2..6, ``random_cbp_spec`` drivers at level
+  200, so that the pushes are dense;
 - ``gap_srbm``: N = 2..20;
 - all nine comparison suites, two instances each, at their default options;
 - all nine suites again, two instances each, with every option the suite
@@ -29,7 +32,13 @@ the text its ``to_csv`` writes.  The records are:
   both with ``break_hypothesis``; ``counterexample`` at ``r21`` 0.3;
 - since a broken instance reports only its failed precondition, those two
   suites once more with the same options but ``break_hypothesis`` left
-  false (``suite_<name>_options_unbroken``).
+  false (``suite_<name>_options_unbroken``);
+- the report of ``check_removal_corollaries`` (``removal_n<N>_<lo>_<hi>``) for
+  every rank range lo..hi of a ``random_cbp_spec`` with N = 3..6, at level
+  200, which reads every column slice of the coupled margins.
+
+``--against`` lists every record whose digest differs, is missing or is new,
+each by name, then the count, and exits 1 if there is any.
 """
 
 import argparse
@@ -61,6 +70,8 @@ SEED = 17
 RHOS = (0.0, 0.5, 0.95)
 SRBM_CASES = ((0.7, 0.0), (0.0, -0.5))  # (start, drift)
 MAX_SIZE = 20
+VERIFY_SIZES = range(2, 7)  # the particle counts of the corollary suites
+VERIFY_LEVEL = 200  # their level
 SUITE_INSTANCES = 2
 SMALL = {"n_max": 4, "steps": 120, "level": 30, "tol": 1e-7}  # of a corollary suite
 SKOROKHOD = {"d_max": 3, "grid": 12, "level": 4, "tol": 1e-7}
@@ -115,12 +126,16 @@ def solution_digest(sol) -> str:
     return h.hexdigest()
 
 
+def json_digest(obj) -> str:
+    return hashlib.sha256(json.dumps(_plain(obj), sort_keys=True).encode()).hexdigest()
+
+
 def suite_digest(res) -> str:
     out = res.to_jsonable()
     for inst, r in zip(out["instances"], res.results):
         if r.report is not None:
             inst["details"] = r.report.details
-    return hashlib.sha256(json.dumps(_plain(out), sort_keys=True).encode()).hexdigest()
+    return json_digest(out)
 
 
 def _rng(*key) -> np.random.Generator:
@@ -160,6 +175,18 @@ def records():
         Xr = standard_regular_approximation(driving_path_for(spec), STEPS // 4)
         yield f"particles_regular_n{n}", solution_digest(solve_competing(spec.q, Xr))
         yield f"gap_srbm_n{n}", solution_digest(gap_srbm(spec))
+    for n in VERIFY_SIZES:
+        spec = comparison.random_cbp_spec(_rng(3, n), n)
+        Xr = standard_regular_approximation(driving_path_for(spec), VERIFY_LEVEL)
+        yield f"particles_verify_n{n}", solution_digest(solve_competing(spec.q, Xr))
+    for n in VERIFY_SIZES[1:]:
+        spec = comparison.random_cbp_spec(_rng(4, n), n)
+        for lo in range(1, n):
+            for hi in range(lo + 1, n + 1):
+                report = comparison.check_removal_corollaries(spec, lo, hi,
+                                                              level=VERIFY_LEVEL)
+                yield f"removal_n{n}_{lo}_{hi}", json_digest(
+                    dict(report.to_jsonable(), details=report.details))
     for name in comparison.SUITES:
         res = comparison.run_suite(name, SUITE_INSTANCES, SEED)
         yield f"suite_{name}", suite_digest(res)
@@ -180,16 +207,19 @@ def main(argv=None) -> int:
         print(f"{len(digests)} records written to {args.out}")
         return 0
     want = json.loads(Path(args.against).read_text())
-    seen = 0
+    seen, differ = set(), 0
     for name, digest in records():
+        seen.add(name)
         if want.get(name) != digest:
-            print(f"DIFFERS: {name}: {digest} against {want.get(name)}")
-            return 1
-        seen += 1
-    if seen != len(want):
-        print(f"DIFFERS: {len(want)} records expected, {seen} computed")
+            differ += 1
+            print(f"DIFFERS: {name}: {digest} against {want.get(name, 'no record')}")
+    for name in sorted(want.keys() - seen):
+        differ += 1
+        print(f"DIFFERS: {name}: not computed, recorded as {want[name]}")
+    if differ:
+        print(f"{differ} of {len(seen | want.keys())} records differ")
         return 1
-    print(f"{seen} records match")
+    print(f"{len(seen)} records match")
     return 0
 
 
