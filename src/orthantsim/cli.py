@@ -23,8 +23,8 @@ import numpy as np
 from . import comparison
 from .errors import ConfigError, ConvergenceError, OrthantSimError
 from .mmatrix import RADIUS_MARGIN, ReflectionMatrix, validate_reflection_m_matrix
-from .paths import (COUNT_MAX, BrownianSpec, RegularPath, SampledPath,
-                    _check_integer, sample_brownian, standard_regular_approximation)
+from .paths import (BrownianSpec, RegularPath, SampledPath, _check_count,
+                    sample_brownian, standard_regular_approximation)
 from .particles import CbpSpec, CollisionParams, gap_srbm, simulate_cbp, solve_competing
 from .skorokhod import GRID_TOL, simulate_srbm, solve, write_solution
 
@@ -216,11 +216,15 @@ def _output(path: Path):
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
-def _write_solution(sol, out: str, stem: str) -> dict:
+def _export(sol, out: str, stem: str, **summary) -> int:
+    """Write ``sol`` to ``stem``.csv and its events to ``stem``_events.json in
+    ``out``, and print ``summary`` with the files, phases and final L."""
     csv_path, events_path = Path(out) / f"{stem}.csv", Path(out) / f"{stem}_events.json"
     with _output(csv_path) as fh, _output(events_path) as eh:
         write_solution(sol, fh, eh)
-    return {"csv": str(csv_path), "events": str(events_path)}
+    _emit({**summary, "files": {"csv": str(csv_path), "events": str(events_path)},
+           "phases": len(sol.events) + 1, "final_l": sol.L.values[-1].tolist()})
+    return EXIT_OK
 
 
 def cmd_validate(cfg: dict, args) -> int:
@@ -258,7 +262,7 @@ def cmd_solve(cfg: dict, args) -> int:
     # the grid oracle needs a sampled path: sample a regular one on a grid
     regrid = path
     if isinstance(path, RegularPath):
-        _check_integer("grid_points", cfg["grid_points"], 1, COUNT_MAX)
+        _check_count("grid_points", cfg["grid_points"], path.dim)
         grid = np.linspace(0.0, path.horizon, cfg["grid_points"] + 1)
         regrid = SampledPath(grid, path.values_at(grid))
     driver = regrid if method == "grid" else path
@@ -267,45 +271,33 @@ def cmd_solve(cfg: dict, args) -> int:
         sol = solve(R, driver, method, level, tol)
         if cfg["compare_methods"]:
             other = solve(R, regrid, "grid", tol=tol)
-            ts = other.Z.times
             summary["sup_difference"] = float(
-                np.abs(sol.Z.values_at(ts) - other.Z.values).max())
-        summary["files"] = _write_solution(sol, cfg["out"], "skorokhod")
-        summary["final_l"] = sol.final_boundary_terms.tolist()
-    else:
-        q = _params(cfg["collision_params"])
-        sol = solve_competing(q, driver, n=level, method=method, tol=tol)
-        summary["files"] = _write_solution(sol, cfg["out"], "particles")
-        summary["final_l"] = sol.final_collision_terms.tolist()
-    summary["phases"] = len(sol.events) + 1
-    _emit(summary)
-    return EXIT_OK
+                np.abs(sol.Z.values_at(other.Z.times) - other.Z.values).max())
+        return _export(sol, cfg["out"], "skorokhod", **summary)
+    sol = solve_competing(_params(cfg["collision_params"]), driver, n=level,
+                          method=method, tol=tol)
+    return _export(sol, cfg["out"], "particles", **summary)
 
 
 def cmd_simulate_srbm(cfg: dict, args) -> int:
     sol = simulate_srbm(ReflectionMatrix(cfg["matrix"]), cfg["mu"], cfg["covariance"],
                         cfg["z0"], float(cfg["horizon"]), cfg["steps"], cfg["seed"],
                         cfg["method"], cfg.get("level"), cfg["tol"])
-    files = _write_solution(sol, cfg["out"], "srbm")
-    _emit({"files": files, "phases": len(sol.events) + 1,
-           "final_l": sol.final_boundary_terms.tolist()})
-    return EXIT_OK
+    return _export(sol, cfg["out"], "srbm")
 
 
 def cmd_simulate_cbp(cfg: dict, args) -> int:
     block = cfg.get("cbp", cfg)  # the "cbp" block, or the config in the flat form
     spec = CbpSpec(**{key: block[key] for key in CBP} | {"q": _params(block["q"])})
     sol = simulate_cbp(spec, cfg["method"], cfg.get("level"), cfg["tol"])
-    files = _write_solution(sol, cfg["out"], "cbp")
-    summary = {"files": files, "phases": len(sol.events) + 1,
-               "final_l": sol.final_collision_terms.tolist()}
-    if cfg["gap_check"]:
+    summary = {}
+    if cfg["gap_check"]:  # before the export, so that a failed check writes no file
         srbm = gap_srbm(spec, cfg.get("level"))
         ts = np.union1d(sol.Z.times, srbm.Z.times)
         summary["gap_srbm_discrepancy"] = float(
             np.abs(sol.Z.values_at(ts) - srbm.Z.values_at(ts)).max())
-    _emit(summary)
-    return EXIT_OK
+        del srbm, ts  # before the export's tables are built
+    return _export(sol, cfg["out"], "cbp", **summary)
 
 
 def cmd_approximate(cfg: dict, args) -> int:

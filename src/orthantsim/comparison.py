@@ -23,6 +23,7 @@ from .paths import (
     COUNT_MAX,
     RegularPath,
     SampledPath,
+    _check_count,
     _check_integer,
     difference_path,
     increments_dominated,
@@ -577,9 +578,9 @@ def _instance_rng(seed: int, index: int) -> np.random.Generator:
 
 
 def _skorokhod_comparison_instance(rng, *, d_max, grid, level, tol, break_hypothesis):
-    _check_integer("d_max", d_max, 1, COUNT_MAX)
-    _check_integer("grid", grid, 1, COUNT_MAX)
+    _check_count("d_max", d_max, d_max)  # R is d x d
     d = int(rng.integers(1, d_max + 1))
+    _check_count("grid", grid, d)  # the sampled pair's tables are (grid + 1) x d
     R, Rbar = random_dominated_matrix_pair(rng, d)
     if break_hypothesis:
         R, Rbar = Rbar, R  # violates R <= Rbar unless equal
@@ -609,6 +610,7 @@ def _particle_comparison_instance(rng, *, n_max, tol, break_hypothesis):
 def _particle_count(rng, n_min: int, n_max: int) -> int:
     """A particle count drawn from n_min..n_max."""
     _check_integer("n_max", n_max, n_min, COUNT_MAX)
+    _check_count("n_max", n_max, n_max)  # the gap matrix is (n - 1) x (n - 1)
     return int(rng.integers(n_min, n_max + 1))
 
 

@@ -31,9 +31,9 @@ from .errors import (
 )
 from .mmatrix import ReflectionMatrix
 from .paths import (
-    COUNT_MAX,
     RegularPath,
     SampledPath,
+    _check_count,
     _check_integer,
     brownian_components,
     cbp_driving_path,
@@ -42,7 +42,7 @@ from .paths import (
 )
 from .skorokhod import (
     GRID_TOL,
-    PhaseEvent,
+    SkorokhodSolution,
     _check_method,
     _stitch,
     solve,
@@ -154,22 +154,17 @@ def alphas(q: CollisionParams) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ParticleSystemSolution:
-    """Ranked positions Y, collision terms L, gap process Z, and events."""
+class ParticleSystemSolution(SkorokhodSolution):
+    """The gap process's Skorohod solution (Z, collision terms L, events)
+    plus the ranked positions Y, a keyword-only field."""
 
-    Y: SampledPath
-    L: SampledPath
-    Z: SampledPath
-    events: tuple[PhaseEvent, ...]
-    diagnostics: dict = field(default_factory=dict, compare=False)
+    Y: SampledPath = field(kw_only=True)
 
     @property
     def n_particles(self) -> int:
         return self.Y.dim
 
-    @property
-    def final_collision_terms(self) -> np.ndarray:
-        return self.L.values[-1]
+    final_collision_terms = SkorokhodSolution.final_boundary_terms
 
     def to_csv(self, fileobj) -> None:
         n = self.n_particles
@@ -183,9 +178,6 @@ class ParticleSystemSolution:
             np.hstack([self.Y.values, self.L.values, self.Z.values]),
             header,
         )
-
-    def events_to_jsonable(self) -> list[dict]:
-        return [e.to_jsonable() for e in self.events]
 
 
 def _check_w_point(y, n=None) -> np.ndarray:
@@ -366,7 +358,7 @@ def solve_competing(q: CollisionParams, X, n: int | None = None,
     diag["method"] = f"gap-{method}"
     diag.update({k: skd[k] for k in ("iterations", "level") if k in skd})
     Y, L, Z = (SampledPath._adopt(times, v) for v in (Yu, Lu, Zu))
-    return ParticleSystemSolution(Y, L, Z, events, diag)
+    return ParticleSystemSolution(Z, L, events, diag, Y=Y)
 
 
 def _solve_competing_regular(q: CollisionParams, X: RegularPath) -> ParticleSystemSolution:
@@ -382,7 +374,7 @@ def _solve_competing_regular(q: CollisionParams, X: RegularPath) -> ParticleSyst
     diag["block_consistency_residual"] = max([0.0, *consistency])
     diag["method"] = "regular-exact"
     Y, L, Z = (SampledPath._adopt(tall, v) for v in (Yall, Lall, gaps))
-    return ParticleSystemSolution(Y, L, Z, events, diag)
+    return ParticleSystemSolution(Z, L, events, diag, Y=Y)
 
 
 @dataclass(frozen=True)
@@ -415,7 +407,7 @@ class CbpSpec:
         if any(v <= 0 for v in s2):
             raise ParameterError("sigma2 must be strictly positive")
         _check_w_point(y0, n)
-        _check_integer("steps", self.steps, 1, COUNT_MAX)
+        _check_count("steps", self.steps, n)
         _check_integer("seed", self.seed, 0)
         if not 0 < self.horizon < math.inf:
             raise ParameterError(f"horizon must be finite and > 0, got {self.horizon!r}")

@@ -40,6 +40,8 @@ DOMINATION_RTOL = 1e-12
 
 # the largest count: an array of count + 1 entries is one numpy can index
 COUNT_MAX = int(np.iinfo(np.intp).max) - 1
+# the most float64 cells in one table: numpy sizes no array of more bytes
+CELLS_MAX = int(np.iinfo(np.intp).max) // 8
 
 
 def _check_integer(name: str, value, least: int, most: int | None = None) -> None:
@@ -50,6 +52,17 @@ def _check_integer(name: str, value, least: int, most: int | None = None) -> Non
         raise ParameterError(f"{name!r} must be an integer >= {least}, got {value!r}")
     if most is not None and value > most:
         raise ParameterError(f"{name!r} must be at most {most}, got {value!r}")
+
+
+def _check_count(name: str, value, width: int) -> None:
+    """``_check_integer(name, value, 1, COUNT_MAX)``, and a ``ParameterError``
+    naming ``name`` if a table of value + 1 rows of ``width`` float64 cells
+    has more than ``CELLS_MAX`` cells."""
+    _check_integer(name, value, 1, COUNT_MAX)
+    rows = int(value) + 1  # a Python int: a product of numpy ints could wrap
+    if rows * int(width) > CELLS_MAX:
+        raise ParameterError(f"{name!r} = {value} needs a table of {rows} x {width} "
+                             f"float64 cells, more than the {CELLS_MAX} numpy can size")
 
 
 def _freeze(a) -> np.ndarray:
@@ -313,7 +326,7 @@ class BrownianSpec(_ArrayValue):
         A = np.asarray(self.covariance, dtype=float)
         if mu.size != self.dim or A.shape != (self.dim, self.dim):
             raise DimensionError("drift/covariance sizes must match dim")
-        _check_integer("steps", self.steps, 1, COUNT_MAX)
+        _check_count("steps", self.steps, self.dim)
         _check_integer("seed", self.seed, 0)
         if not 0 < self.horizon < np.inf:
             raise ParameterError(f"horizon must be finite and > 0, got {self.horizon!r}")
@@ -358,7 +371,7 @@ def brownian_components(dim: int, horizon: float, steps: int, seed: int,
     ``stream_offset + k``; restricting to a component range and bumping the
     offset reproduces exactly the same columns.
     """
-    _check_integer("steps", steps, 1, COUNT_MAX)
+    _check_count("steps", steps, dim)
     _check_integer("seed", seed, 0)
     _check_integer("stream_offset", stream_offset, 0)
     dt = horizon / steps
@@ -403,7 +416,11 @@ def difference_path(X: SampledPath) -> SampledPath:
     """Adjacent-component differences (X_2 - X_1, ..., X_N - X_{N-1})."""
     if X.dim < 2:
         raise DimensionError("difference path needs dim >= 2")
-    return SampledPath(X.times, X.values[:, 1:] - X.values[:, :-1])
+    with np.errstate(over="ignore"):
+        D = X.values[:, 1:] - X.values[:, :-1]
+    if not np.isfinite(D).all():
+        raise InvalidEntryError("the differences of adjacent components overflow")
+    return SampledPath(X.times, D)
 
 
 def standard_regular_approximation(X: SampledPath,
@@ -419,13 +436,16 @@ def standard_regular_approximation(X: SampledPath,
     if n is None:
         n = len(X.times) - 1
     d = X.dim
-    _check_integer("level", n, 1, COUNT_MAX // d)  # n * d pieces
+    _check_count("level", n, d)  # V is (n + 1) x d; n * d pieces
     T = X.horizon
     anchors = np.linspace(0.0, T, n + 1)
     V = X.values_at(anchors)
     sweep_dt = T / (n * d)
     breakpoints = np.linspace(0.0, T, n * d + 1)
-    slopes = (np.diff(V, axis=0) / sweep_dt).ravel()
+    with np.errstate(over="ignore"):
+        slopes = (np.diff(V, axis=0) / sweep_dt).ravel()
+    if not np.isfinite(slopes).all():
+        raise InvalidEntryError(f"the path's increments overflow at level {n}")
     return RegularPath._sweep(V[0], breakpoints, tuple(range(1, d + 1)) * n,
                               np.tile(np.arange(d, dtype=np.intp), n), slopes)
 

@@ -22,6 +22,7 @@ import math
 from array import array
 from dataclasses import dataclass, field
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,20 +48,12 @@ GRID_MONOTONE_RTOL = 1e-12
 GRID_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class PhaseEvent:
+class PhaseEvent(NamedTuple):
     """A jump time of the active boundary set, with the set before/after."""
 
     tau: float
     active_before: tuple[int, ...]
     active_after: tuple[int, ...]
-
-    def to_jsonable(self) -> dict:
-        return {
-            "tau": self.tau,
-            "active_before": list(self.active_before),
-            "active_after": list(self.active_after),
-        }
 
 
 @dataclass(frozen=True)
@@ -87,7 +80,8 @@ class SkorokhodSolution:
                        np.hstack([self.Z.values, self.L.values]), header)
 
     def events_to_jsonable(self) -> list[dict]:
-        return [e.to_jsonable() for e in self.events]
+        return [{"tau": tau, "active_before": list(before), "active_after": list(after)}
+                for tau, before, after in self.events]
 
 
 def _check_start(x: np.ndarray, d: int) -> np.ndarray:

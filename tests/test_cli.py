@@ -799,3 +799,76 @@ def test_suite_count_beyond_the_index_range_is_rejected(tmp_path, capsys, suite,
     code, out, err = run(capsys, "verify", "--config", cfg)
     assert (code, out) == (2, "")
     assert f"{name!r} must be at most" in json.loads(err)["message"]
+
+
+# ------------------------------------------- counts whose tables numpy cannot size
+
+SIZED = [("simulate-srbm", SRBM_1D, "steps"), ("simulate-srbm", SRBM_1D, "level"),
+         ("solve", GRID_SOLVE, "grid_points"), ("simulate-cbp", CBP_2, "steps")]
+
+
+@pytest.mark.parametrize("command, config, name", SIZED,
+                         ids=[f"{c[0]}-{c[2]}" for c in SIZED])
+def test_count_whose_table_numpy_cannot_size_is_rejected(tmp_path, capsys, command,
+                                                         config, name):
+    # at COUNT_MAX = 2**63 - 2 these exited 4 from np.empty or np.linspace; the
+    # cell count is checked before numpy is called, so nothing is allocated
+    cfg = write_config(tmp_path, dict(config, **{name: COUNT_MAX}))
+    code, out, err = run(capsys, command, "--config", cfg, "--out", str(tmp_path / "run"))
+    assert (code, out) == (2, "")
+    error = json.loads(err)
+    assert error["error"] == "validation"
+    assert f"{name!r} = {COUNT_MAX} needs a table of {COUNT_MAX + 1} x" in error["message"]
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("suite, name", [("skorokhod_comparison", "grid"),
+                                         ("skorokhod_comparison", "d_max"),
+                                         ("removal_right", "n_max"),
+                                         ("particle_comparison", "n_max")])
+def test_suite_count_whose_table_numpy_cannot_size_is_rejected(tmp_path, capsys, suite,
+                                                               name):
+    cfg = write_config(tmp_path, {"suites": [{"name": suite, "instances": 1,
+                                              name: COUNT_MAX}]})
+    code, out, err = run(capsys, "verify", "--config", cfg)
+    assert (code, out) == (2, "")
+    assert f"{name!r} = {COUNT_MAX} needs a table" in json.loads(err)["message"]
+
+
+def test_failed_gap_check_writes_no_file(tmp_path, capsys):
+    # the grid solve ignores the level, the gap check's exact solve cannot size
+    # it; the check runs before the export, so no partial CSV is left behind
+    cfg = write_config(tmp_path, {**CBP_2, "gap_check": True})
+    code, out, err = run(capsys, "simulate-cbp", "--config", cfg, "--out",
+                         str(tmp_path / "run"), "--method", "grid", "--level", str(COUNT_MAX))
+    assert (code, out) == (2, "")
+    assert f"'level' = {COUNT_MAX} needs a table" in json.loads(err)["message"]
+    assert not (tmp_path / "run").exists()
+
+
+# --------------------------------------------------- increments that overflow
+
+OVERFLOWING = {  # a CSV driver whose differences exceed the float range
+    "matrix": ({"matrix": [[1.0]]}, "t,x1\n0,1e308\n1,-1e308\n2,1e308\n"),
+    "collision_params": ({"collision_params": {"symmetric": 2}},
+                         "t,x1,x2\n0,-1e308,1e308\n1,0,1\n"),
+}
+
+
+@pytest.mark.parametrize("system", sorted(OVERFLOWING))
+def test_overflowing_increments_are_blamed_on_the_input(tmp_path, system):
+    # these printed numpy's RuntimeWarning before the NaN error, and exited 4
+    # when warnings were errors; in a fresh process with every warning shown,
+    # stderr holds the one JSON line
+    block, text = OVERFLOWING[system]
+    (tmp_path / "path.csv").write_text(text)
+    cfg = write_config(tmp_path, {**block, "path": {"kind": "csv", "file": "path.csv"}})
+    env = {**os.environ, "PYTHONPATH": str(Path(orthantsim.__file__).parents[1])}
+    argv = ["solve", "--config", cfg, "--out", str(tmp_path / "run")]
+    for warnings in ("default", "error::RuntimeWarning"):
+        p = subprocess.run([sys.executable, "-W", warnings, "-m", "orthantsim.cli", *argv],
+                           env=env, capture_output=True, text=True, timeout=120)
+        assert (p.returncode, p.stdout) == (2, "")
+        assert len(p.stderr.splitlines()) == 1
+        error = json.loads(p.stderr)
+        assert error["error"] == "validation" and "overflow" in error["message"]

@@ -119,6 +119,8 @@ CASES = {
                                 {"cbp": CBP_TIED, "gap_check": True}, []),
     "simulate_cbp_grid": ("simulate-cbp", CBP,
                           ["--method", "grid", "--seed", "9"]),
+    "simulate_cbp_flat_exact_gap_check": ("simulate-cbp", {**CBP, "gap_check": True},
+                                          ["--method", "exact"]),
     "approximate": ("approximate", {"path": {"kind": "csv", "file": "path2.csv"}},
                     ["--level", "3", "--out", "approx.json"]),
     "verify": ("verify", {"suites": SUITES, "seed": 3}, ["--out", "report"]),
@@ -128,6 +130,7 @@ EXPECTED = {
     'approximate': '0c6d1c19db7bbc959f8b34fc0eeae30757c32592841e16ff644eaf2dd789a8c6',
     'simulate_cbp_exact_gap_check': 'a4c282e46db3dc59f92e283a69f47469c8c636702fc76e6ce4ea046a3552948c',
     'simulate_cbp_exact_tied': '7a9a5df3eda6e9feeaf7a5a177192f01a71985be9b819b4eb99b052dd9a74c94',
+    'simulate_cbp_flat_exact_gap_check': 'a4c282e46db3dc59f92e283a69f47469c8c636702fc76e6ce4ea046a3552948c',
     'simulate_cbp_grid': 'e7789c67eef5c3fed4ca4e08bd35300311d93b4ca6e3d13765f523f518dc9bb2',
     'simulate_srbm_exact': 'bae8e510287f0ca7dbd49d46262756e0b60384908e362467248acd8bc5c5af92',
     'simulate_srbm_exact_push_dense': 'c0d6439a41ca1d91a5da5dd8993c8df1485ebe552d5b34ac8ef0fc3405a90702',

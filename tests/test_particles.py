@@ -2,7 +2,7 @@ import gc
 import io
 import json
 import weakref
-from dataclasses import replace
+from dataclasses import is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -15,6 +15,7 @@ from orthantsim.mmatrix import validate_reflection_m_matrix
 from orthantsim.particles import (
     CbpSpec,
     CollisionParams,
+    ParticleSystemSolution,
     alphas,
     driving_path_for,
     gap_drift_and_covariance,
@@ -36,6 +37,8 @@ from orthantsim.paths import (
     difference_path,
 )
 from orthantsim.skorokhod import (
+    PhaseEvent,
+    SkorokhodSolution,
     solve_continuous,
     solve_grid_oracle,
     solve_regular,
@@ -645,3 +648,47 @@ def test_cbp_spec_seed_and_steps_are_integers_not_truncated(name, least, value):
         replace(spec_for(), **{name: value})
     spec = replace(spec_for(), **{name: np.int64(2)})
     assert spec == replace(spec_for(), **{name: 2})
+
+
+# ------------------------------------------------------------ the solve record
+
+def pushing_solution():
+    """A regular three-particle solve whose block collides twice."""
+    q = CollisionParams((0.5, 0.6, 0.3), (0.4, 0.7, 0.5))
+    return solve_competing(q, RegularPath([0.0, 0.2, 0.5], [0.0, 0.4, 0.9, 1.5, 2.0],
+                                          (1, 3, 2, 1), [1.5, -1.0, 0.7, -0.6]))
+
+
+def test_particle_solution_is_its_gap_process_skorokhod_solution():
+    sol = pushing_solution()
+    assert isinstance(sol, SkorokhodSolution)
+    assert sol.dim == sol.n_particles - 1 == 2
+    assert sol.final_collision_terms.tolist() == sol.final_boundary_terms.tolist()
+    assert sol.events_to_jsonable() == [
+        {"tau": e.tau, "active_before": list(e.active_before),
+         "active_after": list(e.active_after)} for e in sol.events]
+
+
+def test_the_old_positional_particle_solution_is_a_type_error():
+    # the fields were (Y, L, Z, events); Y is now keyword-only, so the old
+    # order cannot bind the positions to Z
+    sol = pushing_solution()
+    with pytest.raises(TypeError):
+        ParticleSystemSolution(sol.Y, sol.L, sol.Z, sol.events, sol.diagnostics)
+    same = ParticleSystemSolution(sol.Z, sol.L, sol.events, sol.diagnostics, Y=sol.Y)
+    assert same == sol
+
+
+def test_phase_events_keep_attributes_hash_and_repr():
+    sol = pushing_solution()
+    gap = solve_regular(reflection_matrix_from_params(CollisionParams.symmetric(3)),
+                        RegularPath([0.5, 0.0], [0.0, 1.0], (1,), [-1.0]))
+    events = sol.events + gap.events
+    assert len(sol.events) >= 2 and len(gap.events) >= 1
+    for e in events:
+        assert type(e) is PhaseEvent and not is_dataclass(e)
+        assert (e.tau, e.active_before, e.active_after) == tuple(e)
+        assert hash(e) == hash((e.tau, e.active_before, e.active_after))
+        assert repr(e) == (f"PhaseEvent(tau={e.tau!r}, active_before={e.active_before!r}, "
+                           f"active_after={e.active_after!r})")
+    assert len(set(events)) == len(events)

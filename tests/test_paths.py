@@ -9,12 +9,15 @@ from orthantsim.errors import (
     CovarianceError,
     DimensionError,
     DominationError,
+    InvalidEntryError,
     OrderingError,
     ParameterError,
     RangeError,
 )
 from orthantsim.mmatrix import ReflectionMatrix
 from orthantsim.paths import (
+    CELLS_MAX,
+    COUNT_MAX,
     BrownianSpec,
     RegularPath,
     SampledPath,
@@ -25,6 +28,7 @@ from orthantsim.paths import (
     increments_dominated,
     sample_brownian,
     standard_regular_approximation,
+    _check_count,
 )
 
 
@@ -510,3 +514,24 @@ def test_a_seed_step_count_or_level_is_an_integer_not_truncated(call, name, leas
 def test_a_numpy_integer_count_gives_the_bits_of_the_int(call, name, least):
     a, b = call(np.int64(2)), call(2)
     assert type(a) is type(b) and a == b
+
+
+@pytest.mark.parametrize("width", [1, 3, 20])
+def test_a_count_is_bounded_by_its_table_cell_count(width):
+    # a pure check: nothing is sized
+    largest = CELLS_MAX // width - 1
+    _check_count("steps", largest, width)
+    with pytest.raises(ParameterError, match=f"'steps' = {largest + 1} needs a table"):
+        _check_count("steps", largest + 1, width)
+    with pytest.raises(ParameterError, match="needs a table"):  # no int64 wrap-around
+        _check_count("steps", np.int64(COUNT_MAX), np.int64(width))
+
+
+def test_overflowing_increments_raise_an_invalid_entry_error():
+    X = SampledPath([0.0, 1.0, 2.0], [[1e308, -1e308], [-1e308, 1e308], [1e308, 0.0]])
+    with pytest.raises(InvalidEntryError, match="increments overflow"):
+        standard_regular_approximation(X, 2)
+    with pytest.raises(InvalidEntryError, match="overflow"):
+        difference_path(X)
+    small = SampledPath(X.times, X.values * 1e-10)
+    assert standard_regular_approximation(small, 2).dim == difference_path(small).dim + 1
