@@ -126,15 +126,14 @@ def _pair_margins(m: _Margins, sol, bar, relations, cols=slice(None),
     ``"Y<=Ybar"`` and ``"Y>=Ybar"``; the first two also apply to Skorohod
     solutions.  ``cols`` picks the components of ``sol`` compared with all of
     ``bar``'s, and ``offset`` shifts the reported component numbers.  Margins
-    are taken on the union of the two time grids, each solution's paths read
-    through one interpolation table (Y, L and Z of one solution share a grid).
+    are taken on the union of the two time grids, each path read there through
+    ``values_at``.
     """
     times = np.union1d(sol.Z.times, bar.Z.times)
-    table, bar_table = sol.Z._weights(times), bar.Z._weights(times)
     for relation in relations:
         path = relation.lstrip("d")[0]
-        own = getattr(sol, path)._gather(table)[:, cols]
-        other = getattr(bar, path)._gather(bar_table)
+        own = getattr(sol, path).values_at(times)[:, cols]
+        other = getattr(bar, path).values_at(times)
         if relation == "dL>=dLbar":
             m.add(np.diff(other, axis=0) - np.diff(own, axis=0), times[1:], relation,
                   component_offset=offset)

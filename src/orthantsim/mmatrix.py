@@ -89,12 +89,15 @@ class ValidationReport:
 def spectral_radius_nonneg(Q, tol: float = PERRON_TOL, max_iter: int = 100_000) -> float:
     """Perron root of an entrywise nonnegative matrix by power iteration.
 
-    The iteration runs on Q + I (same eigenvectors, radius shifted by one);
-    the positive diagonal removes the cycling that plain power iteration
+    The root is the largest over the irreducible classes of Q's pattern
+    (the sets of mutually reachable indices), and 0 when the pattern has no
+    cycle (Q nilpotent, Q = 0 included).  Each class that has a cycle is
+    iterated on its own block, and an irreducible Q on Q itself.  The
+    iteration runs on Q + I (same eigenvectors, radius shifted by one); the
+    positive diagonal removes the cycling that plain power iteration
     exhibits on bipartite matrices such as zero-diagonal tridiagonals.
     Collatz-Wielandt ratios give a rigorous bracket [lo, hi] around the
-    Perron root; iteration stops once hi - lo < tol.  A nilpotent Q, which
-    has no bracket the iteration could reach, is caught before it.
+    class's Perron root; iteration stops once hi - lo < tol.
     """
     A = _as_square(Q)
     if tol <= 0:
@@ -102,9 +105,22 @@ def spectral_radius_nonneg(Q, tol: float = PERRON_TOL, max_iter: int = 100_000) 
     if A.min() < 0:
         raise ValueError("matrix must be entrywise nonnegative")
     d = A.shape[0]
-    if not np.linalg.matrix_power(A > 0, d).any():
-        return 0.0  # Q^d = 0: the pattern of Q has no cycle (Q = 0 included)
-    v = np.ones(d)
+    B = A > 0
+    reach = np.linalg.matrix_power(np.eye(d, dtype=bool) | B, d)  # paths of length <= d
+    left = (B & reach.T).any(axis=1)  # the indices on a cycle
+    radius = 0.0
+    while left.any():
+        i = int(np.argmax(left))
+        cls = reach[i] & reach[:, i]
+        left &= ~cls
+        block = A if cls.all() else A[np.ix_(cls, cls)]
+        radius = max(radius, _perron_root(block, tol, max_iter))
+    return radius
+
+
+def _perron_root(A: np.ndarray, tol: float, max_iter: int) -> float:
+    """Perron root of an irreducible nonnegative A by the bracketed iteration."""
+    v = np.ones(A.shape[0])
     lo_hi = None
     for _ in range(max_iter):
         w = A @ v + v  # (Q + I) v, stays strictly positive

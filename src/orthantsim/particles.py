@@ -344,8 +344,7 @@ def solve_competing(q: CollisionParams, X, n: int | None = None,
     _check_w_point(X.values[0])
     sk = solve(reflection_matrix_from_params(q), difference_path(X), method, n, tol)
     times = np.union1d(sk.Z.times, X.times)
-    table = sk.Z._weights(times)  # sk.L shares the grid of sk.Z
-    Lu, Zu = sk.L._gather(table), sk.Z._gather(table)
+    Lu, Zu = sk.L.values_at(times), sk.Z.values_at(times)
     events, skd = sk.events, sk.diagnostics
     del sk  # its Z and L are read: free them before the positions are built
     Xu = X.values_at(times)

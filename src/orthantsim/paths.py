@@ -161,23 +161,12 @@ class SampledPath(_Path):
     def values_at(self, ts) -> np.ndarray:
         """Rows at the 1-d times ``ts`` by linear interpolation, gathered with
         ``take``; exact at grid times but for the sign of a zero."""
-        return self._gather(self._weights(ts))
-
-    def _weights(self, ts) -> tuple:
-        """The interpolation table of ``values_at`` at the times ``ts``: each
-        time's grid interval (lower, upper row) and weights (1 - w, w).  Every
-        path on this grid reads its rows at ``ts`` through it with ``_gather``."""
         ts = self._in_horizon(ts)
         idx = np.searchsorted(self.times[1:-1], ts, side="right")  # t's interval
         t0 = self.times.take(idx)
         w = ((ts - t0) / (self.times.take(idx + 1) - t0))[:, None]
-        return idx, idx + 1, 1.0 - w, w
-
-    def _gather(self, table: tuple) -> np.ndarray:
-        """The rows that ``table`` (``_weights`` of a path on this grid) reads."""
-        lower, upper_idx, w0, w = table
-        out, upper = self.values.take(lower, axis=0), self.values.take(upper_idx, axis=0)
-        out *= w0  # in place: no temporaries
+        out, upper = self.values.take(idx, axis=0), self.values.take(idx + 1, axis=0)
+        out *= 1.0 - w  # in place: no temporaries
         out += np.multiply(upper, w, out=upper)
         return out
 

@@ -63,6 +63,33 @@ def test_validate_accepts_a_nilpotent_q(tmp_path, capsys):
                                          "spectral_radius": 0.0}
 
 
+REDUCIBLE = [[1.0, -0.5, 0.0], [-0.5, 1.0, 0.0], [0.0, 0.0, 1.0]]
+BLOCK_DIAGONAL = [[1.0, -0.5, 0.0, 0.0], [-0.5, 1.0, 0.0, 0.0],
+                  [0.0, 0.0, 1.0, -0.3], [0.0, 0.0, -0.3, 1.0]]
+
+
+@pytest.mark.parametrize("matrix", [REDUCIBLE, BLOCK_DIAGONAL])
+def test_validate_accepts_a_reducible_q(tmp_path, capsys, matrix):
+    # Q's classes have different Perron roots; rho(Q) is the largest, 0.5
+    cfg = write_config(tmp_path, {"matrix": matrix})
+    code, out, _ = run(capsys, "validate", "--config", cfg)
+    assert code == 0
+    report = json.loads(out)["matrix"]
+    assert report["accepted"] is True
+    assert report["spectral_radius"] == pytest.approx(0.5, abs=1e-9)
+
+
+def test_simulate_srbm_with_a_reducible_q(tmp_path, capsys):
+    cfg = write_config(tmp_path, {
+        "matrix": REDUCIBLE, "mu": [-0.5, 0.3, 0.0], "covariance": np.eye(3).tolist(),
+        "z0": [0.5, 0.5, 0.5], "horizon": 1.0, "steps": 64, "seed": 5,
+    })
+    code, _, err = run(capsys, "simulate-srbm", "--config", cfg,
+                       "--out", str(tmp_path / "out"))
+    assert code == 0, err
+    assert (tmp_path / "out" / "srbm.csv").exists()
+
+
 def test_validate_rejects_bad_matrix(tmp_path, capsys):
     cfg = write_config(tmp_path, {"matrix": [[1.0, 0.4], [0.3, 1.0]]})
     code, out, _ = run(capsys, "validate", "--config", cfg)
@@ -273,6 +300,17 @@ def test_approximate_emits_regular_path(tmp_path, capsys):
     assert obj["kind"] == "regular"
     assert len(obj["axes"]) == 4  # level 2 x dim 2 sweeps
     assert obj["start"] == [0.0, 1.0]
+
+
+def test_approximate_rejects_a_regular_path_source(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"path": {"kind": "regular", "start": [1.0],
+                                           "breakpoints": [0.0, 1.0], "axes": [1],
+                                           "slopes": [-1.0]}, "level": 2})
+    code, out, err = run(capsys, "approximate", "--config", cfg)
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "config", "message":
+                               "config path: 'kind' must be a sampled path source "
+                               "for approximate"}
 
 
 # -------------------------------------------------------------------- verify

@@ -15,6 +15,8 @@ grid must equal the plain ``values_at`` reading bit for bit, and
 A particle free piece must give the bits of the sign-product formula
 s * (s * y + |alpha| * T) and its snap, and the boundary rows that ``_stitch``
 offsets with one ``cumsum`` must be those of a running sum over the pushes.
+Two symmetries hold bit for bit: the rank mirror (``invert_system`` with the
+negated, rank-reversed driver) and scaling the driver by a power of two.
 Every draw is derandomized, so a run cannot pass or fail by the draw.
 """
 
@@ -34,10 +36,18 @@ from orthantsim.particles import (
     _positions,
     _run_blocks,
     alphas,
+    driving_path_for,
+    invert_system,
     reflection_matrix_from_params,
     solve_competing,
 )
-from orthantsim.paths import RegularPath, SampledPath, difference_path
+from orthantsim.comparison import random_cbp_spec
+from orthantsim.paths import (
+    RegularPath,
+    SampledPath,
+    difference_path,
+    standard_regular_approximation,
+)
 from orthantsim.skorokhod import (
     HIT_TIE_RTOL,
     _run_segments,
@@ -540,3 +550,93 @@ def test_stitched_boundary_rows_are_the_running_sums(case):
     want = running_sum_L(Y, Y.start, len(qminus) - 1,
                          partial(_run_blocks, q.qplus, q.qminus))
     assert sol.L.values.tobytes() == want.tobytes()
+
+
+# ------------------------------------------------------------------ symmetries
+
+def mirrored(X: RegularPath) -> RegularPath:
+    """The rank-reversed, negated driver: axis a becomes N + 1 - a."""
+    n = X.dim
+    return RegularPath(-X.start[::-1], X.breakpoints,
+                       tuple(n + 1 - a for a in X.axes), -X.slopes)
+
+
+@st.composite
+def verify_rank_driver(draw, n):
+    """The rank driver that ``verify`` solves: a ``random_cbp_spec`` at
+    level 200."""
+    spec = random_cbp_spec(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n)
+    return standard_regular_approximation(driving_path_for(spec), 200), spec.q
+
+
+@given(st.integers(2, 8).flatmap(lambda n: st.one_of(
+    st.tuples(st.lists(st.floats(0.1, 0.9), min_size=n, max_size=n).map(
+        CollisionParams.from_qminus),
+        degenerate_driver(n, ordered=True).map(lambda c: c[0])
+        | push_dense_driver(n, ordered=True)),
+    verify_rank_driver(min(n, 7)).map(lambda c: (c[1], c[0])))))
+@settings(max_examples=60, deadline=None, derandomize=True)
+@example((CollisionParams.from_qminus([0.3, 0.6, 0.5]),  # ties across signed zeros
+          RegularPath([-0.0, 0.0, 0.0], [0.0, 0.5, 1.0], (2, 1), [-1.0, 1.0])))
+@example((CollisionParams.from_qminus([0.5, 0.5]),  # snapped onto rank 1 at T
+          RegularPath([0.0, X_ROUND], [0.0, T_ROUND], (2,), [-A_ROUND])))
+@example((CollisionParams.from_qminus([0.5] * 3),  # a subnormal slope
+          RegularPath([-0.0, 5e-324, 0.3], [0.0, 0.3, 0.4], (3, 3), [-1.0, -5e-324])))
+def test_rank_mirror_is_exact(case):
+    """Reversing the ranks and negating the driver mirrors the solution:
+    Y' = -Y[:, ::-1], and L and Z reversed, on the same times."""
+    q, X = case
+    sol = solve_competing(q, X)
+    mir = solve_competing(invert_system(q), mirrored(X))
+    assert mir.Y.times.tobytes() == sol.Y.times.tobytes()
+    # == takes -0.0 and +0.0 as equal: negation maps one to the other
+    assert np.array_equal(mir.Y.values, -sol.Y.values[:, ::-1])
+    assert np.array_equal(mir.L.values, sol.L.values[:, ::-1])
+    assert np.array_equal(mir.Z.values, sol.Z.values[:, ::-1])
+
+
+@st.composite
+def scalable_driver(draw, dim, ordered):
+    """A regular driver whose values and slopes are 0 or at least 1e-3 in
+    size, so that a scaling by 2**k, |k| <= 30, neither overflows nor goes
+    subnormal."""
+    m = draw(st.integers(1, 30))
+    values = st.sampled_from([0.0, -0.0, 0.05, 0.3, 0.5]) | st.floats(1e-3, 2.0)
+    start = draw(st.lists(values, min_size=dim, max_size=dim))
+    if ordered:
+        start.sort()
+    durations = draw(st.lists(st.sampled_from(DURATIONS) | st.floats(1e-3, 0.5),
+                              min_size=m, max_size=m))
+    axes = draw(st.lists(st.integers(1, dim), min_size=m, max_size=m))
+    slopes = draw(st.lists(st.sampled_from([0.0, -0.0, -1.0, -0.5, -2.0, 1.0, 0.5])
+                           | st.floats(-3.0, -1e-3) | st.floats(1e-3, 3.0),
+                           min_size=m, max_size=m))
+    return RegularPath(start, np.concatenate([[0.0], np.cumsum(durations)]),
+                       tuple(axes), slopes)
+
+
+def scaled(X: RegularPath, c: float) -> RegularPath:
+    return RegularPath(c * X.start, X.breakpoints, X.axes, c * X.slopes)
+
+
+@given(st.integers(2, 9).flatmap(lambda d: st.tuples(
+    reflection_matrix(d), scalable_driver(d, ordered=False),
+    st.lists(st.floats(0.1, 0.9), min_size=d, max_size=d),
+    scalable_driver(d, ordered=True))),
+    st.sampled_from([-30, 30]) | st.integers(-30, 30))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_scaling_by_a_power_of_two_is_exact(case, k):
+    """The Skorohod map is positively homogeneous, and a power of two scales
+    every float exactly: Z, L (and Y) scale by 2**k on the same times, with
+    the same events."""
+    c = 2.0 ** k
+    R, X, qminus, Xp = case
+    q = CollisionParams.from_qminus(qminus)
+    for solver, driver, names in ((partial(solve_regular, R), X, "ZL"),
+                                  (partial(solve_competing, q), Xp, "ZLY")):
+        sol, big = solver(driver), solver(scaled(driver, c))
+        assert big.Z.times.tobytes() == sol.Z.times.tobytes()
+        for name in names:
+            assert (getattr(big, name).values.tobytes()
+                    == (c * getattr(sol, name).values).tobytes())
+        assert big.events == sol.events

@@ -127,15 +127,31 @@ def test_radius_random_against_numpy():
         assert got == pytest.approx(want, abs=1e-8)
 
 
+def test_radius_sparse_random_against_numpy():
+    # sparse patterns: most are reducible, many have classes of unequal roots
+    rng = np.random.default_rng(11)
+    for _ in range(100):
+        d = rng.integers(1, 9)
+        Q = rng.uniform(0, 1, (d, d)) * (rng.uniform(size=(d, d)) < 0.3)
+        want = np.abs(np.linalg.eigvals(Q)).max()
+        got = spectral_radius_nonneg(Q, tol=1e-11)
+        assert got == pytest.approx(want, abs=1e-8)
+
+
 def test_radius_rejects_negative_entries():
     with pytest.raises(ValueError):
         spectral_radius_nonneg([[0, -0.1], [0, 0]])
 
 
+def test_radius_of_decoupled_classes_is_their_largest():
+    # one power iteration over both classes would never bracket
+    assert spectral_radius_nonneg(np.diag([0.5, 0.3]), max_iter=50) == 0.5
+
+
 def test_radius_nonconvergent_carries_iterates():
-    # two decoupled classes with distinct rates never bracket
+    # irreducible, but the bracket closes like (1e-20)**(k/2)
     with pytest.raises(ConvergenceError) as err:
-        spectral_radius_nonneg(np.diag([0.5, 0.3]), max_iter=50)
+        spectral_radius_nonneg([[0, 1], [1e-20, 0]], max_iter=50)
     assert "last_bracket" in err.value.details
 
 

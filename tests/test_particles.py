@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orthantsim import mmatrix
-from orthantsim.errors import OrderingError, ParameterError, RangeError
+from orthantsim.errors import DimensionError, OrderingError, ParameterError, RangeError
 from orthantsim.mmatrix import validate_reflection_m_matrix
 from orthantsim.particles import (
     CbpSpec,
@@ -692,3 +692,13 @@ def test_phase_events_keep_attributes_hash_and_repr():
         assert repr(e) == (f"PhaseEvent(tau={e.tau!r}, active_before={e.active_before!r}, "
                            f"active_after={e.active_after!r})")
     assert len(set(events)) == len(events)
+
+
+@pytest.mark.parametrize("X", [
+    RegularPath([0.0, 1.0], [0.0, 1.0], (1,), [1.0]),
+    SampledPath([0.0, 1.0], [[0.0, 1.0], [1.0, 1.0]]),
+], ids=["regular", "sampled"])
+def test_solve_competing_rejects_a_driver_of_the_wrong_dimension(X):
+    with pytest.raises(DimensionError,
+                       match="^driver dimension must match the particle count$"):
+        solve_competing(CollisionParams.from_qminus([0.5] * 3), X)

@@ -6,6 +6,7 @@ import pytest
 
 from orthantsim.errors import (
     ConvergenceError,
+    DimensionError,
     DomainError,
     MatrixValidationError,
     ParameterError,
@@ -380,6 +381,20 @@ def test_restart_out_of_range():
     sol = solve_regular(R_HALF, X)
     with pytest.raises(RangeError):
         restart_inputs(R_HALF, X, sol, X.horizon + 1.0)
+
+
+def test_restart_at_the_horizon_leaves_nothing():
+    X = random_regular_path(np.random.default_rng(1), 2)
+    sol = solve_regular(R_HALF, X)
+    with pytest.raises(RangeError, match="^nothing remains beyond the full horizon$"):
+        restart_inputs(R_HALF, X, sol, X.horizon)
+
+
+def test_grid_oracle_rejects_a_path_of_the_wrong_dimension():
+    X = SampledPath([0.0, 1.0], [[0.0], [1.0]])
+    with pytest.raises(DimensionError,
+                       match="^path dimension must match the matrix dimension$"):
+        solve_grid_oracle(R_HALF, X)
 
 
 def test_restart_at_nan_is_out_of_range():

@@ -35,7 +35,11 @@ the text its ``to_csv`` writes.  The records are:
   false (``suite_<name>_options_unbroken``);
 - the report of ``check_removal_corollaries`` (``removal_n<N>_<lo>_<hi>``) for
   every rank range lo..hi of a ``random_cbp_spec`` with N = 3..6, at level
-  200, which reads every column slice of the coupled margins.
+  200, which reads every column slice of the coupled margins;
+- the Perron root ``spectral_radius_nonneg(Q)`` as ``float.hex`` of the Q of
+  every SRBM record's matrix (``perron_srbm_d<d>_rho<rho>``; rho = 0 is a Q
+  with no cycle) and of the gap matrix of every CBP record
+  (``perron_gap_n<N>``).
 
 ``--against`` lists every record whose digest differs, is missing or is new,
 each by name, then the count, and exits 1 if there is any.
@@ -53,12 +57,13 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from orthantsim import comparison  # noqa: E402
-from orthantsim.mmatrix import ReflectionMatrix  # noqa: E402
+from orthantsim.mmatrix import ReflectionMatrix, spectral_radius_nonneg  # noqa: E402
 from orthantsim.particles import (  # noqa: E402
     CbpSpec,
     CollisionParams,
     driving_path_for,
     gap_srbm,
+    reflection_matrix_from_params,
     simulate_cbp,
     solve_competing,
 )
@@ -130,6 +135,10 @@ def json_digest(obj) -> str:
     return hashlib.sha256(json.dumps(_plain(obj), sort_keys=True).encode()).hexdigest()
 
 
+def perron_digest(R: ReflectionMatrix) -> str:
+    return json_digest(spectral_radius_nonneg(R.q_matrix()))  # as float.hex
+
+
 def suite_digest(res) -> str:
     out = res.to_jsonable()
     for inst, r in zip(out["instances"], res.results):
@@ -163,6 +172,7 @@ def records():
         for rho in RHOS:
             rng = _rng(1, d, int(rho * 100))
             R = ReflectionMatrix(_srbm_matrix(rng, d, rho))
+            yield f"perron_srbm_d{d}_rho{rho}", perron_digest(R)
             A = np.eye(d) + 0.1 * np.ones((d, d))
             for start, drift in SRBM_CASES:
                 sol = simulate_srbm(R, np.full(d, drift), A, np.full(d, start), 1.0,
@@ -170,6 +180,7 @@ def records():
                 yield f"srbm_d{d}_rho{rho}_start{start}_drift{drift}", solution_digest(sol)
     for n in range(2, MAX_SIZE + 1):
         spec = _cbp_spec(n)
+        yield f"perron_gap_n{n}", perron_digest(reflection_matrix_from_params(spec.q))
         for method in ("exact", "grid"):
             yield f"cbp_n{n}_{method}", solution_digest(simulate_cbp(spec, method))
         Xr = standard_regular_approximation(driving_path_for(spec), STEPS // 4)
