@@ -29,6 +29,8 @@ DIAGONAL_TOL = 1e-10
 RADIUS_MARGIN = 1e-8
 # Collatz-Wielandt bracket width at which the Perron root counts as found
 PERRON_TOL = 1e-10
+# power iterates a constructor tries for a bound on rho(Q) below 1 - RADIUS_MARGIN
+CERTIFY_ITERATIONS = 32
 NEUMANN_MAX_TERMS = 100_000
 
 
@@ -144,6 +146,21 @@ def _q_part(A: np.ndarray) -> np.ndarray:
     return Q
 
 
+def _radius_certified(Q: np.ndarray) -> bool:
+    """Whether a Collatz-Wielandt bound proves rho(Q) < 1 - RADIUS_MARGIN.
+
+    For any nonnegative Q and positive v, rho(Q) + 1 <= max_i ((Q + I)v)_i / v_i;
+    v runs through the first CERTIFY_ITERATIONS iterates of ``_perron_root``.
+    """
+    v = np.ones(Q.shape[0])
+    for _ in range(CERTIFY_ITERATIONS):
+        w = Q @ v + v
+        if (w / v).max() - 1.0 < 1.0 - RADIUS_MARGIN:
+            return True
+        v = w / np.linalg.norm(w)
+    return False
+
+
 def validate_reflection_m_matrix(M, tol: float = RADIUS_MARGIN) -> ValidationReport:
     """Check membership in the reflection nonsingular M-matrix class.
 
@@ -181,7 +198,14 @@ class ReflectionMatrix(_ArrayValue):
 
     def __post_init__(self):
         A = _as_square(self.entries).copy()
-        report = validate_reflection_m_matrix(A)
+        try:
+            report = validate_reflection_m_matrix(A)
+        except ConvergenceError:
+            # a Perron root the iteration cannot bracket, as for a nearly
+            # reducible Q: a bound below 1 - RADIUS_MARGIN still proves it
+            if not _radius_certified(_q_part(A)):
+                raise
+            report = ValidationReport(True)
         if not report.accepted:
             raise MatrixValidationError(report.reason)
         A.setflags(write=False)

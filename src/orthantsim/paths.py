@@ -497,114 +497,201 @@ def increments_dominated(X: SampledPath, Xbar: SampledPath) -> DominationCheck:
     return DominationCheck(True)
 
 
-# write_path_csv formats at most this many cells per numpy pass; at 4096 its
-# temporaries reach 128 KiB, where each one is mapped and faulted in afresh
-CSV_BLOCK_CELLS = 2048
+# write_path_csv formats at most this many cells per numpy pass, in buffers
+# allocated once per table: the 32-byte cells of a block stay under 128 KiB,
+# and blocks of 4000 cells already took minor faults in CLI runs (README,
+# Performance)
+CSV_BLOCK_CELLS = 3500
 
 # Tables of _format_cells, the exact "%.17g" kernel.  A finite x = m 2^q with
 # decimal exponent E in [-10, 15] is written from D = round-half-even(
-# x 10^(16-E)), its 17 significant digits.  Each cell gets six 8-byte words
-# whose NULs are dropped on output: byte 0 the sign, bytes 1..5 the "0.000"
-# of E in [-4, -1], digit j = 0..16 at byte 6 + 2j with a point slot after
-# it, bytes 40..43 the exponent of E < -4 and byte 47 the separator.
+# x 10^(16-E)), its 17 significant digits: a lead digit and two 8-digit
+# halves, each half one word of digit bytes (_digit_words).  A cell is four
+# 8-byte words whose NULs are dropped on output: byte 0 the sign, bytes 1..5
+# the "0.000" of E in [-4, -1], byte 6 the lead digit, byte 7 the point of
+# E = 0 and E < -4, bytes 8..23 the digit words, bytes 24..27 the exponent of
+# E < -4 and byte 31 the separator.  For E >= 1 the point goes to byte 7 + E,
+# and digits 1..E move down one byte to make room for it.
 _M32 = 0xFFFFFFFF
 
 
 def _cell_tables():
-    # per row E + 10 (row 26: +-0): the fixed bytes, and the digit after
-    # which the point goes (-1: in the "0.000")
-    template = np.zeros((27, 48), np.uint8)
-    point = np.zeros(27, np.int64)
+    # per row E + 10 (row 26: +-0), last nonzero digit K and sign: the fixed
+    # bytes, with the "0" bits of every digit written (1..max(K, E))
+    fixed = np.zeros((27, 17, 2, 32), np.uint8)
+    fixed[:, :, 1, 0] = ord("-")
+    fixed[..., 6] = ord("0")
+    E, K, i = np.arange(-10, 16)[:, None, None], np.arange(17)[:, None], np.arange(1, 17)
+    fixed[E + 10, K, :, 6 + i + (i > E)] = (ord("0") * (i <= np.maximum(K, E)))[..., None]
+    # per row, bytes 0..23: those that take the digit words moved down one
+    # byte, and those that take them in place
+    down = np.zeros((27, 24), np.uint8)
+    keep = np.zeros((27, 24), np.uint8)
+    keep[:, 8:] = 0xFF
     for E in range(-10, 16):
+        p = max(E, 0)  # the digits before the point, after the lead
+        down[E + 10, 7:7 + p] = 0xFF
+        keep[E + 10, 7:8 + p] = 0
         if -4 <= E < 0:
-            point[E + 10], at, text = -1, 1, b"0." + b"0" * (-E - 1)
+            fixed[E + 10, ..., 5 + E:6] = np.frombuffer(b"0." + b"0" * (-E - 1), np.uint8)
         else:
-            point[E + 10] = max(E, 0)
-            at = 7 + 2 * point[E + 10]
-            text = b"." + (bytes(32) + b"e-%02d" % -E if E < -4 else b"")
-        template[E + 10, at:at + len(text)] = np.frombuffer(text, np.uint8)
-    # per last kept digit K: digits 1..K and the point slots before digit K
-    mask = np.full((17, 48), 0xFF, np.uint8)
-    for K in range(17):
-        mask[K, 7 + 2 * K:40] = 0
+            fixed[E + 10, p + 1:, :, 7 + p] = ord(".")  # kept if K > p
+        if E < -4:
+            fixed[E + 10, ..., 24:28] = np.frombuffer(b"e-%02d" % -E, np.uint8)
     # per biased binary exponent b: E + 10 for x = 2^(b-1023), and the bits of
     # the power of ten from which E is one more (never reached: all ones)
     est = np.floor((np.arange(2048) - 1023) * math.log10(2)).astype(np.int64)
     tens = np.array([float(f"1e{j}") for j in range(-9, 16)]).view(np.uint64)
     step = np.where((est >= -10) & (est < 15), tens[np.clip(est + 10, 0, 24)],
                     2 ** 64 - 1)
-    # digits 1..16 are the pairs of word w = 0..3, half h = 0..1; entry
-    # 100 (4 h + w) + v holds pair v's digits in that word, and the digit
-    # (1..16) of its last nonzero digit, 0 if none
-    v = np.arange(100)
-    chars = np.zeros((2, 4, 100, 8), np.uint8)
-    chars[0, ..., 0:4:2] = chars[1, ..., 4:8:2] = np.stack([v // 10, v % 10], 1) + 48
-    length = np.sign(v) + np.sign(v % 10)  # of its text without trailing zeros
-    last = np.where(length > 0, length + 2 * np.arange(2)[:, None, None]
-                    + 4 * np.arange(4)[:, None], 0).astype(np.uint8)
     pow5 = np.array([5 ** (16 - E) for E in range(-10, 16)], np.uint64)
-    return (template.view(np.uint64).T.copy(), point, mask.view(np.uint64).T.copy(),
-            np.clip(est, -10, 15) + 10, step, chars.view(np.uint64).ravel(),
-            last.ravel(), pow5 & _M32, pow5 >> 32)
+    return (fixed.reshape(-1, 32).view(np.uint64).copy(),
+            down.view(np.uint64).T.copy(), keep.view(np.uint64).T.copy(),
+            np.clip(est, -10, 15) + 10, step, pow5 & _M32, pow5 >> 32)
 
 
-(_CELL_TEMPLATE, _POINT_DIGIT, _CELL_MASK, _E10_OF_BINARY, _E10_STEP,
- _PAIR_CHARS, _PAIR_LAST, _POW5_LOW, _POW5_HIGH) = _cell_tables()
-_PAIR_OFFSET = np.arange(0, 800, 100).reshape(2, 4, 1)
+(_CELL_FIXED, _CELL_DOWN, _CELL_KEEP, _E10_OF_BINARY, _E10_STEP,
+ _POW5_LOW, _POW5_HIGH) = _cell_tables()
 
 
-def _format_cells(x: np.ndarray, sep: np.ndarray) -> str:
+def _digit_words(h: np.ndarray, q: np.ndarray) -> None:
+    """Overwrite each h < 10^8 with its eight decimal digits, one per byte
+    lane of the uint64, the leading digit in the lowest byte; q is scratch.
+
+    Three multiply-shifts split h into 4-, 2- and 1-digit lanes: h // 10^4 =
+    (h 109951163) >> 40 below 10^8, then per 32-bit lane x // 100 =
+    (x 10486) >> 20 below 10^4, and per 16-bit lane x // 10 = (x 103) >> 10
+    below 100; each is exact below its bound and overflows no lane.
+    """
+    np.multiply(h, 109951163, out=q)
+    q >>= 40
+    h <<= 32
+    q *= (10 ** 4 << 32) - 1
+    h -= q  # the quotient in the low lane, the remainder in the high one
+    for lane, magic, shift, mask, base in ((16, 10486, 20, 0x7F0000007F, 100),
+                                           (8, 103, 10, 0x000F000F000F000F, 10)):
+        np.multiply(h, magic, out=q)
+        q >>= shift
+        q &= mask
+        h <<= lane
+        q *= (base << lane) - 1
+        h -= q
+
+
+def _cell_buffers(n: int) -> tuple[np.ndarray, bytearray]:
+    """The scratch rows and the cell bytes of _format_cells for n cells."""
+    return np.empty((7, n), np.uint64), bytearray(32 * n)
+
+
+def _format_cells(x: np.ndarray, sep: np.ndarray, work: np.ndarray,
+                  cells: bytearray) -> str:
     """Each float64 of x as ``"%.17g" % v``, followed by its byte of sep.
 
     Integer arithmetic gives the exact digits wherever it can prove them;
     every other nonzero cell (non-finite, subnormal, |x| < 1e-10 or >= 1e16,
-    or a rounding that carries into a new decade) is formatted by ``%``.
-    Every array used as indices is intp, which ``take`` need not copy.
+    a decimal exponent estimated one too high, or a rounding that would carry
+    into a new decade) is formatted by ``%``.  ``work`` and ``cells`` are
+    ``_cell_buffers`` of at least x.size cells, which the caller reuses from
+    block to block.  Every array used as indices is intp, which ``take``
+    need not copy.
     """
     n = x.size
     bits = x.view(np.uint64)
-    b = (bits >> 52 & 0x7FF).view(np.int64)
-    e10 = _E10_OF_BINARY.take(b) + (bits & (1 << 63) - 1 >= _E10_STEP.take(b))
-    # m 5^k with k = 16 - E as a 128-bit (hi, lo), from 32-bit limbs
-    m0, m1 = bits & _M32, bits >> 32 & 0xFFFFF | 1 << 20
-    f0, f1 = _POW5_LOW.take(e10), _POW5_HIGH.take(e10)
-    low, mid = m0 * f0, m0 * f1 + m1 * f0
-    t = (low >> 32) + (mid & _M32)
-    lo = (low & _M32) | (t << 32)
-    hi = m1 * f1 + (mid >> 32) + (t >> 32)
-    s = (e10 + 1049 - b).view(np.uint64)  # x 10^k = m 5^k / 2^s
-    floor = (hi << 64 - s) | (lo >> s)
-    d = floor + ((lo & (1 << s) - 1) + (floor & 1) > 1 << s - 1)
+    lo, hi, f, low, mid, s, e10 = work[:, :n]
+    b = np.right_shift(bits, 52, out=s).view(np.int64)
+    b &= 0x7FF
+    e10 = _E10_OF_BINARY.take(b, out=e10.view(np.int64), mode="clip")
+    e10 += bits & (1 << 63) - 1 >= _E10_STEP.take(b)
+    # m 5^k with k = 16 - E as a 128-bit (hi, lo), from 32-bit limbs m1 m0
+    # and f1 f0: lo + 2^64 hi = m0 f0 + 2^32 (m0 f1 + m1 f0) + 2^64 m1 f1
+    np.bitwise_and(bits, _M32, out=lo)
+    np.right_shift(bits, 32, out=hi)
+    hi &= 0xFFFFF
+    hi |= 1 << 20
+    _POW5_LOW.take(e10, out=f, mode="clip")
+    np.multiply(lo, f, out=low)
+    np.multiply(hi, f, out=mid)
+    _POW5_HIGH.take(e10, out=f, mode="clip")
+    lo *= f
+    mid += lo
+    hi *= f
+    np.right_shift(low, 32, out=lo)
+    np.bitwise_and(mid, _M32, out=f)
+    lo += f  # the carry word
+    mid >>= 32
+    hi += mid
+    np.right_shift(lo, 32, out=mid)
+    hi += mid
+    lo <<= 32
+    low &= _M32
+    lo |= low
+    np.subtract(1049, b, out=b)
+    b += e10
+    s = b.view(np.uint64)  # x 10^k = m 5^k / 2^s
+    np.subtract(64, s, out=f)
+    np.right_shift(lo, s, out=low)
+    hi <<= f
+    hi |= low  # the floor
+    np.left_shift(1, s, out=mid)
+    mid -= 1
+    lo &= mid  # the remainder, rounded half to even below
+    np.bitwise_and(hi, 1, out=mid)
+    lo += mid
+    np.subtract(s, 1, out=f)
+    np.left_shift(1, f, out=mid)
     # 1 <= s <= 63 bounds x 10^k below 10^19 < 2^64: floor lost no bit of hi
-    exact = (s - 1 <= 62) & (floor >= 10 ** 16) & (d < 10 ** 17)
-    d = (d * exact).view(np.int64)
-    row = np.where(exact, e10, 26)
-    # D = lead 10^16 + two 8-digit halves = four 4-digit groups = eight pairs
-    lead = d // 10 ** 16
-    d -= lead * 10 ** 16
-    halves = np.empty((2, n), np.int64)
-    np.floor_divide(d, 10 ** 8, out=halves[0])
-    np.subtract(d, halves[0] * 10 ** 8, out=halves[1])
-    groups = np.empty((4, n), np.int64)
-    np.floor_divide(halves, 10 ** 4, out=groups[::2])
-    np.subtract(halves, groups[::2] * 10 ** 4, out=groups[1::2])
-    pairs = np.empty((2, 4, n), np.int64)
-    np.floor_divide(groups, 100, out=pairs[0])
-    np.subtract(groups, pairs[0] * 100, out=pairs[1])
-    pairs += _PAIR_OFFSET
-    chars = _PAIR_CHARS.take(pairs)
-    last = _PAIR_LAST.take(pairs).reshape(8, n).max(axis=0)
-    words = _CELL_TEMPLATE.take(row, axis=1)  # word w of cell i at [w, i]
-    words[1:5] |= chars[0] | chars[1]
-    words &= _CELL_MASK.take(np.maximum(last, _POINT_DIGIT.take(row)), axis=1)
-    cells = words.view(np.uint8).reshape(6, n, 8)  # byte j of word w of cell i
-    cells[0, :, 0] = np.signbit(x) * ord("-")
-    cells[0, :, 6] = lead + ord("0")
+    exact = hi >= 10 ** 16
+    exact &= f <= 62
+    hi += lo > mid
+    exact &= hi < 10 ** 17
+    hi *= exact
+    row = e10
+    np.copyto(row, 26, where=~exact)
+    # D = lead 10^16 + two 8-digit halves, each a word of digit bytes
+    words, scratch = work[2:4, :n], work[4:6, :n]
+    lead = np.floor_divide(hi, 10 ** 16, out=lo)
+    np.floor_divide(hi, 10 ** 8, out=words[0])
+    np.multiply(words[0], 10 ** 8, out=words[1])
+    np.subtract(hi, words[1], out=words[1])
+    np.multiply(lead, 10 ** 8, out=hi)
+    words[0] -= hi
+    _digit_words(words, scratch)
+    H, L = words
+    # K, the last nonzero digit, from the bit length of L 2^64 + H: no byte
+    # exceeds 9, so no word has 53 leading ones that round up a power of two
+    top = np.multiply(L, 2.0 ** 64, out=scratch[0].view(np.float64))
+    top += H
+    K = np.frexp(top)[1]
+    K += 7
+    K >>= 3
+    idx = scratch[1].view(np.int64)
+    np.multiply(row, 34, out=idx)
+    idx += K << 1
+    idx += (bits >> 63).view(np.int64)
+    words = np.frombuffer(cells, np.uint64, 4 * n).reshape(n, 4)
+    _CELL_FIXED.take(idx, axis=0, out=words, mode="clip")
+    # word j takes its bytes of (the digit stream moved down one byte) and of
+    # the digit stream in place
+    lead <<= 48
+    lead |= (H << 56) & _CELL_DOWN[0].take(row)
+    words[:, 0] |= lead
+    np.right_shift(H, 8, out=hi)
+    hi |= L << 56
+    hi &= _CELL_DOWN[1].take(row)
+    H &= _CELL_KEEP[1].take(row)
+    hi |= H
+    words[:, 1] |= hi
+    np.right_shift(L, 8, out=hi)
+    hi &= _CELL_DOWN[2].take(row)
+    L &= _CELL_KEEP[2].take(row)
+    hi |= L
+    words[:, 2] |= hi
+    text = words.view(np.uint8)  # byte j of cell i at [i, j]
     for i in np.flatnonzero(~exact & (x != 0)).tolist():
-        text = b"%.17g" % x[i]
-        cells[:, i] = np.frombuffer(text.ljust(48, b"\0"), np.uint8).reshape(6, 8)
-    cells[5, :, 7] = sep
-    return words.T.tobytes().translate(None, b"\0").decode("ascii")
+        text[i] = np.frombuffer((b"%.17g" % x[i]).ljust(32, b"\0"), np.uint8)
+    text[:, 31] = sep
+    return (cells if len(cells) == 32 * n else cells[:32 * n]).translate(
+        None, b"\0").decode("ascii")
 
 
 def write_path_csv(fileobj, times: np.ndarray, values: np.ndarray,
@@ -626,12 +713,13 @@ def write_path_csv(fileobj, times: np.ndarray, values: np.ndarray,
         raise DimensionError(f"{len(header)} header names for {values.shape[1]} columns")
     fileobj.write(",".join(["t", *header]) + "\n")
     cols = values.shape[1] + 1
-    rows = max(1, CSV_BLOCK_CELLS // cols)
+    rows = max(1, min(CSV_BLOCK_CELLS // cols, len(times)))
     sep = np.full((rows, cols), ord(","), np.uint8)
     sep[:, -1] = ord("\n")
+    buffers = _cell_buffers(rows * cols)
     for r in range(0, len(times), rows):
         block = np.column_stack((times[r:r + rows], values[r:r + rows])).ravel()
-        fileobj.write(_format_cells(block, sep.ravel()[:block.size]))
+        fileobj.write(_format_cells(block, sep.ravel()[:block.size], *buffers))
 
 
 def read_path_csv(fileobj) -> tuple[np.ndarray, np.ndarray]:

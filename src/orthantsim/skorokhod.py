@@ -313,18 +313,21 @@ def solve_grid_oracle(R: ReflectionMatrix, X: SampledPath, tol: float = GRID_TOL
     Xv = X.values
     Qt = R.q_matrix().T
     L = np.zeros_like(Xv)
+    G, D = np.empty_like(Xv), np.empty_like(Xv)  # reused by every sweep
     scale = max(1.0, float(np.abs(Xv).max()))
     sup_changes = []
     monotone = True
     for m in range(1, max_iter + 1):
-        G = L @ Qt - Xv
+        np.matmul(L, Qt, out=G)
+        G -= Xv
         np.maximum.accumulate(G, axis=0, out=G)
         np.maximum(G, 0.0, out=G)
-        diff = G - L
-        delta = float(np.abs(diff).max())
-        if diff.min() < -GRID_MONOTONE_RTOL * scale:
+        np.subtract(G, L, out=D)
+        low = D.min()
+        delta = float(max(D.max(), -low)) + 0.0  # max |D|, +0.0 when all are zeros
+        if low < -GRID_MONOTONE_RTOL * scale:
             monotone = False
-        L = G
+        L, G = G, L
         sup_changes.append(delta)
         if delta < tol:
             break

@@ -90,6 +90,19 @@ def test_simulate_srbm_with_a_reducible_q(tmp_path, capsys):
     assert (tmp_path / "out" / "srbm.csv").exists()
 
 
+def test_simulate_srbm_with_a_nearly_reducible_q(tmp_path, capsys):
+    # a Perron root that power iteration cannot bracket in its budget
+    cfg = write_config(tmp_path, {
+        "matrix": [[1.0, -0.5], [-1e-8, 1.0]], "mu": [-0.5, 0.3],
+        "covariance": np.eye(2).tolist(), "z0": [0.5, 0.5], "horizon": 1.0,
+        "steps": 64, "seed": 5,
+    })
+    code, _, err = run(capsys, "simulate-srbm", "--config", cfg,
+                       "--out", str(tmp_path / "out"))
+    assert code == 0, err
+    assert (tmp_path / "out" / "srbm.csv").exists()
+
+
 def test_validate_rejects_bad_matrix(tmp_path, capsys):
     cfg = write_config(tmp_path, {"matrix": [[1.0, 0.4], [0.3, 1.0]]})
     code, out, _ = run(capsys, "validate", "--config", cfg)

@@ -18,7 +18,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orthantsim.errors import DimensionError
-from orthantsim.paths import CSV_BLOCK_CELLS, read_path_csv, write_path_csv
+from orthantsim.paths import (
+    _CELL_FIXED,
+    CSV_BLOCK_CELLS,
+    _cell_buffers,
+    _digit_words,
+    _format_cells,
+    read_path_csv,
+    write_path_csv,
+)
 
 
 def reference_csv(times, values, header) -> str:
@@ -119,6 +127,83 @@ def test_written_table_reads_back_bit_for_bit():
     buf.seek(0)
     t, v = read_path_csv(buf)
     assert t.tobytes() == times.tobytes() and v.tobytes() == values.tobytes()
+
+
+# ------------------------------------------------- cell classes and blocks
+
+def decimal_class(v: float) -> tuple[int, int, bool]:
+    """(E, K, sign) of v's 17 significant digits: the decimal exponent, the
+    last nonzero digit (0 = the lead) and whether the sign bit is set."""
+    digits, exponent = ("%.16e" % abs(v)).split("e")
+    return (int(exponent), len(digits.replace(".", "").rstrip("0")) - 1,
+            math.copysign(1.0, v) < 0)
+
+
+def class_cells() -> list[float]:
+    """One cell of each class (E, K, sign), E in [-10, 15] and K in 0..16,
+    each drawn as a K + 1 digit decimal until its own text is of that class."""
+    rng = np.random.default_rng(23)
+    cells = {}
+    for E in range(-10, 16):
+        for K in range(17):
+            for sign in ("", "-"):
+                for _ in range(200):
+                    d = [rng.integers(1, 10), *rng.integers(0, 10, max(K - 1, 0)),
+                         *rng.integers(1, 10, min(K, 1))]
+                    v = float(f"{sign}{d[0]}.{''.join(map(str, d[1:]))}e{E}")
+                    if decimal_class(v) == (E, K, sign == "-"):
+                        cells[E, K, sign] = v
+                        break
+    return list(cells.values())
+
+
+# every kind of cell the integer path leaves to "%": non-finite, subnormal,
+# below 1e-10, at or above 1e16, and a cell whose estimated decade is one too
+# high (float 1e-7 lies below 10^-7); and the two zeros, a template row
+FALLBACK_CELLS = [math.inf, -math.inf, math.nan, 5e-324, -2.5e-320, 9.9e-11,
+                  -1e-300, 1e16, -3.7e250, 1e-7, -1e-6, 0.0, -0.0]
+
+
+def test_cells_cover_every_exponent_and_last_digit_class():
+    cells = class_cells()
+    # class (E, 0) holds only d 10^E, d = 1..9; for E = -7..-5 the double
+    # nearest each of them has a nonzero 17th digit, so no double is of it
+    empty = {(E, 0, sign) for E in range(-10, 16) for sign in (False, True)
+             if all(decimal_class(float(f"{d}e{E}")) != (E, 0, False)
+                    for d in range(1, 10))}
+    assert sorted({E for E, _, _ in empty}) == [-7, -6, -5]
+    assert len({decimal_class(v) for v in cells} | empty) == 26 * 17 * 2
+    table = np.asarray(cells + FALLBACK_CELLS)
+    assert_same_bytes(np.resize(table, (len(table) // 9 + 1, 9)))
+
+
+@pytest.mark.parametrize("cut", [7 * 70, 7 * 70 + 3], ids=["row_end", "inside_row"])
+def test_blocks_cut_anywhere_write_the_bytes_of_the_row_formatter(cut):
+    # rows of 7 cells, formatted as two blocks through one set of buffers;
+    # the second block is the shorter, so the first one's cells stay behind it
+    cells = np.asarray(class_cells() + FALLBACK_CELLS)[::-1].copy()
+    sep = np.resize(np.frombuffer(b",,,,,,\n", np.uint8), cells.size)
+    want = "".join("%.17g" % v + chr(c) for v, c in zip(cells.tolist(), sep.tolist()))
+    buffers = _cell_buffers(max(cut, cells.size - cut))
+    got = (_format_cells(cells[:cut], sep[:cut], *buffers)
+           + _format_cells(cells[cut:], sep[cut:], *buffers))
+    assert got.split("\n") == want.split("\n")
+
+
+def test_digit_words_are_the_zero_padded_decimal_digits():
+    # every 4-digit value in both lanes, and the 8-digit edges
+    lanes = np.arange(10_000, dtype=np.uint64)
+    h = np.concatenate([lanes * 10_001, [0, 9_999, 10_000, 10 ** 8 - 1]]).astype(np.uint64)
+    words = h.copy()
+    _digit_words(words, np.empty_like(words))
+    got = (words.view(np.uint8) + ord("0")).tobytes().decode("ascii")
+    assert got == "".join("%08d" % v for v in h.tolist())
+
+
+def test_a_block_of_cells_stays_under_the_mmap_threshold():
+    # glibc maps every allocation of 128 KiB or more afresh, and each block
+    # then faults its pages in again
+    assert CSV_BLOCK_CELLS * _CELL_FIXED.shape[1] * _CELL_FIXED.itemsize < 128 * 1024
 
 
 # ------------------------------------------------------------- bad inputs

@@ -13,6 +13,7 @@ from orthantsim.errors import (
 )
 from orthantsim.mmatrix import (
     IndexSet,
+    _radius_certified,
     ReflectionMatrix,
     check_matrix_lemmas,
     neumann_inverse,
@@ -153,6 +154,45 @@ def test_radius_nonconvergent_carries_iterates():
     with pytest.raises(ConvergenceError) as err:
         spectral_radius_nonneg([[0, 1], [1e-20, 0]], max_iter=50)
     assert "last_bracket" in err.value.details
+
+
+def test_nearly_reducible_matrix_constructs():
+    # bracketing rho(Q) ~ 7e-5 fails after 100 000 iterations; the first
+    # Collatz-Wielandt bound, 0.5, proves rho(Q) < 1 - RADIUS_MARGIN
+    R = ReflectionMatrix([[1.0, -0.5], [-1e-8, 1.0]])
+    assert R.entries[1, 0] == -1e-8
+
+
+@pytest.mark.parametrize("rho", [1 - 5e-9, 1.0, 1.5])
+def test_collatz_wielandt_bound_certifies_no_radius_past_the_margin(rho):
+    # rho([[0, a], [b, 0]]) = sqrt(ab); the bound is never below the root
+    assert _radius_certified(np.array([[0.0, 0.5], [1e-8, 0.0]]))
+    assert not _radius_certified(np.array([[0.0, 0.5 * rho], [2.0 * rho, 0.0]]))
+
+
+@given(d=st.integers(2, 8), rho=st.sampled_from([0.5, 0.99, 1 - 2e-8, 1 - 5e-9, 1.01]),
+       shape=st.sampled_from(["dense", "reducible", "positive_entry", "diagonal"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_constructor_rejects_exactly_what_validation_rejects(d, rho, shape, seed):
+    rng = np.random.default_rng(seed)
+    Q = rng.uniform(0.05, 1.0, (d, d))
+    np.fill_diagonal(Q, 0.0)
+    if shape == "reducible":  # block upper triangular, a class of two first
+        Q[max(2, d // 2):, :max(2, d // 2)] = 0.0
+    Q *= rho / np.abs(np.linalg.eigvals(Q)).max()
+    M = np.eye(d) - Q
+    if shape == "positive_entry":
+        M[0, 1] = 1e-3
+    elif shape == "diagonal":
+        M[1, 1] = 1.5
+    report = validate_reflection_m_matrix(M)
+    if report.accepted:
+        np.testing.assert_array_equal(ReflectionMatrix(M).entries, M)
+    else:
+        with pytest.raises(MatrixValidationError) as err:
+            ReflectionMatrix(M)
+        assert str(err.value) == report.reason
 
 
 # ----------------------------------------------------------- Neumann inverse

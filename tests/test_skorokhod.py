@@ -15,6 +15,7 @@ from orthantsim.errors import (
 from orthantsim.mmatrix import ReflectionMatrix, spectral_radius_nonneg
 from orthantsim.paths import RegularPath, SampledPath, brownian_components
 from orthantsim.skorokhod import (
+    GRID_MONOTONE_RTOL,
     restart_inputs,
     simulate_srbm,
     solve,
@@ -237,6 +238,41 @@ def test_grid_oracle_sweep_cap_names_rho_and_cap():
         solve_grid_oracle(R, X)
     assert exc.value.details["max_iter"] == 10_000
     assert exc.value.details["spectral_radius"] == pytest.approx(0.999, rel=1e-9)
+
+
+def allocating_grid_oracle(R, X, tol):
+    """The oracle's sweeps with fresh arrays each time: L, sup changes, monotone."""
+    Xv, Qt = X.values, R.q_matrix().T
+    L = np.zeros_like(Xv)
+    scale = max(1.0, float(np.abs(Xv).max()))
+    sup_changes, monotone = [], True
+    while True:
+        G = L @ Qt - Xv
+        np.maximum.accumulate(G, axis=0, out=G)
+        np.maximum(G, 0.0, out=G)
+        diff = G - L
+        sup_changes.append(float(np.abs(diff).max()))
+        monotone &= not diff.min() < -GRID_MONOTONE_RTOL * scale
+        L = G
+        if sup_changes[-1] < tol:
+            return L, sup_changes, monotone
+
+
+@pytest.mark.parametrize("d, rho, rising", [(1, 0.0, False), (2, 0.5, False),
+                                            (5, 0.9, False), (10, 0.5, False),
+                                            (3, 0.5, True)])
+def test_grid_oracle_sweeps_give_the_bits_of_fresh_arrays(d, rho, rising):
+    # a rising driver never pushes: every change is a zero, reported as +0.0
+    rng = np.random.default_rng(601 + d)
+    R = random_matrix(rng, d, rho=rho)
+    t = np.linspace(0.0, 1.0, 301)
+    B = brownian_components(d, 1.0, 300, seed=7).values
+    X = SampledPath(t, 0.2 + (np.repeat(t[:, None], d, axis=1) if rising else B))
+    sol = solve_grid_oracle(R, X, tol=1e-10)
+    L, sup_changes, monotone = allocating_grid_oracle(R, X, 1e-10)
+    assert sol.L.values.tobytes() == L.tobytes()
+    assert [c.hex() for c in sol.diagnostics["sup_changes"]] == [c.hex() for c in sup_changes]
+    assert sol.diagnostics["monotone"] is monotone
 
 
 # ----------------------------------------------------------- solve_continuous

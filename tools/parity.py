@@ -40,6 +40,11 @@ the text its ``to_csv`` writes.  The records are:
   every SRBM record's matrix (``perron_srbm_d<d>_rho<rho>``; rho = 0 is a Q
   with no cycle) and of the gap matrix of every CBP record
   (``perron_gap_n<N>``).
+- the text ``write_path_csv`` writes for three tables of the ``%.17g``
+  kernel: 200 000 random float64 bit patterns (``csv_kernel_bits``), random
+  significands at every decimal exponent from -12 to 17, both signs
+  (``csv_kernel_decades``), and rounding ties, the powers of ten -30..30
+  with their neighbours, and the special values (``csv_kernel_specials``).
 
 ``--against`` lists every record whose digest differs, is missing or is new,
 each by name, then the count, and exits 1 if there is any.
@@ -49,6 +54,7 @@ import argparse
 import hashlib
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -67,7 +73,10 @@ from orthantsim.particles import (  # noqa: E402
     simulate_cbp,
     solve_competing,
 )
-from orthantsim.paths import standard_regular_approximation  # noqa: E402
+from orthantsim.paths import (  # noqa: E402
+    standard_regular_approximation,
+    write_path_csv,
+)
 from orthantsim.skorokhod import simulate_srbm  # noqa: E402
 
 STEPS = 1000
@@ -139,6 +148,38 @@ def perron_digest(R: ReflectionMatrix) -> str:
     return json_digest(spectral_radius_nonneg(R.q_matrix()))  # as float.hex
 
 
+def csv_digest(table: np.ndarray) -> str:
+    out = io.StringIO()
+    write_path_csv(out, table[:, 0], table[:, 1:],
+                   [f"x{k}" for k in range(1, table.shape[1])])
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+def _tie(k: int, r: int) -> float:
+    """An odd multiple of 2^-(k+1) with decimal exponent 16 - k, k = 1..24:
+    x 10^k ends in an exact .5, a tie of the 17-digit rounding."""
+    a = 2 ** (k + 1) * 10 ** 16
+    first = -(-a // 10 ** k) | 1
+    end = min(-(-10 * a // 10 ** k), 2 ** 53)
+    return math.ldexp(first + 2 * (r % ((end - first + 1) // 2)), -(k + 1))
+
+
+def csv_kernel_tables():
+    """(name, table) of the three kernel records."""
+    rng = _rng(5)
+    yield "csv_kernel_bits", rng.integers(-2 ** 63, 2 ** 63 - 1, (10_000, 20)).view(np.float64)
+    decades = rng.uniform(1.0, 10.0, (30, 2_000)) * 10.0 ** np.arange(-12, 18)[:, None]
+    yield "csv_kernel_decades", (decades * rng.choice([-1.0, 1.0], decades.shape)).reshape(-1, 15)
+    cells = [_tie(k, r) for k in range(1, 25) for r in range(0, 2 ** 40, 2 ** 31)]
+    for j in range(-30, 31):
+        p = float(f"1e{j}")
+        cells += [p, math.nextafter(p, 0.0), math.nextafter(p, math.inf)]
+    cells += [0.0, math.inf, math.nan, 5e-324, 2.2250738585072009e-308,
+              2.2250738585072014e-308, 1.7976931348623157e308]
+    cells += [-v for v in cells]
+    yield "csv_kernel_specials", np.resize(np.array(cells), (len(cells) // 7 + 1, 7))
+
+
 def suite_digest(res) -> str:
     out = res.to_jsonable()
     for inst, r in zip(out["instances"], res.results):
@@ -204,6 +245,8 @@ def records():
     for record, (name, options) in SUITE_OPTIONS.items():
         res = comparison.run_suite(name, SUITE_INSTANCES, SEED, **options)
         yield f"suite_{record}", suite_digest(res)
+    for name, table in csv_kernel_tables():
+        yield name, csv_digest(table)
 
 
 def main(argv=None) -> int:
