@@ -25,6 +25,7 @@ from .paths import (
     SampledPath,
     _check_count,
     _check_integer,
+    _integers,
     difference_path,
     increments_dominated,
     standard_regular_approximation,
@@ -290,7 +291,7 @@ def check_skorokhod_removal(R: ReflectionMatrix, X, members,
     asserts [Z]_I <= Zbar with per-step increment domination of the retained
     boundary terms.
     """
-    members = tuple(int(v) for v in members)
+    members = _integers("members", members, PreconditionError)
     _require(len(members) >= 1 and all(1 <= v <= R.dim for v in members),
              "members must be a nonempty subset of 1..d")
     if isinstance(X, SampledPath):

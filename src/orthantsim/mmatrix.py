@@ -6,11 +6,15 @@ class validator, a Perron-root estimator, Neumann-series inversion,
 principal-submatrix indexing, and the entrywise comparison lemmas used by the
 solvers as executable predicates.
 
+Every finite nonnegative matrix has a Perron root: a class whose power
+iteration brackets no root in ``PERRON_MAX_ITER`` steps takes LAPACK's.
+
 All index sets and axis indices in the public API are 1-based.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,14 +27,14 @@ from .errors import (
     MatrixValidationError,
     PreconditionError,
 )
-from .paths import _ArrayValue
+from .paths import _ArrayValue, _integers
 
 DIAGONAL_TOL = 1e-10
 RADIUS_MARGIN = 1e-8
 # Collatz-Wielandt bracket width at which the Perron root counts as found
 PERRON_TOL = 1e-10
-# power iterates a constructor tries for a bound on rho(Q) below 1 - RADIUS_MARGIN
-CERTIFY_ITERATIONS = 32
+# power iterations per class before its root is taken from np.linalg.eigvals
+PERRON_MAX_ITER = 100_000
 NEUMANN_MAX_TERMS = 100_000
 
 
@@ -51,9 +55,11 @@ class IndexSet:
     members: tuple[int, ...]
 
     def __post_init__(self):
-        if self.base_dim < 1:
+        (base_dim,) = _integers("base_dim", (self.base_dim,), IndexSetError)
+        if base_dim < 1:
             raise IndexSetError("base_dim must be a positive integer")
-        members = tuple(int(m) for m in self.members)
+        members = _integers("members", self.members, IndexSetError)
+        object.__setattr__(self, "base_dim", base_dim)
         object.__setattr__(self, "members", members)
         if not members:
             raise IndexSetError("index set must be nonempty")
@@ -88,7 +94,12 @@ class ValidationReport:
     spectral_radius: float | None = None
 
 
-def spectral_radius_nonneg(Q, tol: float = PERRON_TOL, max_iter: int = 100_000) -> float:
+def _check_tol(tol) -> None:
+    if not 0 < tol < math.inf:  # a NaN fails both comparisons
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+
+
+def spectral_radius_nonneg(Q, tol: float = PERRON_TOL) -> float:
     """Perron root of an entrywise nonnegative matrix by power iteration.
 
     The root is the largest over the irreducible classes of Q's pattern
@@ -99,11 +110,12 @@ def spectral_radius_nonneg(Q, tol: float = PERRON_TOL, max_iter: int = 100_000) 
     positive diagonal removes the cycling that plain power iteration
     exhibits on bipartite matrices such as zero-diagonal tridiagonals.
     Collatz-Wielandt ratios give a rigorous bracket [lo, hi] around the
-    class's Perron root; iteration stops once hi - lo < tol.
+    class's Perron root; iteration stops once hi - lo < tol.  A class still
+    unbracketed after ``PERRON_MAX_ITER`` iterations (nearly reducible, as
+    [[0, 1], [1e-20, 0]]) takes the largest |eigenvalue| of its block.
     """
     A = _as_square(Q)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     if A.min() < 0:
         raise ValueError("matrix must be entrywise nonnegative")
     d = A.shape[0]
@@ -116,27 +128,21 @@ def spectral_radius_nonneg(Q, tol: float = PERRON_TOL, max_iter: int = 100_000) 
         cls = reach[i] & reach[:, i]
         left &= ~cls
         block = A if cls.all() else A[np.ix_(cls, cls)]
-        radius = max(radius, _perron_root(block, tol, max_iter))
+        radius = max(radius, _perron_root(block, tol))
     return radius
 
 
-def _perron_root(A: np.ndarray, tol: float, max_iter: int) -> float:
-    """Perron root of an irreducible nonnegative A by the bracketed iteration."""
+def _perron_root(A: np.ndarray, tol: float) -> float:
+    """Perron root of an irreducible nonnegative A: bracketed, else LAPACK's."""
     v = np.ones(A.shape[0])
-    lo_hi = None
-    for _ in range(max_iter):
+    for _ in range(PERRON_MAX_ITER):
         w = A @ v + v  # (Q + I) v, stays strictly positive
         ratios = w / v
         lo, hi = ratios.min(), ratios.max()
         if hi - lo < tol:
             return max(0.5 * (lo + hi) - 1.0, 0.0)
-        lo_hi = (lo, hi)
         v = w / np.linalg.norm(w)
-    raise ConvergenceError(
-        f"power iteration did not bracket the Perron root within {max_iter} "
-        f"iterations",
-        details={"last_bracket": lo_hi, "last_vector": v},
-    )
+    return np.abs(np.linalg.eigvals(A)).max()
 
 
 def _q_part(A: np.ndarray) -> np.ndarray:
@@ -146,21 +152,6 @@ def _q_part(A: np.ndarray) -> np.ndarray:
     return Q
 
 
-def _radius_certified(Q: np.ndarray) -> bool:
-    """Whether a Collatz-Wielandt bound proves rho(Q) < 1 - RADIUS_MARGIN.
-
-    For any nonnegative Q and positive v, rho(Q) + 1 <= max_i ((Q + I)v)_i / v_i;
-    v runs through the first CERTIFY_ITERATIONS iterates of ``_perron_root``.
-    """
-    v = np.ones(Q.shape[0])
-    for _ in range(CERTIFY_ITERATIONS):
-        w = Q @ v + v
-        if (w / v).max() - 1.0 < 1.0 - RADIUS_MARGIN:
-            return True
-        v = w / np.linalg.norm(w)
-    return False
-
-
 def validate_reflection_m_matrix(M, tol: float = RADIUS_MARGIN) -> ValidationReport:
     """Check membership in the reflection nonsingular M-matrix class.
 
@@ -168,8 +159,7 @@ def validate_reflection_m_matrix(M, tol: float = RADIUS_MARGIN) -> ValidationRep
     and the spectral radius of Q = I - M is below 1 - tol.
     """
     A = _as_square(M)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     diag = np.diagonal(A)
     if np.any(np.abs(diag - 1.0) > DIAGONAL_TOL):
         k = int(np.argmax(np.abs(diag - 1.0)))
@@ -198,14 +188,7 @@ class ReflectionMatrix(_ArrayValue):
 
     def __post_init__(self):
         A = _as_square(self.entries).copy()
-        try:
-            report = validate_reflection_m_matrix(A)
-        except ConvergenceError:
-            # a Perron root the iteration cannot bracket, as for a nearly
-            # reducible Q: a bound below 1 - RADIUS_MARGIN still proves it
-            if not _radius_certified(_q_part(A)):
-                raise
-            report = ValidationReport(True)
+        report = validate_reflection_m_matrix(A)
         if not report.accepted:
             raise MatrixValidationError(report.reason)
         A.setflags(write=False)
@@ -226,8 +209,7 @@ def neumann_inverse(R: ReflectionMatrix, tol: float = 1e-12) -> np.ndarray:
     Truncates once the added term's max-norm drops below tol.  The result is
     entrywise nonnegative by construction.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     Q = R.q_matrix()
     total = np.eye(R.dim)
     term = np.eye(R.dim)

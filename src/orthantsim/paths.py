@@ -54,6 +54,18 @@ def _check_integer(name: str, value, least: int, most: int | None = None) -> Non
         raise ParameterError(f"{name!r} must be at most {most}, got {value!r}")
 
 
+def _integers(name: str, values, error: type[Exception]) -> tuple[int, ...]:
+    """``values`` as Python ints, each read with ``operator.index`` (numpy's
+    integers too, but not a bool); ``error`` naming ``name`` otherwise."""
+    values = tuple(values)
+    if not any(isinstance(v, bool) for v in values):
+        try:
+            return tuple(map(operator.index, values))
+        except TypeError:
+            pass
+    raise error(f"{name} must hold integers, got {values!r}")
+
+
 def _check_count(name: str, value, width: int) -> None:
     """``_check_integer(name, value, 1, COUNT_MAX)``, and a ``ParameterError``
     naming ``name`` if a table of value + 1 rows of ``width`` float64 cells
@@ -277,7 +289,7 @@ class RegularPath(_Path):
         The breakpoint grid is preserved, so the restriction stays coupled
         (in the shared-breakpoints sense) with the original path.
         """
-        members = tuple(int(m) for m in members)
+        members = _integers("members", members, RangeError)
         if not members or any(a >= b for a, b in zip(members, members[1:])):
             raise RangeError("members must be nonempty and strictly increasing")
         if members[0] < 1 or members[-1] > self.dim:

@@ -46,6 +46,7 @@ RATE_CACHE_MAX = 4096  # a matrix's boundary-rate cache is cleared at this size
 GRID_MONOTONE_RTOL = 1e-12
 # The grid oracle stops once a sweep changes L by less than this.
 GRID_TOL = 1e-8
+GRID_MAX_SWEEPS = 10_000  # and raises after this many sweeps
 
 
 class PhaseEvent(NamedTuple):
@@ -297,13 +298,14 @@ def solve_regular(R: ReflectionMatrix, X: RegularPath) -> SkorokhodSolution:
                              SampledPath._adopt(times, Lv), events, diag)
 
 
-def solve_grid_oracle(R: ReflectionMatrix, X: SampledPath, tol: float = GRID_TOL,
-                      max_iter: int = 10_000) -> SkorokhodSolution:
+def solve_grid_oracle(R: ReflectionMatrix, X: SampledPath,
+                      tol: float = GRID_TOL) -> SkorokhodSolution:
     """Fixed-point grid solution, independent of the event-driven solver.
 
     Iterates L_i(t_k) <- max_{s <= t_k} [ -X_i(s) + (Q L)_i(s) ]^+ with
     Q = I - R, starting from L = 0.  Iterates are monotone nondecreasing and
-    converge geometrically; stops when the sup-change drops below tol.
+    converge geometrically; stops when the sup-change drops below tol, and
+    raises ``ConvergenceError`` after ``GRID_MAX_SWEEPS`` sweeps.
     """
     if X.dim != R.dim:
         raise DimensionError("path dimension must match the matrix dimension")
@@ -317,7 +319,7 @@ def solve_grid_oracle(R: ReflectionMatrix, X: SampledPath, tol: float = GRID_TOL
     scale = max(1.0, float(np.abs(Xv).max()))
     sup_changes = []
     monotone = True
-    for m in range(1, max_iter + 1):
+    for m in range(1, GRID_MAX_SWEEPS + 1):
         np.matmul(L, Qt, out=G)
         G -= Xv
         np.maximum.accumulate(G, axis=0, out=G)
@@ -334,10 +336,10 @@ def solve_grid_oracle(R: ReflectionMatrix, X: SampledPath, tol: float = GRID_TOL
     else:
         rho = spectral_radius_nonneg(R.q_matrix())
         raise ConvergenceError(
-            f"grid fixed point not converged within the cap of {max_iter} sweeps "
-            f"at rho(Q) = {rho:.6g}",
+            f"grid fixed point not converged within the cap of {GRID_MAX_SWEEPS} "
+            f"sweeps at rho(Q) = {rho:.6g}",
             details={"last_sup_change": sup_changes[-1], "spectral_radius": rho,
-                     "max_iter": max_iter},
+                     "max_iter": GRID_MAX_SWEEPS},
         )
     Z = Xv + L @ R.entries.T
     diag = {

@@ -103,6 +103,16 @@ def test_simulate_srbm_with_a_nearly_reducible_q(tmp_path, capsys):
     assert (tmp_path / "out" / "srbm.csv").exists()
 
 
+def test_validate_accepts_a_nearly_reducible_q(tmp_path, capsys):
+    # exited 3 once the bracket failed, where simulate-srbm accepted the matrix
+    cfg = write_config(tmp_path, {"matrix": [[1.0, -0.5], [-1e-8, 1.0]]})
+    code, out, err = run(capsys, "validate", "--config", cfg)
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["accepted"] is True and report["matrix"]["accepted"] is True
+    assert report["matrix"]["spectral_radius"] == pytest.approx(np.sqrt(5e-9), rel=1e-12)
+
+
 def test_validate_rejects_bad_matrix(tmp_path, capsys):
     cfg = write_config(tmp_path, {"matrix": [[1.0, 0.4], [0.3, 1.0]]})
     code, out, _ = run(capsys, "validate", "--config", cfg)

@@ -215,6 +215,19 @@ def test_skorokhod_removal_random():
         assert rep.passed and rep.max_violation <= 1e-9
 
 
+@pytest.mark.parametrize("members", [(1.5,), (True,), (1, 2.0)])
+def test_skorokhod_removal_reads_integers_only(members):
+    # (1.5,) was read as member 1
+    rng = np.random.default_rng(57)
+    R, _ = random_dominated_matrix_pair(rng, 2)
+    X, _ = random_dominated_sampled_pair(rng, 2, grid=16)
+    with pytest.raises(PreconditionError):
+        check_skorokhod_removal(R, X, members, level=4)
+    rep = check_skorokhod_removal(R, X, np.array([2]), level=4)
+    assert rep.passed and rep.to_jsonable() == check_skorokhod_removal(
+        R, X, (2,), level=4).to_jsonable()
+
+
 # -------------------------------------------------------- initial shift
 
 def test_initial_shift_equal_start():

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orthantsim import mmatrix
 from orthantsim.errors import (
-    ConvergenceError,
     DimensionError,
     IndexSetError,
     InvalidEntryError,
@@ -13,7 +13,6 @@ from orthantsim.errors import (
 )
 from orthantsim.mmatrix import (
     IndexSet,
-    _radius_certified,
     ReflectionMatrix,
     check_matrix_lemmas,
     neumann_inverse,
@@ -128,7 +127,7 @@ def test_radius_random_against_numpy():
         assert got == pytest.approx(want, abs=1e-8)
 
 
-def test_radius_sparse_random_against_numpy():
+def test_radius_sparse_random_against_numpy(monkeypatch):
     # sparse patterns: most are reducible, many have classes of unequal roots
     rng = np.random.default_rng(11)
     for _ in range(100):
@@ -137,6 +136,16 @@ def test_radius_sparse_random_against_numpy():
         want = np.abs(np.linalg.eigvals(Q)).max()
         got = spectral_radius_nonneg(Q, tol=1e-11)
         assert got == pytest.approx(want, abs=1e-8)
+    # nearly reducible: two random blocks, the second fed back at 10^-k; at
+    # this cap about a third of them leave the bracket open and take LAPACK's root
+    monkeypatch.setattr(mmatrix, "PERRON_MAX_ITER", 200)
+    for k in range(6, 15):
+        for a, b in [(1, 1), (1, 3), (2, 2), (3, 1), (3, 3), (4, 2)]:
+            Q = rng.uniform(0, 1, (a + b, a + b))
+            Q[a:, :a] *= 10.0 ** -k
+            want = np.abs(np.linalg.eigvals(Q)).max()
+            got = spectral_radius_nonneg(Q, tol=1e-11)
+            assert got == pytest.approx(want, abs=1e-8)
 
 
 def test_radius_rejects_negative_entries():
@@ -144,55 +153,82 @@ def test_radius_rejects_negative_entries():
         spectral_radius_nonneg([[0, -0.1], [0, 0]])
 
 
-def test_radius_of_decoupled_classes_is_their_largest():
+def test_radius_of_decoupled_classes_is_their_largest(monkeypatch):
     # one power iteration over both classes would never bracket
-    assert spectral_radius_nonneg(np.diag([0.5, 0.3]), max_iter=50) == 0.5
+    monkeypatch.setattr(mmatrix, "PERRON_MAX_ITER", 50)
+    assert spectral_radius_nonneg(np.diag([0.5, 0.3])) == 0.5
 
 
-def test_radius_nonconvergent_carries_iterates():
-    # irreducible, but the bracket closes like (1e-20)**(k/2)
-    with pytest.raises(ConvergenceError) as err:
-        spectral_radius_nonneg([[0, 1], [1e-20, 0]], max_iter=50)
-    assert "last_bracket" in err.value.details
+@pytest.mark.parametrize("Q,want,rel", [
+    ([[0.0, 1.0], [1e-20, 0.0]], 1e-10, 1e-6),  # the bracket closes like 1e-10**k
+    ([[0.0, 0.5], [1e-8, 0.0]], np.sqrt(5e-9), 1e-15),
+])
+def test_radius_left_unbracketed_is_lapacks(monkeypatch, Q, want, rel):
+    # rho([[0, a], [b, 0]]) = sqrt(ab); irreducible, but too weakly coupled
+    monkeypatch.setattr(mmatrix, "PERRON_MAX_ITER", 50)
+    assert spectral_radius_nonneg(Q) == pytest.approx(want, rel=rel)
 
 
 def test_nearly_reducible_matrix_constructs():
-    # bracketing rho(Q) ~ 7e-5 fails after 100 000 iterations; the first
-    # Collatz-Wielandt bound, 0.5, proves rho(Q) < 1 - RADIUS_MARGIN
+    # bracketing rho(Q) ~ 7e-5 fails after PERRON_MAX_ITER iterations;
+    # LAPACK's root, sqrt(5e-9), is below 1 - RADIUS_MARGIN
     R = ReflectionMatrix([[1.0, -0.5], [-1e-8, 1.0]])
     assert R.entries[1, 0] == -1e-8
 
 
-@pytest.mark.parametrize("rho", [1 - 5e-9, 1.0, 1.5])
-def test_collatz_wielandt_bound_certifies_no_radius_past_the_margin(rho):
-    # rho([[0, a], [b, 0]]) = sqrt(ab); the bound is never below the root
-    assert _radius_certified(np.array([[0.0, 0.5], [1e-8, 0.0]]))
-    assert not _radius_certified(np.array([[0.0, 0.5 * rho], [2.0 * rho, 0.0]]))
+class _NoIteration:
+    def __index__(self):  # range() reads an iteration cap through this
+        raise AssertionError("an iteration started before tol was checked")
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0])
+def test_tolerance_must_be_positive_and_finite(monkeypatch, tol):
+    # a NaN tol passed `tol <= 0`: validation then ran to the cap and blamed
+    # the matrix, and the Neumann series reported `term norm nan`
+    R = ReflectionMatrix([[1.0, -0.5], [-0.5, 1.0]])
+    monkeypatch.setattr(mmatrix, "PERRON_MAX_ITER", _NoIteration())
+    monkeypatch.setattr(mmatrix, "NEUMANN_MAX_TERMS", _NoIteration())
+    with pytest.raises(ValueError, match="tol must be positive"):
+        validate_reflection_m_matrix([[1.0, -3.0], [-3.0, 1.0]], tol=tol)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        spectral_radius_nonneg([[0.0, 3.0], [3.0, 0.0]], tol=tol)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        neumann_inverse(R, tol=tol)
 
 
 @given(d=st.integers(2, 8), rho=st.sampled_from([0.5, 0.99, 1 - 2e-8, 1 - 5e-9, 1.01]),
-       shape=st.sampled_from(["dense", "reducible", "positive_entry", "diagonal"]),
+       shape=st.sampled_from(["dense", "reducible", "positive_entry", "diagonal",
+                              "nearly_reducible"]),
        seed=st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_constructor_rejects_exactly_what_validation_rejects(d, rho, shape, seed):
     rng = np.random.default_rng(seed)
     Q = rng.uniform(0.05, 1.0, (d, d))
     np.fill_diagonal(Q, 0.0)
+    k = max(2, d // 2)
     if shape == "reducible":  # block upper triangular, a class of two first
-        Q[max(2, d // 2):, :max(2, d // 2)] = 0.0
+        Q[k:, :k] = 0.0
+    elif shape == "nearly_reducible" and d - k >= 2:
+        # two classes of one root, the second fed back at 1e-9: the bracket
+        # closes like the ~1e-5 split of that double root, so rarely in the cap
+        Q[k:, k:] *= (np.abs(np.linalg.eigvals(Q[:k, :k])).max()
+                      / np.abs(np.linalg.eigvals(Q[k:, k:])).max())
+        Q[k:, :k] *= 1e-9
     Q *= rho / np.abs(np.linalg.eigvals(Q)).max()
     M = np.eye(d) - Q
     if shape == "positive_entry":
         M[0, 1] = 1e-3
     elif shape == "diagonal":
         M[1, 1] = 1.5
-    report = validate_reflection_m_matrix(M)
-    if report.accepted:
-        np.testing.assert_array_equal(ReflectionMatrix(M).entries, M)
-    else:
-        with pytest.raises(MatrixValidationError) as err:
-            ReflectionMatrix(M)
-        assert str(err.value) == report.reason
+    with pytest.MonkeyPatch.context() as mp:  # an unbracketed root runs the whole cap
+        mp.setattr(mmatrix, "PERRON_MAX_ITER", 2000)
+        report = validate_reflection_m_matrix(M)
+        if report.accepted:
+            np.testing.assert_array_equal(ReflectionMatrix(M).entries, M)
+        else:
+            with pytest.raises(MatrixValidationError) as err:
+                ReflectionMatrix(M)
+            assert str(err.value) == report.reason
 
 
 # ----------------------------------------------------------- Neumann inverse
@@ -267,6 +303,17 @@ def test_index_set_validation():
     with pytest.raises(IndexSetError):
         IndexSet(3, (1, 4))
     assert IndexSet(5, (2, 4)).complement_members() == (1, 3, 5)
+
+
+@pytest.mark.parametrize("base_dim,members", [
+    (3, (1.7, 2.2)), (2.5, (1,)), (3, (True, 2)), (True, (1,)), (3, ("1",)),
+])
+def test_index_set_reads_integers_only(base_dim, members):
+    # (1.7, 2.2) was truncated to (1, 2) and a base_dim of 2.5 kept
+    with pytest.raises(IndexSetError):
+        IndexSet(base_dim, members)
+    J = IndexSet(np.int64(3), np.array([1, 3], dtype=np.int32))
+    assert J == IndexSet(3, (1, 3)) and type(J.base_dim) is type(J.members[0]) is int
 
 
 # ------------------------------------------------------------ lemma checks

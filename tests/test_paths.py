@@ -101,6 +101,15 @@ def test_restrict_members_idles_dropped_axes():
     assert np.array_equal(r.values_at(ts), p.values_at(ts)[:, [0, 2]])
 
 
+@pytest.mark.parametrize("members", [(1.9, 2), (True, 2), (1, 2.0)])
+def test_restrict_members_reads_integers_only(members):
+    # (1.9, 2) restricted to ranks 1 and 2
+    p = RegularPath([0.0, 1.0, 2.0], [0.0, 1.0, 2.0], (1, 3), [1.0, -1.0])
+    with pytest.raises(RangeError):
+        p.restrict_members(members)
+    assert p.restrict_members(np.array([1, 2])) == p.restrict_members((1, 2))
+
+
 # ------------------------------------------------- standard approximation
 
 def test_one_dim_linear_reproduced_exactly():

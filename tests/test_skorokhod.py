@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from orthantsim import mmatrix, skorokhod
 from orthantsim.errors import (
     ConvergenceError,
     DimensionError,
@@ -223,11 +224,12 @@ def test_grid_oracle_monotone_and_contracting():
     assert ratios and max(ratios[2:]) < 1.0
 
 
-def test_grid_oracle_iteration_budget():
+def test_grid_oracle_iteration_budget(monkeypatch):
     t = np.linspace(0, 1, 101)
     X = SampledPath(t, (1.0 - 2 * t)[:, None])
+    monkeypatch.setattr(skorokhod, "GRID_MAX_SWEEPS", 1)
     with pytest.raises(ConvergenceError):
-        solve_grid_oracle(ReflectionMatrix([[1.0]]), X, tol=1e-10, max_iter=1)
+        solve_grid_oracle(ReflectionMatrix([[1.0]]), X, tol=1e-10)
 
 
 def test_grid_oracle_sweep_cap_names_rho_and_cap():
@@ -238,6 +240,22 @@ def test_grid_oracle_sweep_cap_names_rho_and_cap():
         solve_grid_oracle(R, X)
     assert exc.value.details["max_iter"] == 10_000
     assert exc.value.details["spectral_radius"] == pytest.approx(0.999, rel=1e-9)
+
+
+def test_grid_oracle_sweep_cap_names_an_unbracketed_rho(monkeypatch):
+    # two two-cycles of roots 0.999 and 0.99899 joined at 1e-9: the bracket
+    # on rho(Q) never closes, and the cap's error raised the Perron error
+    a, b, e = 0.999, 0.99899, 1e-9
+    Q = np.array([[0, a, e, 0], [a, 0, 0, 0], [0, 0, 0, b], [e, 0, b, 0]])
+    monkeypatch.setattr(mmatrix, "PERRON_MAX_ITER", 1000)
+    monkeypatch.setattr(skorokhod, "GRID_MAX_SWEEPS", 100)
+    R = ReflectionMatrix(np.eye(4) - Q)
+    t = np.linspace(0.0, 1.0, 1000)
+    X = SampledPath(t, np.column_stack([0.5 - 2 * t] * 4))
+    with pytest.raises(ConvergenceError, match=r"100 sweeps at rho\(Q\) = 0\.999$") as exc:
+        solve_grid_oracle(R, X)
+    assert exc.value.details["max_iter"] == 100
+    assert exc.value.details["spectral_radius"] == pytest.approx(0.999, rel=1e-12)
 
 
 def allocating_grid_oracle(R, X, tol):

@@ -45,6 +45,14 @@ the text its ``to_csv`` writes.  The records are:
   significands at every decimal exponent from -12 to 17, both signs
   (``csv_kernel_decades``), and rounding ties, the powers of ten -30..30
   with their neighbours, and the special values (``csv_kernel_specials``).
+- the report of ``validate_reflection_m_matrix`` (``validate_<name>``):
+  accepted, reason and ``spectral_radius`` as ``float.hex``, or the type and
+  message of the library error it raises, over a fixed bank of matrices
+  (``validation_bank``): the identity at d = 1 and 3, a nilpotent triangular
+  Q, two decoupled classes, a block-triangular reducible Q, nearly reducible
+  2 x 2 couplings of 1e-6, 1e-8 and 1e-12, two two-cycles of roots 0.999 and
+  0.99899 joined at 1e-9, dense Q at rho = 1 - 2e-8, 1 - 5e-9 and 1.01, a
+  positive off-diagonal entry, a bad diagonal, and the N = 20 gap matrix.
 
 ``--against`` lists every record whose digest differs, is missing or is new,
 each by name, then the count, and exits 1 if there is any.
@@ -63,7 +71,12 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from orthantsim import comparison  # noqa: E402
-from orthantsim.mmatrix import ReflectionMatrix, spectral_radius_nonneg  # noqa: E402
+from orthantsim.errors import OrthantSimError  # noqa: E402
+from orthantsim.mmatrix import (  # noqa: E402
+    ReflectionMatrix,
+    spectral_radius_nonneg,
+    validate_reflection_m_matrix,
+)
 from orthantsim.particles import (  # noqa: E402
     CbpSpec,
     CollisionParams,
@@ -180,6 +193,34 @@ def csv_kernel_tables():
     yield "csv_kernel_specials", np.resize(np.array(cells), (len(cells) // 7 + 1, 7))
 
 
+def validate_digest(M) -> str:
+    try:
+        report = validate_reflection_m_matrix(M)
+    except OrthantSimError as exc:  # the raise is the outcome to pin
+        return json_digest([type(exc).__name__, str(exc)])
+    return json_digest([report.accepted, report.reason, report.spectral_radius])
+
+
+def validation_bank():
+    """(name, matrix) of the validation records."""
+    yield "identity_d1", np.eye(1)
+    yield "identity_d3", np.eye(3)
+    yield "nilpotent", np.eye(3) - np.tril(np.full((3, 3), 0.7), -1)
+    yield "decoupled", np.eye(4) - np.kron(np.diag([0.6, 0.3]), [[0, 1], [1, 0]])
+    yield "block_triangular", np.eye(4) - np.array(
+        [[0, 0.5, 0.2, 0.1], [0.4, 0, 0.3, 0], [0, 0, 0, 0.9], [0, 0, 0.2, 0]])
+    for c in (1e-6, 1e-8, 1e-12):
+        yield f"nearly_reducible_{c:g}", [[1.0, -0.5], [-c, 1.0]]
+    a, b, e = 0.999, 0.99899, 1e-9
+    yield "two_cycles_rho0.999", np.eye(4) - np.array(
+        [[0, a, e, 0], [a, 0, 0, 0], [0, 0, 0, b], [e, 0, b, 0]])
+    for rho in (1 - 2e-8, 1 - 5e-9, 1.01):
+        yield f"dense_rho{rho!r}", _srbm_matrix(_rng(6), 5, rho)
+    yield "positive_entry", [[1.0, 0.1], [-0.5, 1.0]]
+    yield "bad_diagonal", [[1.5, 0.0], [0.0, 1.0]]
+    yield "gap_n20", reflection_matrix_from_params(_cbp_spec(20).q).entries
+
+
 def suite_digest(res) -> str:
     out = res.to_jsonable()
     for inst, r in zip(out["instances"], res.results):
@@ -247,6 +288,8 @@ def records():
         yield f"suite_{record}", suite_digest(res)
     for name, table in csv_kernel_tables():
         yield name, csv_digest(table)
+    for name, M in validation_bank():
+        yield f"validate_{name}", validate_digest(M)
 
 
 def main(argv=None) -> int:
