@@ -17,6 +17,9 @@ the text its ``to_csv`` writes.  The records are:
   with drift 0 and from start 0 with drift -0.5, one matrix per (d, rho) so
   that its second solve runs warm;
 - CBP: N = 2..20, exact and grid routes through the gap problem;
+- CBP at a level other than the step count (``cbp_level<L>_n<N>``): the
+  exact gap route of the N = 3, 6 and 10 specs at 150 steps, at levels 100
+  and 225, so that some sample times are no anchors of the approximation;
 - particles on a regular driver: N = 2..20 (the block-phase kernel);
 - particles on the regular drivers that ``verify`` solves
   (``particles_verify_n<N>``): N = 2..6, ``random_cbp_spec`` drivers at level
@@ -64,6 +67,7 @@ import io
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -99,6 +103,9 @@ SRBM_CASES = ((0.7, 0.0), (0.0, -0.5))  # (start, drift)
 MAX_SIZE = 20
 VERIFY_SIZES = range(2, 7)  # the particle counts of the corollary suites
 VERIFY_LEVEL = 200  # their level
+LEVEL_SIZES = (3, 6, 10)  # particle counts solved at a level other than the steps
+LEVEL_STEPS = 150
+LEVELS = (100, 225)
 SUITE_INSTANCES = 2
 SMALL = {"n_max": 4, "steps": 120, "level": 30, "tol": 1e-7}  # of a corollary suite
 SKOROKHOD = {"d_max": 3, "grid": 12, "level": 4, "tol": 1e-7}
@@ -268,6 +275,10 @@ def records():
         Xr = standard_regular_approximation(driving_path_for(spec), STEPS // 4)
         yield f"particles_regular_n{n}", solution_digest(solve_competing(spec.q, Xr))
         yield f"gap_srbm_n{n}", solution_digest(gap_srbm(spec))
+    for n in LEVEL_SIZES:
+        spec = replace(_cbp_spec(n), steps=LEVEL_STEPS)
+        for level in LEVELS:
+            yield f"cbp_level{level}_n{n}", solution_digest(simulate_cbp(spec, level=level))
     for n in VERIFY_SIZES:
         spec = comparison.random_cbp_spec(_rng(3, n), n)
         Xr = standard_regular_approximation(driving_path_for(spec), VERIFY_LEVEL)
