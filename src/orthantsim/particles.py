@@ -331,9 +331,10 @@ def solve_competing(q: CollisionParams, X, n: int | None = None,
     axis-parallel segment at a time with the memoryless restart; the gap
     process of that solution is the Skorohod solution for the differenced
     driver.  Sampled drivers go through the gap problem explicitly, by
-    ``skorokhod.solve`` with ``method``, level ``n`` and ``tol``; positions
-    are then recovered from the boundary terms and cross-checked against the
-    alpha-weight identity.
+    ``skorokhod.solve`` with ``method``, level ``n`` and ``tol``.  The result
+    extends that solve, with positions recovered from its boundary terms on
+    its grid and cross-checked against the alpha-weight identity.  Off the
+    default level the exact grid holds only the sample times that are anchors.
     """
     if isinstance(X, RegularPath):
         _check_method(X, method)
@@ -343,21 +344,18 @@ def solve_competing(q: CollisionParams, X, n: int | None = None,
         raise DimensionError("driver dimension must match the particle count")
     _check_w_point(X.values[0])
     sk = solve(reflection_matrix_from_params(q), difference_path(X), method, n, tol)
-    times = np.union1d(sk.Z.times, X.times)
-    Lu, Zu = sk.L.values_at(times), sk.Z.values_at(times)
-    events, skd = sk.events, sk.diagnostics
-    del sk  # its Z and L are read: free them before the positions are built
-    Xu = X.values_at(times)
-    Yu = _positions(q, Xu, Lu)
-    gaps = np.diff(Yu, axis=1)
-    # Yu satisfies the position identity by construction, so report the gap
+    Xs = X.values_at(sk.Z.times)
+    Ys = _positions(q, Xs, sk.L.values)
+    gaps = np.diff(Ys, axis=1)
+    # Ys satisfies the position identity by construction, so report the gap
     # solve's own Z - W - RL residual
-    diag = _cp_diagnostics(q, Yu, Xu, gaps, skd["max_identity_residual"])
-    diag["gap_residual"] = float(np.abs(gaps - Zu).max())
+    skd = sk.diagnostics
+    diag = _cp_diagnostics(q, Ys, Xs, gaps, skd["max_identity_residual"])
+    diag["gap_residual"] = float(np.abs(gaps - sk.Z.values).max())
     diag["method"] = f"gap-{method}"
     diag.update({k: skd[k] for k in ("iterations", "level") if k in skd})
-    Y, L, Z = (SampledPath._adopt(times, v) for v in (Yu, Lu, Zu))
-    return ParticleSystemSolution(Z, L, events, diag, Y=Y)
+    return ParticleSystemSolution(sk.Z, sk.L, sk.events, diag,
+                                  Y=SampledPath._adopt(sk.Z.times, Ys))
 
 
 def _solve_competing_regular(q: CollisionParams, X: RegularPath) -> ParticleSystemSolution:

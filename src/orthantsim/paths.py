@@ -431,8 +431,9 @@ def standard_regular_approximation(X: SampledPath,
     [0, T] is split into n equal subintervals; within each, the d components
     are swept one at a time in axis order 1..d, each moving linearly to its
     value at the subinterval's right endpoint.  The output interpolates X at
-    all the anchor times kT/n and has n*d segments.  ``n=None`` takes one
-    subinterval per grid step of X.
+    the anchors kT/n of ``linspace(0, T, n + 1)``, each a breakpoint bit for
+    bit, and has n*d segments.  ``n=None`` takes one subinterval per grid
+    step of X.
     """
     if n is None:
         n = len(X.times) - 1
@@ -442,7 +443,8 @@ def standard_regular_approximation(X: SampledPath,
     anchors = np.linspace(0.0, T, n + 1)
     V = X.values_at(anchors)
     sweep_dt = T / (n * d)
-    breakpoints = np.linspace(0.0, T, n * d + 1)
+    breakpoints = (np.arange(n * d + 1) / d) * (T / n)  # k*d / d is exact
+    breakpoints[-1] = T
     with np.errstate(over="ignore"):
         slopes = (np.diff(V, axis=0) / sweep_dt).ravel()
     if not np.isfinite(slopes).all():

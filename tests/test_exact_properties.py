@@ -9,9 +9,11 @@ identity and complementarity (the integral of Z dL vanishes).  A free piece,
 on which nothing reaches the boundary or a neighbour, must change only its
 own axis, to the kernel's value, bit for bit, and every event of a pushing
 piece must name the zero sets of the rows around it.  The solvers' residual
-diagnostics, read off ``RegularPath.vertices``, and the gap route's union
-grid must equal the plain ``values_at`` reading bit for bit, and
-``values_at`` must give the bits of its reference fancy-index formula.
+diagnostics, read off ``RegularPath.vertices``, must equal the plain
+``values_at`` reading bit for bit, the gap route must report its gap solve's
+Z, L and events, at the default level every sample time must be a row of each
+sampled-route solution, and ``values_at`` must give the bits of its reference
+fancy-index formula.
 A particle free piece must give the bits of the sign-product formula
 s * (s * y + |alpha| * T) and its snap, and the boundary rows that ``_stitch``
 offsets with one ``cumsum`` must be those of a running sum over the pushes.
@@ -45,6 +47,7 @@ from orthantsim.comparison import random_cbp_spec
 from orthantsim.paths import (
     RegularPath,
     SampledPath,
+    brownian_components,
     difference_path,
     standard_regular_approximation,
 )
@@ -52,7 +55,9 @@ from orthantsim.skorokhod import (
     HIT_TIE_RTOL,
     _run_segments,
     _segment_arrays,
+    simulate_srbm,
     solve,
+    solve_continuous,
     solve_regular,
 )
 
@@ -408,7 +413,9 @@ def sampled_rank_driver(draw, n):
     subnormals."""
     level = draw(st.integers(1, 6))
     T = draw(st.sampled_from([1.0, 0.3, 2.5]))
-    times = on_or_off_grid(draw, np.linspace(0.0, T, level * (n - 1) + 1), T)
+    grid = standard_regular_approximation(
+        SampledPath([0.0, T], np.zeros((2, n - 1))), level).breakpoints
+    times = on_or_off_grid(draw, grid, T)
     rows = value_rows(draw, len(times), n)
     rows[0].sort()
     return SampledPath(times, rows), level
@@ -421,16 +428,44 @@ def sampled_rank_driver(draw, n):
 @example(([0.5] * 3, (SampledPath([0.0, np.nextafter(0.5, 1.0), 1.0],
                                   [[0.0, -0.0, 0.3], [0.2, 0.1, 0.3], [0.0, 0.1, 0.2]]),
                       2), "exact"))
-def test_gap_route_union_grid_reads_as_values_at(case):
-    # the -0.0 gap of the example is kept on the rows before its first sweep
+def test_gap_route_reports_its_gap_solve(case):
+    # == compares bytes: the -0.0 gap of the example is kept on the rows
+    # before its first sweep
     qminus, (X, level), method = case
     q = CollisionParams.from_qminus(qminus)
     sol = solve_competing(q, X, n=level, method=method)
     sk = solve(reflection_matrix_from_params(q), difference_path(X), method, level)
-    times = np.union1d(sk.Z.times, X.times)
-    assert sol.L.times.tobytes() == times.tobytes()
-    assert sol.L.values.tobytes() == sk.L.values_at(times).tobytes()
-    assert sol.Z.values.tobytes() == sk.Z.values_at(times).tobytes()
+    assert (sol.Z, sol.L, sol.events) == (sk.Z, sk.L, sk.events)
+    assert sol.Y.times.tobytes() == sk.Z.times.tobytes()
+    want = _positions(q, X.values_at(sk.Z.times), sk.L.values)
+    assert sol.Y.values.tobytes() == want.tobytes()
+
+
+@st.composite
+def brownian_grid_inputs(draw):
+    """Dimension, step count, horizon and seed of a path sampled on
+    ``linspace(0, T, n + 1)``, with the step counts 1 000 and 2 500 drawn
+    often."""
+    d = draw(st.integers(1, 12))
+    n = draw(st.sampled_from([1000, 2500]) | st.integers(1, 2500))
+    T = draw(st.sampled_from([1.0, 0.3, 3.7, 1e-3]))
+    return d, n, T, draw(st.integers(0, 2**32 - 1))
+
+
+@given(brownian_grid_inputs().flatmap(
+    lambda c: st.tuples(st.just(c), reflection_matrix(c[0]))))
+@settings(max_examples=40, deadline=None, derandomize=True)
+@example(((5, 1000, 1.0, 3), ReflectionMatrix(np.eye(5))))
+def test_sample_times_are_rows_of_every_sampled_route(case):
+    (d, n, T, seed), R = case
+    B = brownian_components(max(d, 2), T, n, seed)
+    X = SampledPath(B.times, B.values[:, :d] + 0.5)
+    srbm = simulate_srbm(R, np.zeros(d), np.eye(d), np.full(d, 0.5), T, n, seed)
+    ranks = SampledPath(B.times, B.values + np.arange(max(d, 2)))
+    cbp = solve_competing(CollisionParams.symmetric(max(d, 2)), ranks)
+    for sol in (solve_continuous(R, X), srbm, cbp):
+        assert np.isin(B.times, sol.Z.times).all()
+    assert np.isin(B.times, cbp.Y.times).all()
 
 
 PIECE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -0.3, 0.3, 1.0]

@@ -537,15 +537,16 @@ def test_regular_driver_takes_only_the_exact_method(method):
 
 def test_cbp_ordering_margin():
     spec = spec_for(seed=14, n=5, steps=150)
-    sol = simulate_cbp(spec)
-    # exact ordering at the sample grid, where the recovered positions and
-    # the gap solution coincide
-    grid = np.linspace(0, spec.horizon, spec.steps + 1)
-    assert np.diff(sol.Y.values_at(grid), axis=1).min() > -1e-10
-    # between grid points the mismatch is bounded by the step oscillation
     X = driving_path_for(spec)
     osc = np.abs(np.diff(X.values, axis=0)).max()
-    assert sol.diagnostics["min_ordering_margin"] > -2 * osc
+    for level in (None, 100, 225):
+        sol = simulate_cbp(spec, level=level)
+        # exact ordering at the anchors kT/n, where the recovered positions
+        # and the gap solution coincide
+        anchors = np.linspace(0, spec.horizon, (level or spec.steps) + 1)
+        assert np.diff(sol.Y.values_at(anchors), axis=1).min() > -1e-10
+        # between anchors the mismatch is bounded by the step oscillation
+        assert sol.diagnostics["min_ordering_margin"] > -2 * osc
 
 
 # --------------------------------------------------------------- subsystems

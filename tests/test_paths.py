@@ -127,6 +127,18 @@ def test_anchor_interpolation():
         assert np.abs(approx.values_at(anchors) - X.values_at(anchors)).max() < 1e-12
 
 
+@pytest.mark.parametrize("T", [1.0, 0.3, 3.7, 1e-3])
+@pytest.mark.parametrize("n", [1, 7, 1000, 2500])
+def test_anchors_are_breakpoints_bit_for_bit(n, T):
+    anchors = np.linspace(0.0, T, n + 1)
+    for d in range(1, 21):
+        X = SampledPath(anchors, np.zeros((n + 1, d)))
+        bp = standard_regular_approximation(X, n).breakpoints
+        assert bp[::d].tobytes() == anchors.tobytes()
+        assert bp[-1] == T
+        assert (np.diff(bp) > 0.0).all()
+
+
 def test_segment_count_and_axis_order():
     X = brownian_sample(seed=1, d=3, grid=30)
     approx = standard_regular_approximation(X, 4)
