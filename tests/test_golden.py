@@ -128,24 +128,24 @@ CASES = {
 
 EXPECTED = {
     'approximate': '0c6d1c19db7bbc959f8b34fc0eeae30757c32592841e16ff644eaf2dd789a8c6',
-    'simulate_cbp_exact_gap_check': 'a4c282e46db3dc59f92e283a69f47469c8c636702fc76e6ce4ea046a3552948c',
-    'simulate_cbp_exact_tied': '7a9a5df3eda6e9feeaf7a5a177192f01a71985be9b819b4eb99b052dd9a74c94',
-    'simulate_cbp_flat_exact_gap_check': 'a4c282e46db3dc59f92e283a69f47469c8c636702fc76e6ce4ea046a3552948c',
+    'simulate_cbp_exact_gap_check': '5164344aa144550375dce157515795bb36be5e23b0f610021efc7a8608ef461b',
+    'simulate_cbp_exact_tied': 'b7e81387dd66f14af53e924dc6f58da9b65ecb99a6bc30e0de82f8f13507b855',
+    'simulate_cbp_flat_exact_gap_check': '5164344aa144550375dce157515795bb36be5e23b0f610021efc7a8608ef461b',
     'simulate_cbp_grid': 'e7789c67eef5c3fed4ca4e08bd35300311d93b4ca6e3d13765f523f518dc9bb2',
-    'simulate_srbm_exact': 'bae8e510287f0ca7dbd49d46262756e0b60384908e362467248acd8bc5c5af92',
-    'simulate_srbm_exact_push_dense': 'c0d6439a41ca1d91a5da5dd8993c8df1485ebe552d5b34ac8ef0fc3405a90702',
+    'simulate_srbm_exact': '6d9149ea70f336181273c93d8f324f84aeb9fbdefd04e8054ff946af841462bd',
+    'simulate_srbm_exact_push_dense': '777c5a4c64d3a2f3145fb2bc7a78d8ac0ccf4b06f3b673a0223500824cf452a1',
     'simulate_srbm_grid': 'cbab18666cb3149e5fd0256c383ed4747951171b696ca6d513afb0ea39fb9df2',
-    'solve_brownian_exact': '96f6bc31d9e5d5accffb49322423ab7ba3f528aa1ca7445981d82b5f060bf177',
+    'solve_brownian_exact': '8b88089d734e68d01276db0fa8ec8c2dd2ecd45d8a817dcd849f7fa948d47f81',
     'solve_csv_exact': 'cf8f42c70a227aaf6b23038bc80e5484169bd3047b3ba0b66a8b7e5c3cc4c259',
     'solve_csv_grid': 'dde6603c8b6b025359d09c02ae261da26ee510a3d5e56482e4541c8b971613e6',
-    'solve_particles_csv_exact': '4888c024d6b3551cd55750011c257ef13aac5d4954ad5a4858ddead3c6de54cf',
+    'solve_particles_csv_exact': '8bcc3a3dcdd66b0827fdaeaf096e6f21bd143ff8103458674c16a2f634db12d7',
     'solve_particles_csv_grid': 'c7e8371a5c615f6ec10f5488bcb8a5da5d7a47f065dfb5f4273f2ee4d1e16fdb',
     'solve_particles_regular': 'c11fbd931fde59f4a0cbea761aaf7efb4296540b68c2582dcfa672da53087e67',
     'solve_particles_regular_down': '77082b173b7f3a40b09a6e39962a283b81ed100e23b7bccc168fe5d79387e1c8',
     'solve_regular_exact': '8e0fc96363e13dd9c831c9d16e5cf49779548128bb69c96428a319e0a1245fc0',
     'solve_regular_grid': '2eb7f20d9507cca7d7cfb94baba316e9d00c8572db2a66d6945d6062211edccf',
     'validate': '710b66017c0b9fd99bea5fef031ded580496db1f8842fa704355541b46c0e228',
-    'verify': 'bbcce689a5529941d62410cdfe1108e80b333fc5bf85fd110ea45f7a3a430b66',
+    'verify': '7f7008e70e27bd274efd7316a7afbf05fe5423cd7cd9bd3cdbf84e3f8fd25bdf',
 }
 
 
