@@ -20,12 +20,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import comparison
+from . import comparison, particles
 from .errors import ConfigError, ConvergenceError, OrthantSimError
 from .mmatrix import RADIUS_MARGIN, ReflectionMatrix, validate_reflection_m_matrix
 from .paths import (BrownianSpec, RegularPath, SampledPath, _check_count,
                     sample_brownian, standard_regular_approximation)
-from .particles import CbpSpec, CollisionParams, gap_srbm, simulate_cbp, solve_competing
+from .particles import CbpSpec, CollisionParams, simulate_cbp, solve_competing
 from .skorokhod import GRID_TOL, simulate_srbm, solve, write_solution
 
 EXIT_OK = 0
@@ -292,11 +292,8 @@ def cmd_simulate_cbp(cfg: dict, args) -> int:
     sol = simulate_cbp(spec, cfg["method"], cfg.get("level"), cfg["tol"])
     summary = {}
     if cfg["gap_check"]:  # before the export, so that a failed check writes no file
-        srbm = gap_srbm(spec, cfg.get("level"))
-        ts = np.union1d(sol.Z.times, srbm.Z.times)
         summary["gap_srbm_discrepancy"] = float(
-            np.abs(sol.Z.values_at(ts) - srbm.Z.values_at(ts)).max())
-        del srbm, ts  # before the export's tables are built
+            particles.gap_srbm_discrepancy(spec, sol, cfg.get("level"))[1].max())
     return _export(sol, cfg["out"], "cbp", **summary)
 
 

@@ -467,3 +467,10 @@ def gap_srbm(spec: CbpSpec, level: int | None = None):
     sol = solve_continuous(reflection_matrix_from_params(spec.q), W, level)
     sol.diagnostics["seed"] = spec.seed
     return sol
+
+
+def gap_srbm_discrepancy(spec: CbpSpec, sol, level: int | None = None):
+    """Times and |Z - Z_srbm| of ``sol`` and ``gap_srbm(spec, level)`` on both grids."""
+    srbm = gap_srbm(spec, level)
+    times = np.union1d(sol.Z.times, srbm.Z.times)
+    return times, np.abs(sol.Z.values_at(times) - srbm.Z.values_at(times))

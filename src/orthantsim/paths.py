@@ -211,7 +211,7 @@ class RegularPath(_Path):
     def __post_init__(self, cols=None):
         if cols is None:
             try:
-                axes = tuple(map(operator.index, self.axes))
+                axes = _integers("'axes'", self.axes, ParameterError)
                 cols = np.array(axes, dtype=np.intp) - 1
             except (TypeError, OverflowError) as exc:
                 raise ParameterError(f"'axes' must hold integers: {exc}") from None
@@ -432,8 +432,7 @@ def standard_regular_approximation(X: SampledPath,
     are swept one at a time in axis order 1..d, each moving linearly to its
     value at the subinterval's right endpoint.  The output interpolates X at
     the anchors kT/n of ``linspace(0, T, n + 1)``, each a breakpoint bit for
-    bit, and has n*d segments.  ``n=None`` takes one subinterval per grid
-    step of X.
+    bit, and has n*d segments.  ``n=None`` takes n = X's step count.
     """
     if n is None:
         n = len(X.times) - 1

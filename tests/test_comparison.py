@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -329,6 +331,15 @@ def test_counterexample_margin_equals_r21(r21):
 def test_counterexample_rejects_nonpositive():
     with pytest.raises(ParameterError):
         counterexample_positive_offdiag(0.0)
+
+
+@pytest.mark.parametrize("r21, num_points, name", [
+    (math.nan, 101, "r21"), (math.inf, 101, "r21"), (-math.inf, 101, "r21"),
+    (0.5, 2.5, "num_points"), (0.5, 1, "num_points"), (0.5, True, "num_points"),
+])
+def test_counterexample_rejects_bad_arguments_by_name(r21, num_points, name):
+    with pytest.raises(ParameterError, match=f"'{name}'"):
+        counterexample_positive_offdiag(r21, num_points)
 
 
 # ----------------------------------------------------------------- suites

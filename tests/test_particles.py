@@ -20,6 +20,7 @@ from orthantsim.particles import (
     driving_path_for,
     gap_drift_and_covariance,
     gap_srbm,
+    gap_srbm_discrepancy,
     invert_system,
     reflection_matrix_from_params,
     simulate_cbp,
@@ -526,6 +527,17 @@ def test_cbp_gap_matches_srbm_on_shared_noise():
     ts = np.union1d(cbp.Z.times, srbm.Z.times)
     assert np.abs(cbp.Z.values_at(ts) - srbm.Z.values_at(ts)).max() < 1e-8
     assert np.abs(cbp.L.values_at(ts) - srbm.L.values_at(ts)).max() < 1e-8
+
+
+@pytest.mark.parametrize("level", [None, 60])
+def test_gap_srbm_discrepancy_reads_both_grids(level):
+    spec = spec_for(seed=31, n=4, steps=200)
+    cbp, srbm = simulate_cbp(spec, level=level), gap_srbm(spec, level)
+    times, diff = gap_srbm_discrepancy(spec, cbp, level)
+    assert times.tobytes() == np.union1d(cbp.Z.times, srbm.Z.times).tobytes()
+    assert diff.shape == (len(times), 3) and diff.max() < 1e-8
+    assert diff.tobytes() == np.abs(cbp.Z.values_at(times)
+                                    - srbm.Z.values_at(times)).tobytes()
 
 
 @pytest.mark.parametrize("method", ["grid", "bogus"])
