@@ -349,11 +349,10 @@ def solve_competing(q: CollisionParams, X, n: int | None = None,
     gaps = np.diff(Ys, axis=1)
     # Ys satisfies the position identity by construction, so report the gap
     # solve's own Z - W - RL residual
-    skd = sk.diagnostics
-    diag = _cp_diagnostics(q, Ys, Xs, gaps, skd["max_identity_residual"])
+    diag = _cp_diagnostics(q, Ys, Xs, gaps, sk.diagnostics["max_identity_residual"])
     diag["gap_residual"] = float(np.abs(gaps - sk.Z.values).max())
     diag["method"] = f"gap-{method}"
-    diag.update({k: skd[k] for k in ("iterations", "level") if k in skd})
+    diag.update({k: v for k, v in sk.diagnostics.items() if k in ("iterations", "level")})
     return ParticleSystemSolution(sk.Z, sk.L, sk.events, diag,
                                   Y=SampledPath._adopt(sk.Z.times, Ys))
 

@@ -350,8 +350,9 @@ def solve_grid_oracle(R: ReflectionMatrix, X: SampledPath,
         "min_z": float(Z.min()),
         "method": "grid-oracle",
     }
-    return SkorokhodSolution(SampledPath(X.times, Z), SampledPath(X.times, L),
-                             (), diag)
+    times = X.times.copy()  # one grid for Z and L, and not the driver's
+    Z, L = (SampledPath._adopt(times, v) for v in (Z, L))
+    return SkorokhodSolution(Z, L, (), diag)
 
 
 def solve_continuous(R: ReflectionMatrix, X: SampledPath,

@@ -21,7 +21,8 @@ from orthantsim.paths import (
     sample_brownian,
     standard_regular_approximation,
 )
-from orthantsim.skorokhod import RATE_CACHE_MAX, simulate_srbm, solve_regular
+from orthantsim.skorokhod import (RATE_CACHE_MAX, simulate_srbm, solve_grid_oracle,
+                                  solve_regular)
 
 
 def push_heavy_matrix(d, rho=0.95, seed=0):
@@ -115,6 +116,17 @@ def test_particle_outputs_are_read_only_and_their_own(route):
         X = standard_regular_approximation(X, 100)
     sol = solve_competing(q, X)
     assert sol.events
+    assert_adopted(sol, X)
+
+
+def test_grid_outputs_share_one_grid_of_their_own():
+    B = sample_brownian(BrownianSpec(4, [0.0] * 4, np.eye(4), 1.0, 100, 5))
+    X = SampledPath(B.times, np.arange(4) * 0.1 + B.values)
+    sk = solve_grid_oracle(ReflectionMatrix(push_heavy_matrix(4)), X)
+    sol = solve_competing(CollisionParams.symmetric(4), X, method="grid")
+    assert sk.Z.times is sk.L.times
+    assert sol.Y.times is sol.Z.times is sol.L.times
+    assert_adopted(sk, X)
     assert_adopted(sol, X)
 
 
