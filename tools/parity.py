@@ -55,7 +55,11 @@ the text its ``to_csv`` writes.  The records are:
   Q, two decoupled classes, a block-triangular reducible Q, nearly reducible
   2 x 2 couplings of 1e-6, 1e-8 and 1e-12, two two-cycles of roots 0.999 and
   0.99899 joined at 1e-9, dense Q at rho = 1 - 2e-8, 1 - 5e-9 and 1.01, a
-  positive off-diagonal entry, a bad diagonal, and the N = 20 gap matrix.
+  positive off-diagonal entry, a bad diagonal, the N = 20 gap matrix, a
+  permuted reducible Q = [[A, C], [0, A]] whose two classes share the root
+  rho(A) = 1 - 2e-8 (``shared_root``), and the three-cycles
+  Q = [[0, b, 0], [0, 0, b], [s, 0, 0]] of rho = (b^2 s)^(1/3) at (b, s) =
+  (1e8, 1e-15), (1e16, 1e-33) and (1e300, 1e-300) (``three_cycle_<b>_<s>``).
 
 ``--against`` lists every record whose digest differs, is missing or is new,
 each by name, then the count, and exits 1 if there is any.
@@ -226,6 +230,21 @@ def validation_bank():
     yield "positive_entry", [[1.0, 0.1], [-0.5, 1.0]]
     yield "bad_diagonal", [[1.5, 0.0], [0.0, 1.0]]
     yield "gap_n20", reflection_matrix_from_params(_cbp_spec(20).q).entries
+    yield "shared_root", np.eye(8) - shared_root_q(_rng(7))
+    for b, s in ((1e8, 1e-15), (1e16, 1e-33), (1e300, 1e-300)):
+        yield f"three_cycle_{b:g}_{s:g}", np.eye(3) - np.array(
+            [[0, b, 0], [0, 0, b], [s, 0, 0]])
+
+
+def shared_root_q(rng, rho: float = 1 - 2e-8) -> np.ndarray:
+    """[[A, C], [0, A]] permuted, A 4 x 4 with every row sum rho, so rho(A) = rho
+    and the whole matrix has rho as a double eigenvalue."""
+    P = rng.uniform(0.05, 1.0, (4, 4))
+    np.fill_diagonal(P, 0.0)
+    A = P * (rho / P.sum(axis=1))[:, None]
+    Q = np.block([[A, rng.uniform(0.05, 1.0, (4, 4))], [np.zeros((4, 4)), A]])
+    p = rng.permutation(8)
+    return Q[np.ix_(p, p)]
 
 
 def suite_digest(res) -> str:
