@@ -2,12 +2,12 @@
 
 A reflection nonsingular M-matrix is R = I - Q with Q >= 0 entrywise, zero
 diagonal, and spectral radius strictly below one.  This module provides the
-class validator, a Perron-root estimator, Neumann-series inversion,
+class validator, the Perron root, Neumann-series inversion,
 principal-submatrix indexing, and the entrywise comparison lemmas used by the
 solvers as executable predicates.
 
-Every finite nonnegative matrix has a Perron root: a class whose power
-iteration brackets no root in ``PERRON_MAX_ITER`` steps takes LAPACK's.
+The Perron root is LAPACK's, taken on each irreducible class, where it is a
+simple eigenvalue, and never on a whole reducible Q, where it may be multiple.
 
 All index sets and axis indices in the public API are 1-based.
 """
@@ -31,10 +31,6 @@ from .paths import _ArrayValue, _integers
 
 DIAGONAL_TOL = 1e-10
 RADIUS_MARGIN = 1e-8
-# Collatz-Wielandt bracket width at which the Perron root counts as found
-PERRON_TOL = 1e-10
-# power iterations per class before its root is taken from np.linalg.eigvals
-PERRON_MAX_ITER = 100_000
 NEUMANN_MAX_TERMS = 100_000
 
 
@@ -99,23 +95,19 @@ def _check_tol(tol) -> None:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
 
 
-def spectral_radius_nonneg(Q, tol: float = PERRON_TOL) -> float:
-    """Perron root of an entrywise nonnegative matrix by power iteration.
+def spectral_radius_nonneg(Q) -> float:
+    """Perron root of an entrywise nonnegative matrix.
 
     The root is the largest over the irreducible classes of Q's pattern
     (the sets of mutually reachable indices), and 0 when the pattern has no
-    cycle (Q nilpotent, Q = 0 included).  Each class that has a cycle is
-    iterated on its own block, and an irreducible Q on Q itself.  The
-    iteration runs on Q + I (same eigenvectors, radius shifted by one); the
-    positive diagonal removes the cycling that plain power iteration
-    exhibits on bipartite matrices such as zero-diagonal tridiagonals.
-    Collatz-Wielandt ratios give a rigorous bracket [lo, hi] around the
-    class's Perron root; iteration stops once hi - lo < tol.  A class still
-    unbracketed after ``PERRON_MAX_ITER`` iterations (nearly reducible, as
-    [[0, 1], [1e-20, 0]]) takes the largest |eigenvalue| of its block.
+    cycle (Q nilpotent, Q = 0 included).  Each class that has a cycle gives
+    the largest |eigenvalue| of its own block, and an irreducible Q of Q
+    itself.  The split keeps the root accurate: in a class it is a simple
+    eigenvalue (Perron-Frobenius), but classes that share it, as in
+    [[A, C], [0, A]], make it a multiple one of Q, which LAPACK misses by
+    ~1e-8 or more where it finds a simple one to ~1e-15.
     """
     A = _as_square(Q)
-    _check_tol(tol)
     if A.min() < 0:
         raise ValueError("matrix must be entrywise nonnegative")
     d = A.shape[0]
@@ -128,21 +120,8 @@ def spectral_radius_nonneg(Q, tol: float = PERRON_TOL) -> float:
         cls = reach[i] & reach[:, i]
         left &= ~cls
         block = A if cls.all() else A[np.ix_(cls, cls)]
-        radius = max(radius, _perron_root(block, tol))
+        radius = max(radius, float(np.abs(np.linalg.eigvals(block)).max()))
     return radius
-
-
-def _perron_root(A: np.ndarray, tol: float) -> float:
-    """Perron root of an irreducible nonnegative A: bracketed, else LAPACK's."""
-    v = np.ones(A.shape[0])
-    for _ in range(PERRON_MAX_ITER):
-        w = A @ v + v  # (Q + I) v, stays strictly positive
-        ratios = w / v
-        lo, hi = ratios.min(), ratios.max()
-        if hi - lo < tol:
-            return max(0.5 * (lo + hi) - 1.0, 0.0)
-        v = w / np.linalg.norm(w)
-    return np.abs(np.linalg.eigvals(A)).max()
 
 
 def _q_part(A: np.ndarray) -> np.ndarray:
@@ -170,7 +149,7 @@ def validate_reflection_m_matrix(M, tol: float = RADIUS_MARGIN) -> ValidationRep
         return ValidationReport(
             False, f"positive off-diagonal entry at ({r + 1},{c + 1})"
         )
-    rho = spectral_radius_nonneg(_q_part(A), tol=min(tol, PERRON_TOL))
+    rho = spectral_radius_nonneg(_q_part(A))
     if rho >= 1.0 - tol:
         return ValidationReport(
             False, f"spectral radius of I - R is {rho:.12g} >= 1 - {tol:g}", rho

@@ -106,14 +106,14 @@ def test_triangular_reflection_matrix_is_accepted():
 
 @pytest.mark.parametrize("off,expected", [(0.5, 0.5), (0.9, 0.9)])
 def test_radius_cross_matrix(off, expected):
-    got = spectral_radius_nonneg([[0, off], [off, 0]], tol=1e-12)
+    got = spectral_radius_nonneg([[0, off], [off, 0]])
     assert got == pytest.approx(expected, abs=1e-10)
 
 
 def test_radius_asymmetric_cross_against_formula():
     # eigenvalues of [[0,a],[b,0]] are +-sqrt(ab)
     a, b = 1.0, 0.25
-    got = spectral_radius_nonneg([[0, a], [b, 0]], tol=1e-12)
+    got = spectral_radius_nonneg([[0, a], [b, 0]])
     assert got == pytest.approx(np.sqrt(a * b), abs=1e-10)
 
 
@@ -123,28 +123,26 @@ def test_radius_random_against_numpy():
         d = rng.integers(1, 7)
         Q = rng.uniform(0, 1, (d, d))
         want = np.abs(np.linalg.eigvals(Q)).max()
-        got = spectral_radius_nonneg(Q, tol=1e-11)
+        got = spectral_radius_nonneg(Q)
         assert got == pytest.approx(want, abs=1e-8)
 
 
-def test_radius_sparse_random_against_numpy(monkeypatch):
+def test_radius_sparse_random_against_numpy():
     # sparse patterns: most are reducible, many have classes of unequal roots
     rng = np.random.default_rng(11)
     for _ in range(100):
         d = rng.integers(1, 9)
         Q = rng.uniform(0, 1, (d, d)) * (rng.uniform(size=(d, d)) < 0.3)
         want = np.abs(np.linalg.eigvals(Q)).max()
-        got = spectral_radius_nonneg(Q, tol=1e-11)
+        got = spectral_radius_nonneg(Q)
         assert got == pytest.approx(want, abs=1e-8)
-    # nearly reducible: two random blocks, the second fed back at 10^-k; at
-    # this cap about a third of them leave the bracket open and take LAPACK's root
-    monkeypatch.setattr(mmatrix, "PERRON_MAX_ITER", 200)
+    # nearly reducible: two random blocks, the second fed back at 10^-k
     for k in range(6, 15):
         for a, b in [(1, 1), (1, 3), (2, 2), (3, 1), (3, 3), (4, 2)]:
             Q = rng.uniform(0, 1, (a + b, a + b))
             Q[a:, :a] *= 10.0 ** -k
             want = np.abs(np.linalg.eigvals(Q)).max()
-            got = spectral_radius_nonneg(Q, tol=1e-11)
+            got = spectral_radius_nonneg(Q)
             assert got == pytest.approx(want, abs=1e-8)
 
 
@@ -153,9 +151,7 @@ def test_radius_rejects_negative_entries():
         spectral_radius_nonneg([[0, -0.1], [0, 0]])
 
 
-def test_radius_of_decoupled_classes_is_their_largest(monkeypatch):
-    # one power iteration over both classes would never bracket
-    monkeypatch.setattr(mmatrix, "PERRON_MAX_ITER", 50)
+def test_radius_of_decoupled_classes_is_their_largest():
     assert spectral_radius_nonneg(np.diag([0.5, 0.3])) == 0.5
 
 
@@ -163,15 +159,13 @@ def test_radius_of_decoupled_classes_is_their_largest(monkeypatch):
     ([[0.0, 1.0], [1e-20, 0.0]], 1e-10, 1e-6),  # the bracket closes like 1e-10**k
     ([[0.0, 0.5], [1e-8, 0.0]], np.sqrt(5e-9), 1e-15),
 ])
-def test_radius_left_unbracketed_is_lapacks(monkeypatch, Q, want, rel):
-    # rho([[0, a], [b, 0]]) = sqrt(ab); irreducible, but too weakly coupled
-    monkeypatch.setattr(mmatrix, "PERRON_MAX_ITER", 50)
+def test_radius_left_unbracketed_is_lapacks(Q, want, rel):
+    # rho([[0, a], [b, 0]]) = sqrt(ab); irreducible, but weakly coupled
     assert spectral_radius_nonneg(Q) == pytest.approx(want, rel=rel)
 
 
 def test_nearly_reducible_matrix_constructs():
-    # bracketing rho(Q) ~ 7e-5 fails after PERRON_MAX_ITER iterations;
-    # LAPACK's root, sqrt(5e-9), is below 1 - RADIUS_MARGIN
+    # rho(Q) = sqrt(5e-9) ~ 7e-5 is below 1 - RADIUS_MARGIN
     R = ReflectionMatrix([[1.0, -0.5], [-1e-8, 1.0]])
     assert R.entries[1, 0] == -1e-8
 
@@ -186,12 +180,9 @@ def test_tolerance_must_be_positive_and_finite(monkeypatch, tol):
     # a NaN tol passed `tol <= 0`: validation then ran to the cap and blamed
     # the matrix, and the Neumann series reported `term norm nan`
     R = ReflectionMatrix([[1.0, -0.5], [-0.5, 1.0]])
-    monkeypatch.setattr(mmatrix, "PERRON_MAX_ITER", _NoIteration())
     monkeypatch.setattr(mmatrix, "NEUMANN_MAX_TERMS", _NoIteration())
     with pytest.raises(ValueError, match="tol must be positive"):
         validate_reflection_m_matrix([[1.0, -3.0], [-3.0, 1.0]], tol=tol)
-    with pytest.raises(ValueError, match="tol must be positive"):
-        spectral_radius_nonneg([[0.0, 3.0], [3.0, 0.0]], tol=tol)
     with pytest.raises(ValueError, match="tol must be positive"):
         neumann_inverse(R, tol=tol)
 
@@ -209,8 +200,7 @@ def test_constructor_rejects_exactly_what_validation_rejects(d, rho, shape, seed
     if shape == "reducible":  # block upper triangular, a class of two first
         Q[k:, :k] = 0.0
     elif shape == "nearly_reducible" and d - k >= 2:
-        # two classes of one root, the second fed back at 1e-9: the bracket
-        # closes like the ~1e-5 split of that double root, so rarely in the cap
+        # two classes of one root, the second fed back at 1e-9
         Q[k:, k:] *= (np.abs(np.linalg.eigvals(Q[:k, :k])).max()
                       / np.abs(np.linalg.eigvals(Q[k:, k:])).max())
         Q[k:, :k] *= 1e-9
@@ -220,15 +210,13 @@ def test_constructor_rejects_exactly_what_validation_rejects(d, rho, shape, seed
         M[0, 1] = 1e-3
     elif shape == "diagonal":
         M[1, 1] = 1.5
-    with pytest.MonkeyPatch.context() as mp:  # an unbracketed root runs the whole cap
-        mp.setattr(mmatrix, "PERRON_MAX_ITER", 2000)
-        report = validate_reflection_m_matrix(M)
-        if report.accepted:
-            np.testing.assert_array_equal(ReflectionMatrix(M).entries, M)
-        else:
-            with pytest.raises(MatrixValidationError) as err:
-                ReflectionMatrix(M)
-            assert str(err.value) == report.reason
+    report = validate_reflection_m_matrix(M)
+    if report.accepted:
+        np.testing.assert_array_equal(ReflectionMatrix(M).entries, M)
+    else:
+        with pytest.raises(MatrixValidationError) as err:
+            ReflectionMatrix(M)
+        assert str(err.value) == report.reason
 
 
 # ----------------------------------------------------------- Neumann inverse

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from orthantsim import mmatrix, skorokhod
+from orthantsim import skorokhod
 from orthantsim.errors import (
     ConvergenceError,
     DimensionError,
@@ -243,11 +243,10 @@ def test_grid_oracle_sweep_cap_names_rho_and_cap():
 
 
 def test_grid_oracle_sweep_cap_names_an_unbracketed_rho(monkeypatch):
-    # two two-cycles of roots 0.999 and 0.99899 joined at 1e-9: the bracket
-    # on rho(Q) never closes, and the cap's error raised the Perron error
+    # two two-cycles of roots 0.999 and 0.99899 joined at 1e-9: a bracket on
+    # rho(Q) never closed, and the cap's error raised the Perron error
     a, b, e = 0.999, 0.99899, 1e-9
     Q = np.array([[0, a, e, 0], [a, 0, 0, 0], [0, 0, 0, b], [e, 0, b, 0]])
-    monkeypatch.setattr(mmatrix, "PERRON_MAX_ITER", 1000)
     monkeypatch.setattr(skorokhod, "GRID_MAX_SWEEPS", 100)
     R = ReflectionMatrix(np.eye(4) - Q)
     t = np.linspace(0.0, 1.0, 1000)
