@@ -144,7 +144,7 @@ EXPECTED = {
     'solve_particles_regular_down': '77082b173b7f3a40b09a6e39962a283b81ed100e23b7bccc168fe5d79387e1c8',
     'solve_regular_exact': '8e0fc96363e13dd9c831c9d16e5cf49779548128bb69c96428a319e0a1245fc0',
     'solve_regular_grid': '2eb7f20d9507cca7d7cfb94baba316e9d00c8572db2a66d6945d6062211edccf',
-    'validate': '710b66017c0b9fd99bea5fef031ded580496db1f8842fa704355541b46c0e228',
+    'validate': '603f5c58c4883d0a6352c1d23950cb6d2256feb20183e1f5f3d192b94dd433ad',
     'verify': '7f7008e70e27bd274efd7316a7afbf05fe5423cd7cd9bd3cdbf84e3f8fd25bdf',
 }
 
