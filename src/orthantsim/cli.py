@@ -289,11 +289,15 @@ def cmd_simulate_srbm(cfg: dict, args) -> int:
 def cmd_simulate_cbp(cfg: dict, args) -> int:
     block = cfg.get("cbp", cfg)  # the "cbp" block, or the config in the flat form
     spec = CbpSpec(**{key: block[key] for key in CBP} | {"q": _params(block["q"])})
-    sol = simulate_cbp(spec, cfg["method"], cfg.get("level"), cfg["tol"])
+    level = cfg.get("level")
+    # on the grid method only the gap check's exact solve reads the level
+    sol = simulate_cbp(spec, cfg["method"],
+                       None if cfg["method"] == "grid" and cfg["gap_check"] else level,
+                       cfg["tol"])
     summary = {}
     if cfg["gap_check"]:  # before the export, so that a failed check writes no file
         summary["gap_srbm_discrepancy"] = float(
-            particles.gap_srbm_discrepancy(spec, sol, cfg.get("level"))[1].max())
+            particles.gap_srbm_discrepancy(spec, sol, level)[1].max())
     return _export(sol, cfg["out"], "cbp", **summary)
 
 

@@ -111,7 +111,7 @@ def invert_system(q: CollisionParams) -> CollisionParams:
     return CollisionParams(qp, qm)
 
 
-@lru_cache(maxsize=GAP_MATRIX_CACHE_MAX)  # values; validation is a power iteration
+@lru_cache(maxsize=GAP_MATRIX_CACHE_MAX)  # by value; each gap matrix keeps its rate cache
 def reflection_matrix_from_params(q: CollisionParams) -> ReflectionMatrix:
     """Tridiagonal gap-process reflection matrix of size N-1, cached per q."""
     n = q.n_particles
@@ -180,10 +180,8 @@ class ParticleSystemSolution(SkorokhodSolution):
         )
 
 
-def _check_w_point(y, n=None) -> np.ndarray:
+def _check_w_point(y) -> np.ndarray:
     y = np.asarray(y, dtype=float).ravel()
-    if n is not None and y.size != n:
-        raise DimensionError(f"start point has size {y.size}, expected {n}")
     if (y[1:] < y[:-1]).any():
         raise OrderingError(f"start point {y} is not weakly increasing")
     return y
@@ -361,7 +359,7 @@ def _solve_competing_regular(q: CollisionParams, X: RegularPath) -> ParticleSyst
     n = q.n_particles
     if X.dim != n:
         raise DimensionError("driver dimension must match the particle count")
-    y0 = _check_w_point(X.start, n)
+    y0 = _check_w_point(X.start)
     tall, Yall, Lall, Xv, events, _, consistency = _stitch(
         X, y0, n - 1, partial(_run_blocks, q.qplus, q.qminus))
     gaps = np.diff(Yall, axis=1)
@@ -402,7 +400,7 @@ class CbpSpec:
             raise DimensionError("g, sigma2, y0, q must agree on the particle count")
         if any(v <= 0 for v in s2):
             raise ParameterError("sigma2 must be strictly positive")
-        _check_w_point(y0, n)
+        _check_w_point(y0)
         _check_count("steps", self.steps, n)
         _check_integer("seed", self.seed, 0)
         if not 0 < self.horizon < math.inf:

@@ -57,7 +57,10 @@ def _check_integer(name: str, value, least: int, most: int | None = None) -> Non
 def _integers(name: str, values, error: type[Exception]) -> tuple[int, ...]:
     """``values`` as Python ints, each read with ``operator.index`` (numpy's
     integers too, but not a bool); ``error`` naming ``name`` otherwise."""
-    values = tuple(values)
+    try:
+        values = tuple(values)
+    except TypeError:  # not iterable
+        raise error(f"{name} must hold integers, got {values!r}") from None
     if not any(isinstance(v, bool) for v in values):
         try:
             return tuple(map(operator.index, values))
@@ -210,12 +213,12 @@ class RegularPath(_Path):
 
     def __post_init__(self, cols=None):
         if cols is None:
-            try:
-                axes = _integers("'axes'", self.axes, ParameterError)
-                cols = np.array(axes, dtype=np.intp) - 1
-            except (TypeError, OverflowError) as exc:
-                raise ParameterError(f"'axes' must hold integers: {exc}") from None
+            axes = _integers("'axes'", self.axes, ParameterError)
             object.__setattr__(self, "axes", axes)
+            big = np.iinfo(np.intp).max  # an axis past it lies outside 1..dim
+            cols = (np.array(axes, dtype=np.intp) - 1
+                    if not axes or -big <= min(axes) <= max(axes) <= big
+                    else np.full(len(axes), -1, np.intp))
         x0 = np.asarray(self.start, dtype=float).ravel()
         bp = np.asarray(self.breakpoints, dtype=float)
         sl = np.asarray(self.slopes, dtype=float)
@@ -230,7 +233,7 @@ class RegularPath(_Path):
         if len(self.axes) != len(bp) - 1 or len(sl) != len(bp) - 1:
             raise DimensionError("need one axis and slope per segment")
         if cols.min() < 0 or cols.max() >= x0.size:
-            raise ParameterError(f"axis indices must lie in 1..{x0.size}")
+            raise ParameterError(f"axis indices in 'axes' must lie in 1..{x0.size}")
         if not (np.isfinite(x0).all() and np.isfinite(bp).all()
                 and np.isfinite(sl).all()):
             raise InvalidEntryError("path contains NaN or infinite entries")

@@ -379,9 +379,12 @@ def solve(R: ReflectionMatrix, X, method: str = "exact", level: int | None = Non
           tol: float = GRID_TOL) -> SkorokhodSolution:
     """Skorohod solution for X: exact for a ``RegularPath``; for a sampled
     path, ``solve_continuous`` at ``level`` (``method="exact"``) or the grid
-    oracle at ``tol`` (``method="grid"``).
+    oracle at ``tol`` (``method="grid"``), which reads no level.
     """
     _check_method(X, method)
+    if method == "grid" and level is not None:
+        raise ParameterError(f"'level' = {level!r} applies to method 'exact'; "
+                             "the grid method reads no level")
     if isinstance(X, RegularPath):
         return solve_regular(R, X)
     if method == "exact":

@@ -897,13 +897,30 @@ def test_suite_count_whose_table_numpy_cannot_size_is_rejected(tmp_path, capsys,
 
 
 def test_failed_gap_check_writes_no_file(tmp_path, capsys):
-    # the grid solve ignores the level, the gap check's exact solve cannot size
+    # the grid solve reads no level, the gap check's exact solve cannot size
     # it; the check runs before the export, so no partial CSV is left behind
     cfg = write_config(tmp_path, {**CBP_2, "gap_check": True})
     code, out, err = run(capsys, "simulate-cbp", "--config", cfg, "--out",
                          str(tmp_path / "run"), "--method", "grid", "--level", str(COUNT_MAX))
     assert (code, out) == (2, "")
     assert f"'level' = {COUNT_MAX} needs a table" in json.loads(err)["message"]
+    assert not (tmp_path / "run").exists()
+
+
+GRID_LEVEL_CONFIGS = {"solve": {"matrix": [[1.0]], "path": BROWNIAN_1},
+                      "simulate-srbm": SRBM_1D, "simulate-cbp": {"cbp": CBP_2}}
+
+
+@pytest.mark.parametrize("command", sorted(GRID_LEVEL_CONFIGS))
+def test_grid_method_rejects_a_level(tmp_path, capsys, command):
+    # the grid oracle reads no level: --level wrote the bytes of the run without it
+    cfg = write_config(tmp_path, GRID_LEVEL_CONFIGS[command])
+    argv = [command, "--config", cfg, "--method", "grid"]
+    code, _, err = run(capsys, *argv, "--out", str(tmp_path / "plain"))
+    assert code == 0, err
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path / "run"), "--level", "7")
+    assert (code, out) == (2, "")
+    assert "'level' = 7" in json.loads(err)["message"]
     assert not (tmp_path / "run").exists()
 
 

@@ -60,7 +60,7 @@ CONFIGS = [
     ("simulate-srbm", {"matrix": [[1.0, -0.4], [-0.2, 1.0]], "mu": [-0.5, 0.3],
                        "covariance": [[1.0, 0.0], [0.0, 1.0]], "z0": [0.5, 0.5],
                        "horizon": 1.0, "steps": 16, "seed": 5, "method": "grid",
-                       "level": 4, "tol": 1e-8}),
+                       "tol": 1e-8}),
     ("simulate-cbp", {"cbp": CBP, "gap_check": True, "method": "exact", "level": 8,
                       "tol": 1e-8}),
     ("simulate-cbp", dict(CBP, method="grid")),

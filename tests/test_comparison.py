@@ -401,6 +401,12 @@ def test_suite_broken_hypothesis_fails_with_errors():
     assert all(r.error and "precondition" in r.error for r in res.results)
 
 
+def test_particle_suite_broken_hypothesis_fails_with_errors():
+    res = run_suite("particle_comparison", 5, seed=3, break_hypothesis=True)
+    assert not res.passed
+    assert all(r.error and "precondition" in r.error for r in res.results)
+
+
 def test_counterexample_suite_passes():
     assert run_suite("counterexample", 3, seed=0).passed
 

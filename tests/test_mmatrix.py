@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from orthantsim import mmatrix
 from orthantsim.errors import (
+    ConvergenceError,
     DimensionError,
     IndexSetError,
     InvalidEntryError,
@@ -219,6 +220,80 @@ def test_constructor_rejects_exactly_what_validation_rejects(d, rho, shape, seed
         assert str(err.value) == report.reason
 
 
+def _cyclic_classes(Q):
+    """Index arrays of the irreducible classes of Q's pattern that hold a cycle."""
+    T = Q > 0
+    for k in range(len(Q)):  # Warshall: T[i, j] iff a path of length >= 1 leads i -> j
+        T |= T[:, [k]] & T[[k], :]
+    classes = {tuple(np.flatnonzero(T[i] & T[:, i])) for i in range(len(Q)) if T[i, i]}
+    return [np.array(c) for c in sorted(classes)]
+
+
+def _collatz_wielandt(B, steps=300):
+    """[lo, hi] around the Perron root of an irreducible B >= 0: the least and
+    largest (Bv)_i / v_i for v = (B/s + I)^steps 1, s B's largest row sum."""
+    s = B.sum(axis=1).max()
+    v = np.ones(len(B))
+    for _ in range(steps):
+        v = B @ v / s + v
+        v /= v.max()
+    ratios = B @ v / v
+    return ratios.min(), ratios.max()
+
+
+def _sample_q(rng, kind, d, exponent):
+    Q = rng.uniform(0.05, 1.0, (d, d))
+    k = int(rng.integers(1, d)) if d > 1 else 1
+    if kind == "sparse":  # mostly reducible
+        Q *= rng.uniform(size=(d, d)) < 0.3
+    elif kind == "reducible":  # block triangular; a class copied shares its root
+        Q[k:, :k] = 0.0
+        if 2 * k <= d and rng.uniform() < 0.5:
+            Q[k:2 * k, k:2 * k] = Q[:k, :k]
+    elif kind == "nearly_reducible":
+        Q[k:, :k] *= 10.0 ** -rng.uniform(6, 14)
+    np.fill_diagonal(Q, 0.0)
+    p = rng.permutation(d)  # hides the block pattern from LAPACK's balancing
+    return Q[np.ix_(p, p)] * (10.0 ** exponent if kind == "scaled" else 1.0)
+
+
+@given(d=st.integers(2, 20), seed=st.integers(0, 2 ** 32 - 1),
+       kind=st.sampled_from(["dense", "sparse", "reducible", "nearly_reducible", "scaled"]),
+       exponent=st.integers(-20, 20))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_radius_lies_in_its_collatz_wielandt_and_sum_bounds(d, seed, kind, exponent):
+    # certified apart from LAPACK: per class, the Collatz-Wielandt bracket of a
+    # positive vector; for all of Q, the least and largest row and column sums
+    Q = _sample_q(np.random.default_rng(seed), kind, d, exponent)
+    got = spectral_radius_nonneg(Q)
+    classes = _cyclic_classes(Q)
+    if not classes:
+        assert got == 0.0
+        return
+    lo, hi = np.max([_collatz_wielandt(Q[np.ix_(c, c)]) for c in classes], axis=0)
+    rel = 1e-12
+    assert lo * (1 - rel) <= got <= hi * (1 + rel)
+    rows, cols = Q.sum(axis=1), Q.sum(axis=0)
+    assert max(rows.min(), cols.min()) * (1 - rel) <= got
+    assert got <= min(rows.max(), cols.max()) * (1 + rel)
+
+
+def test_radius_of_classes_that_share_a_root():
+    # permuted [[A, C], [0, A]]: rho(A) is a double eigenvalue of Q, which
+    # LAPACK on the whole of Q puts at 1 - 6e-10, a rejection, and per class
+    # finds to ~1e-15
+    rho = 1 - 2e-8
+    rng = np.random.default_rng(0)
+    P = rng.uniform(0.05, 1.0, (4, 4))
+    np.fill_diagonal(P, 0.0)
+    A = P * (rho / P.sum(axis=1))[:, None]  # every row sums to rho, so rho(A) = rho
+    Q = np.block([[A, rng.uniform(0.05, 1.0, (4, 4))], [np.zeros((4, 4)), A]])
+    p = rng.permutation(8)
+    report = validate_reflection_m_matrix(np.eye(8) - Q[np.ix_(p, p)])
+    assert report.accepted
+    assert report.spectral_radius == pytest.approx(rho, rel=1e-13)
+
+
 # ----------------------------------------------------------- Neumann inverse
 
 def test_neumann_identity():
@@ -252,6 +327,13 @@ def test_neumann_matches_direct_solve():
         S = neumann_inverse(R, tol=tol)
         direct = np.linalg.solve(R.entries, np.eye(d))
         assert np.abs(S - direct).max() < 10 * tol
+
+
+def test_neumann_series_past_its_term_cap_raises(monkeypatch):
+    monkeypatch.setattr(mmatrix, "NEUMANN_MAX_TERMS", 3)
+    with pytest.raises(ConvergenceError, match="in 3 terms") as err:
+        neumann_inverse(ReflectionMatrix([[1.0, -0.5], [-0.5, 1.0]]))
+    assert err.value.details["last_term_norm"] == 0.125
 
 
 # ------------------------------------------------------ principal submatrix
@@ -302,6 +384,26 @@ def test_index_set_reads_integers_only(base_dim, members):
         IndexSet(base_dim, members)
     J = IndexSet(np.int64(3), np.array([1, 3], dtype=np.int32))
     assert J == IndexSet(3, (1, 3)) and type(J.base_dim) is type(J.members[0]) is int
+
+
+_I2, _I3 = ReflectionMatrix(np.eye(2)), ReflectionMatrix(np.eye(3))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: IndexSet(0, (1,)), IndexSetError, "base_dim must be a positive integer"),
+    (lambda: principal_submatrix(np.ones(3), IndexSet(3, (1,)), IndexSet(3, (1,))),
+     DimensionError, "expected a matrix"),
+    (lambda: principal_submatrix(np.ones((3, 3)), IndexSet(2, (1,)), IndexSet(3, (1,))),
+     IndexSetError, "sized for 2x3, matrix is 3x3"),
+    (lambda: check_matrix_lemmas(_I2, _I3, IndexSet(2, (1,))),
+     DimensionError, "same dimension"),
+    (lambda: check_matrix_lemmas(_I2, _I2, IndexSet(3, (1,))),
+     IndexSetError, "J must index"),
+], ids=["base_dim_0", "submatrix_of_a_vector", "submatrix_sizes",
+        "lemma_dimensions", "lemma_index_set"])
+def test_index_sets_and_lemmas_reject_mismatched_sizes(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 # ------------------------------------------------------------ lemma checks

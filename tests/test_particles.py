@@ -93,6 +93,28 @@ def test_params_symmetric():
     assert q.qplus == (0.5,) * 4 and q.qminus == (0.5,) * 4
 
 
+_Q2 = CollisionParams.symmetric(2)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: CollisionParams((0.5, 0.5, 0.5), (0.5, 0.5)), ParameterError, "equal length"),
+    (lambda: gap_drift_and_covariance([0.0, 1.0, 2.0], [1.0, 1.0]), DimensionError,
+     "share a length >= 2"),
+    (lambda: gap_drift_and_covariance([0.0, 1.0], [1.0, 0.0]), ParameterError,
+     "sigma2 must be strictly positive"),
+    (lambda: CbpSpec((0.0, 0.0, 0.0), (1.0, 1.0), _Q2, (0.0, 0.1), 1.0, 10, 1),
+     DimensionError, "agree on the particle count"),
+    (lambda: CbpSpec((0.0, 0.0), (1.0, 1.0), _Q2, (0.0, 0.1, 0.2), 1.0, 10, 1),
+     DimensionError, "agree on the particle count"),
+    (lambda: CbpSpec((0.0, 0.0), (1.0, -1.0), _Q2, (0.0, 0.1), 1.0, 10, 1),
+     ParameterError, "sigma2 must be strictly positive"),
+], ids=["share_lengths", "gap_sizes", "gap_sigma2", "spec_g_size", "spec_y0_size",
+        "spec_sigma2"])
+def test_shares_and_specs_reject_sizes_and_variances(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 # ---------------------------------------------------------------- inversion
 
 def test_invert_symmetric_fixed_point():
@@ -545,6 +567,15 @@ def test_regular_driver_takes_only_the_exact_method(method):
     X = single_axis_path([0.0, 0.2, 0.5], 2, 1.0, 1.0)
     with pytest.raises(ParameterError, match=f"{method!r} cannot solve"):
         solve_competing(CollisionParams.symmetric(3), X, method=method)
+
+
+def test_grid_method_rejects_a_level():
+    # the grid oracle reads no level, which passed silently
+    spec = spec_for(n=3)
+    with pytest.raises(ParameterError, match="'level' = 7"):
+        solve_competing(spec.q, driving_path_for(spec), n=7, method="grid")
+    with pytest.raises(ParameterError, match="'level' = 7"):
+        simulate_cbp(spec, "grid", level=7)
 
 
 def test_cbp_ordering_margin():

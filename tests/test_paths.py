@@ -86,6 +86,16 @@ def test_values_at_needs_one_dim_times():
                 p.values_at(ts)
 
 
+@pytest.mark.parametrize("times, values, message", [
+    ([0.0], [[1.0]], "at least two grid times"),
+    ([0.0, 1.0], [[1.0], [2.0], [3.0]], r"values rows \(3\) must match times \(2\)"),
+    ([0.0, 1.0], np.zeros((2, 0)), "dimension must be >= 1"),
+], ids=["one_time", "rows_not_times", "no_component"])
+def test_sampled_path_rejects_a_malformed_table(times, values, message):
+    with pytest.raises(DimensionError, match=message):
+        SampledPath(times, values)
+
+
 def test_sampled_interpolates_linearly():
     s = SampledPath([0.0, 2.0], [[0.0], [4.0]])
     assert s.evaluate(0.5)[0] == pytest.approx(1.0)
@@ -108,6 +118,15 @@ def test_restrict_members_reads_integers_only(members):
     with pytest.raises(RangeError):
         p.restrict_members(members)
     assert p.restrict_members(np.array([1, 2])) == p.restrict_members((1, 2))
+
+
+@pytest.mark.parametrize("members, message", [
+    ((2, 1), "strictly increasing"), ((0, 1), r"out of 1\.\.3"), ((2, 4), r"out of 1\.\.3"),
+], ids=["unordered", "below", "above"])
+def test_restrict_members_rejects_unordered_or_out_of_range(members, message):
+    p = RegularPath([0.0, 1.0, 2.0], [0.0, 1.0, 2.0], (1, 3), [1.0, -1.0])
+    with pytest.raises(RangeError, match=message):
+        p.restrict_members(members)
 
 
 # ------------------------------------------------- standard approximation
@@ -299,6 +318,14 @@ def test_cbp_driver_requires_order():
         cbp_driving_path([1.0, 0.0], np.zeros(2), np.ones(2), B)
 
 
+@pytest.mark.parametrize("sizes", [(3, 2, 2), (2, 3, 2), (2, 2, 3), (3, 3, 3)])
+def test_cbp_driver_sizes_must_match(sizes):
+    B = SampledPath([0.0, 1.0], np.zeros((2, 2)))
+    y0, g, sigma = (np.arange(float(k)) for k in sizes)
+    with pytest.raises(DimensionError, match="share the dimension"):
+        cbp_driving_path(y0, g, sigma + 1.0, B)
+
+
 # --------------------------------------------------------------- difference
 
 def test_difference_linear():
@@ -355,6 +382,19 @@ def test_domination_grid_mismatch():
         increments_dominated(X, Y)
 
 
+def test_domination_dimension_mismatch():
+    X = brownian_sample(seed=4)
+    with pytest.raises(AlignmentError, match="dimension"):
+        increments_dominated(X, SampledPath(X.times, X.values[:, :1]))
+
+
+def test_domination_reports_a_start_violation():
+    X = brownian_sample(seed=4)
+    higher = SampledPath(X.times, X.values + [0.0, 0.5])
+    assert increments_dominated(higher, X).first_violation == (0.0, 0.0, 2)
+    assert not increments_dominated(higher, X).ok
+
+
 def test_adjacent_equals_all_pairs_brute_force():
     rng = np.random.default_rng(6)
     for _ in range(40):
@@ -385,6 +425,13 @@ def test_csv_roundtrip():
     assert buf.getvalue().splitlines()[0] == "t,x1,x2"
 
 
+def test_csv_reader_skips_a_blank_row():
+    text = "t,x1,x2\n0,0.5,1\n\n0.5,1,1\n1,0.5,2\n"
+    back = SampledPath.from_csv(io.StringIO(text))
+    want = SampledPath.from_csv(io.StringIO(text.replace("\n\n", "\n")))
+    assert back == want and len(back.times) == 3
+
+
 def test_json_roundtrip_regular():
     # what ``approximate`` writes, read back by keyword as the CLI reads it
     p = RegularPath([0.0, 1.0], [0.0, 0.5, 1.0], (2, 1), [1.0, -1.0])
@@ -392,16 +439,32 @@ def test_json_roundtrip_regular():
     assert back == p
 
 
-@pytest.mark.parametrize("axes", [(1.9,), (2**70,), (np.float64(1.0),), 1, (True,)])
+@pytest.mark.parametrize("axes", [(1.9,), (np.float64(1.0),), 1, (True,)])
 def test_regular_path_axes_must_be_integers(axes):
     with pytest.raises(ParameterError, match="'axes'"):
         RegularPath([0.0, 1.0], [0.0, 1.0], axes, [1.0])
 
 
-@pytest.mark.parametrize("axes", [(0,), (3,), (-(2**63),)])
+@pytest.mark.parametrize("axes", [(0,), (3,), (-(2**63),), (2**63,), (2**70,)])
 def test_regular_path_axes_must_lie_in_range(axes):
     with pytest.raises(ParameterError, match=r"1\.\.2"):
         RegularPath([0.0, 1.0], [0.0, 1.0], axes, [1.0])
+
+
+@pytest.mark.parametrize("start, breakpoints, axes, slopes, error, message", [
+    ([], [0.0, 1.0], (1,), [1.0], DimensionError, "start vector must be nonempty"),
+    ([0.0], [0.0], (), [], DimensionError, "at least one segment"),
+    ([0.0], [0.5, 1.0], (1,), [1.0], ParameterError, "must start at 0"),
+    ([0.0], [0.0, 1.0, 1.0], (1, 1), [1.0, 1.0], ParameterError, "strictly increasing"),
+    ([0.0], [0.0, 1.0, 2.0], (1,), [1.0, 1.0], DimensionError, "one axis and slope"),
+    ([0.0], [0.0, 1.0, 2.0], (1, 1), [1.0], DimensionError, "one axis and slope"),
+    ([0.0], [0.0, 1.0], (1,), [np.inf], InvalidEntryError, "NaN or infinite"),
+], ids=["empty_start", "one_breakpoint", "late_start", "non_increasing",
+        "axis_count", "slope_count", "non_finite"])
+def test_regular_path_rejects_a_malformed_input(start, breakpoints, axes, slopes,
+                                                error, message):
+    with pytest.raises(error, match=message):
+        RegularPath(start, breakpoints, axes, slopes)
 
 
 def test_regular_path_cols_are_the_axes_zero_based():
