@@ -913,7 +913,7 @@ GRID_LEVEL_CONFIGS = {"solve": {"matrix": [[1.0]], "path": BROWNIAN_1},
 
 @pytest.mark.parametrize("command", sorted(GRID_LEVEL_CONFIGS))
 def test_grid_method_rejects_a_level(tmp_path, capsys, command):
-    # the grid oracle reads no level: --level wrote the bytes of the run without it
+    # the grid oracle reads no level; the rejected run writes no file
     cfg = write_config(tmp_path, GRID_LEVEL_CONFIGS[command])
     argv = [command, "--config", cfg, "--method", "grid"]
     code, _, err = run(capsys, *argv, "--out", str(tmp_path / "plain"))

@@ -396,15 +396,10 @@ def test_suite_reports_are_seeded_and_reproducible():
 
 
 def test_suite_broken_hypothesis_fails_with_errors():
-    res = run_suite("skorokhod_comparison", 5, seed=3, break_hypothesis=True)
-    assert not res.passed
-    assert all(r.error and "precondition" in r.error for r in res.results)
-
-
-def test_particle_suite_broken_hypothesis_fails_with_errors():
-    res = run_suite("particle_comparison", 5, seed=3, break_hypothesis=True)
-    assert not res.passed
-    assert all(r.error and "precondition" in r.error for r in res.results)
+    for name in ("skorokhod_comparison", "particle_comparison"):
+        res = run_suite(name, 5, seed=3, break_hypothesis=True)
+        assert not res.passed
+        assert all(r.error and "precondition" in r.error for r in res.results)
 
 
 def test_counterexample_suite_passes():

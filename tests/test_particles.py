@@ -570,7 +570,7 @@ def test_regular_driver_takes_only_the_exact_method(method):
 
 
 def test_grid_method_rejects_a_level():
-    # the grid oracle reads no level, which passed silently
+    # the grid oracle reads no level
     spec = spec_for(n=3)
     with pytest.raises(ParameterError, match="'level' = 7"):
         solve_competing(spec.q, driving_path_for(spec), n=7, method="grid")

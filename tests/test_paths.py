@@ -380,10 +380,6 @@ def test_domination_grid_mismatch():
     Y = SampledPath(X.times * 2.0, X.values)
     with pytest.raises(AlignmentError):
         increments_dominated(X, Y)
-
-
-def test_domination_dimension_mismatch():
-    X = brownian_sample(seed=4)
     with pytest.raises(AlignmentError, match="dimension"):
         increments_dominated(X, SampledPath(X.times, X.values[:, :1]))
 

@@ -374,7 +374,7 @@ def test_solve_rejects_a_method_that_does_not_apply(kind, method):
 
 
 def test_grid_method_rejects_a_level():
-    # the grid oracle reads no level, which passed silently
+    # the grid oracle reads no level
     ts = np.linspace(0.0, 1.0, 11)
     X = SampledPath(ts, random_regular_path(np.random.default_rng(4), 2).values_at(ts))
     with pytest.raises(ParameterError, match="'level' = 7"):
@@ -535,9 +535,6 @@ def test_srbm_stronger_negative_drift_spends_more_time_low():
 def test_srbm_rejects_bad_start():
     with pytest.raises(DomainError):
         simulate_srbm(R_HALF, [0.0, 0.0], np.eye(2), [-1.0, 0.0], 1.0, 10, 0)
-
-
-def test_srbm_rejects_a_nan_start():
     with pytest.raises(DomainError, match="NaN or infinite"):
         simulate_srbm(R_HALF, [0.0, 0.0], np.eye(2), [np.nan, 0.0], 1.0, 10, 0)
 
