@@ -435,7 +435,7 @@ def test_json_roundtrip_regular():
     assert back == p
 
 
-@pytest.mark.parametrize("axes", [(1.9,), (np.float64(1.0),), 1, (True,)])
+@pytest.mark.parametrize("axes", [(1.9,), ("1",), (np.float64(1.0),), 1, (True,)])
 def test_regular_path_axes_must_be_integers(axes):
     with pytest.raises(ParameterError, match="'axes'"):
         RegularPath([0.0, 1.0], [0.0, 1.0], axes, [1.0])
