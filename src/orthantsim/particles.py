@@ -295,19 +295,22 @@ def _block_phases(qp, qm, y, i0, alpha, T):
     return free[0] if out is None else out
 
 
-def _positions(q: CollisionParams, X: np.ndarray, L: np.ndarray) -> np.ndarray:
-    """Y = X + q+ L_{k-1,k} - q- L_{k,k+1}, with L_{0,1} = L_{N,N+1} = 0."""
-    Y = np.empty_like(X)
-    Y[:, 0] = X[:, 0] + 0.0  # as the zero pad of L_{0,1} adds it: -0.0 is +0.0
-    np.add(X[:, 1:], np.asarray(q.qplus[1:]) * L, out=Y[:, 1:])
-    Y[:, :-1] -= np.asarray(q.qminus[:-1]) * L
+def _positions(q: CollisionParams, X: np.ndarray, L: np.ndarray, Y: np.ndarray,
+               G: np.ndarray) -> np.ndarray:
+    """Y = X + q+ L_{k-1,k} - q- L_{k,k+1}, with L_{0,1} = L_{N,N+1} = 0, built
+    in the table Y with G, a table of L's shape, for the products."""
+    np.add(X[:, 0], 0.0, out=Y[:, 0])  # as the zero pad of L_{0,1} adds it: -0.0 is +0.0
+    np.add(X[:, 1:], np.multiply(q.qplus[1:], L, out=G), out=Y[:, 1:])
+    Y[:, :-1] -= np.multiply(q.qminus[:-1], L, out=G)
     return Y
 
 
 def _cp_diagnostics(q: CollisionParams, Y, X, gaps, identity_residual) -> dict:
+    """The residuals of Y against its driver X, which is overwritten with Y - X."""
     return {
         "max_identity_residual": float(identity_residual),
-        "alpha_weight_residual": float(np.abs((Y - X) @ alphas(q)).max()),
+        "alpha_weight_residual": float(
+            np.abs(np.subtract(Y, X, out=X) @ alphas(q)).max()),
         "min_ordering_margin": float(gaps.min()),
     }
 
@@ -325,17 +328,18 @@ def solve_competing(q: CollisionParams, X, n: int | None = None,
                     method: str = "exact", tol: float = GRID_TOL) -> ParticleSystemSolution:
     """General solver through the gap-process Skorohod reduction.
 
-    Regular drivers are solved exactly (only ``method="exact"`` applies), one
-    axis-parallel segment at a time with the memoryless restart; the gap
-    process of that solution is the Skorohod solution for the differenced
-    driver.  Sampled drivers go through the gap problem explicitly, by
-    ``skorokhod.solve`` with ``method``, level ``n`` and ``tol``.  The result
-    extends that solve, with positions recovered from its boundary terms on
-    its grid and cross-checked against the alpha-weight identity.  Off the
-    default level the exact grid holds only the sample times that are anchors.
+    Regular drivers are solved exactly (only ``method="exact"`` applies, and
+    no level ``n``), one axis-parallel segment at a time with the memoryless
+    restart; the gap process of that solution is the Skorohod solution for
+    the differenced driver.  Sampled drivers go through the gap problem
+    explicitly, by ``skorokhod.solve`` with ``method``, level ``n`` and
+    ``tol``.  The result extends that solve, with positions recovered from
+    its boundary terms on its grid and cross-checked against the alpha-weight
+    identity.  Off the default level the exact grid holds only the sample
+    times that are anchors.
     """
     if isinstance(X, RegularPath):
-        _check_method(X, method)
+        _check_method(X, method, n)
         return _solve_competing_regular(q, X)
     nsys = q.n_particles
     if X.dim != nsys:
@@ -343,12 +347,13 @@ def solve_competing(q: CollisionParams, X, n: int | None = None,
     _check_w_point(X.values[0])
     sk = solve(reflection_matrix_from_params(q), difference_path(X), method, n, tol)
     Xs = X.values_at(sk.Z.times)
-    Ys = _positions(q, Xs, sk.L.values)
-    gaps = np.diff(Ys, axis=1)
+    G = np.empty_like(sk.L.values)  # the products, then the gaps and their residual
+    Ys = _positions(q, Xs, sk.L.values, np.empty_like(Xs), G)
+    gaps = np.subtract(Ys[:, 1:], Ys[:, :-1], out=G)
     # Ys satisfies the position identity by construction, so report the gap
     # solve's own Z - W - RL residual
     diag = _cp_diagnostics(q, Ys, Xs, gaps, sk.diagnostics["max_identity_residual"])
-    diag["gap_residual"] = float(np.abs(gaps - sk.Z.values).max())
+    diag["gap_residual"] = float(np.abs(np.subtract(gaps, sk.Z.values, out=G), out=G).max())
     diag["method"] = f"gap-{method}"
     diag.update({k: v for k, v in sk.diagnostics.items() if k in ("iterations", "level")})
     return ParticleSystemSolution(sk.Z, sk.L, sk.events, diag,
@@ -362,9 +367,11 @@ def _solve_competing_regular(q: CollisionParams, X: RegularPath) -> ParticleSyst
     y0 = _check_w_point(X.start)
     tall, Yall, Lall, Xv, events, _, consistency = _stitch(
         X, y0, n - 1, partial(_run_blocks, q.qplus, q.qminus))
-    gaps = np.diff(Yall, axis=1)
-    diag = _cp_diagnostics(q, Yall, Xv, gaps,
-                           np.abs(Yall - _positions(q, Xv, Lall)).max())
+    G = np.empty_like(Lall)  # the products, then the gaps
+    P = _positions(q, Xv, Lall, np.empty_like(Xv), G)
+    resid = np.abs(np.subtract(Yall, P, out=P), out=P).max()
+    gaps = np.subtract(Yall[:, 1:], Yall[:, :-1], out=G)
+    diag = _cp_diagnostics(q, Yall, Xv, gaps, resid)
     diag["block_consistency_residual"] = max([0.0, *consistency])
     diag["method"] = "regular-exact"
     Y, L, Z = (SampledPath._adopt(tall, v) for v in (Yall, Lall, gaps))

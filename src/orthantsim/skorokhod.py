@@ -204,33 +204,41 @@ def _stitch(X: RegularPath, row0: np.ndarray, width: int, run):
     """Chain single-segment solves along X's pieces by memoryless restart.
 
     ``run(row, pieces, append)``, a solver's run function, solves the pieces
-    (col, slope, duration) from the float list ``row`` in place.  Inside its
-    own loop it passes each free piece's new ``row[col]`` to ``append``, and
-    it yields each pushing piece's phase ends (times, rows, boundary rows of
-    ``width`` entries), events (tau, before, after), all local to the piece,
-    and one extra value.  A phase end that rounds onto the previous time, or
-    onto the piece's end before its last phase, keeps its event but adds no
-    row.  The kept rows go into two flat buffers, with the push that set each
-    one; a push's boundary rows are offset by the running sum (one
-    ``cumsum``) of the last local rows of the pushes before it.  With no
-    other arithmetic, Z is forward-filled from the last row that set each
-    entry and L repeats each row until the next push.  Returns the times
-    (the breakpoints with the phase times inserted), Z, L, X at those times
-    (``X.vertices`` with ``X.values_at`` at the phase times inserted), the
-    events, each piece's phase count and the phased pieces' extra values.
+    (col, slope, duration), streamed from X's arrays, from the float list
+    ``row`` in place.  Inside its own loop it passes each free piece's new
+    ``row[col]`` to ``append``, and it yields each pushing piece's phase ends
+    (times, rows, boundary rows of ``width`` entries), events (tau, before,
+    after), all local to the piece, and one extra value.  A phase end that
+    rounds onto the previous time, or onto the piece's end before its last
+    phase, keeps its event but adds no row.  The start row, the free values
+    and the kept rows go into one flat source buffer in row order, and the
+    kept local boundary rows into a second, with the push that set each one;
+    a push's boundary rows are offset by the running sum (one ``cumsum``) of
+    the last local rows of the pushes before it.  With no other arithmetic,
+    Z is forward-filled from the last entry that set each column and L
+    repeats each row until the next push.  X at the solution's rows is then
+    summed in the index table's own words: ``X.vertices``'s step table, with
+    -0.0 on the phase rows, and each phase row moved along its piece's axis as
+    ``X.values_at`` moves it.  Returns the times (the breakpoints with the
+    phase times inserted), Z, L, that X (a buffer the caller may overwrite),
+    the events, each piece's phase count and the phased pieces' extra values.
     """
     z = row0.tolist()
-    bp = X.breakpoints.tolist()
-    free, phased = array("d"), []  # the end value of each free piece; phased pieces
-    # the rows set in full: Z rows, local L rows, their index into the times
-    # and the push that set each (row 0, the start, counts as push 0's); ends
-    # holds the index among them of each push's last row
-    rows, lrows, rows_at, push = array("d", z), array("d", [0.0] * width), [0], [0]
-    ends, pos, phase_times, events, extras = [], [], [], [], []
+    d = len(z)
+    bp, dt = memoryview(X.breakpoints), np.diff(X.breakpoints)
+    # src: the start row, then each free piece's end value and each kept row
+    # in full, in row order; lrows: the kept local L rows.  rows_at indexes
+    # the times of each kept row and push names the push that set it (row 0,
+    # the start, counts as push 0's); ends holds the index among them of each
+    # push's last row
+    src, lrows = array("d", z), array("d", [0.0] * width)
+    rows_at, push, ends = [0], [0], []
+    ph, phase_times, events, phased, extras = [], [], [], [], []
     phase_counts = [1] * len(X.axes)
-    pieces = zip(X.cols.tolist(), X.slopes.tolist(), np.diff(X.breakpoints).tolist())
-    for seg_t, seg_rows, seg_L, seg_events, extra in run(z, pieces, free.append):
-        k, p = len(free) + len(phased), len(phased)
+    pieces = zip(memoryview(X.cols), memoryview(X.slopes), memoryview(dt))
+    for seg_t, seg_rows, seg_L, seg_events, extra in run(z, pieces, src.append):
+        p = len(phased)
+        k = len(src) - d * len(rows_at) + p  # the free pieces and pushes before
         t0, t1 = bp[k], bp[k + 1]
         last = t0
         for t, row, l in zip(seg_t[:-1], seg_rows, seg_L):
@@ -238,14 +246,14 @@ def _stitch(X: RegularPath, row0: np.ndarray, width: int, run):
             if last < t < t1:
                 last = t
                 rows_at.append(k + 1 + len(phase_times))
-                pos.append(k + 1)
+                ph.append(k)
                 phase_times.append(t)
-                rows.extend(row)
+                src.extend(row)
                 lrows.extend(l)
                 push.append(p)
         ends.append(len(rows_at))
         rows_at.append(k + 1 + len(phase_times))
-        rows.extend(seg_rows[-1])  # the last phase ends on the breakpoint
+        src.extend(seg_rows[-1])  # the last phase ends on the breakpoint
         lrows.extend(seg_L[-1])
         push.append(p)
         events.extend(PhaseEvent(t0 + tau, before, after)
@@ -253,26 +261,35 @@ def _stitch(X: RegularPath, row0: np.ndarray, width: int, run):
         phase_counts[k] = len(seg_events) + 1
         phased.append(k)
         extras.append(extra)
-    del pieces  # and the lists it reads, before the tables are built
-    times = np.insert(X.breakpoints + 0.0, pos, phase_times)  # a -0.0 start is +0.0
-    n, d = len(times), len(z)
-    rows_at = np.array(rows_at)
-    # I: the flat index into V of the last entry set at or above, by column
-    V, I = np.empty((n, d)), np.zeros((n, d), np.intp)
-    V[rows_at] = np.frombuffer(rows).reshape(-1, d)
-    I[rows_at] = rows_at[:, None] * d + np.arange(d)
-    at = np.delete(np.arange(n), rows_at) * d + np.delete(X.cols, phased)
-    V.put(at, np.frombuffer(free))
-    I.put(at, at)
+    ph = np.array(ph, dtype=np.intp)  # each phase time's piece
+    times = np.insert(X.breakpoints + 0.0, ph + 1, phase_times)  # a -0.0 start is +0.0
+    n = len(times)
+    # I: the index into src of the last entry set at or above, by column.  A
+    # row's entries follow d of each kept and one of each free row above it:
+    # r + (d - 1) j for kept row r, the j-th, and d r - (d - 1) m for free row
+    # r, the m-th
+    rows_at, free_rows = np.array(rows_at), np.delete(np.arange(n), rows_at)
+    I = np.zeros((n, d), np.intp)
+    I[rows_at] = (rows_at + (d - 1) * np.arange(len(rows_at)))[:, None] + np.arange(d)
+    I.put(free_rows * d + np.delete(X.cols, phased),
+          d * free_rows - (d - 1) * np.arange(len(free_rows)))
     np.maximum.accumulate(I, axis=0, out=I)
-    Z = V.take(I)
-    del V, I  # before L is built, so that the four tables never coexist
+    Z = np.frombuffer(src).take(I)
+    # X in I's words: the step table of X.vertices, row 0 the start and each
+    # breakpoint's row its piece's move, summed down the columns in place
+    Xv = I.view(np.float64)
+    Xv.fill(-0.0)
+    Xv[0] = X.start
+    phase_rows = ph + 1 + np.arange(len(ph))
+    Xv.put(np.delete(np.arange(n), phase_rows)[1:] * d + X.cols, X.slopes * dt)
+    np.cumsum(Xv, axis=0, out=Xv)
+    Xv[phase_rows, X.cols.take(ph)] += (
+        X.slopes.take(ph) * (np.array(phase_times) - X.breakpoints.take(ph)))
     # push p's offset is 0.0 + the last local rows of pushes 0..p-1, summed in order
     local = np.frombuffer(lrows).reshape(-1, width)
     offsets = np.cumsum(local.take([0, *ends[:-1]], axis=0), axis=0)
     # L is constant between pushes: each row stands until the next one starts
     L = np.repeat(offsets.take(push, axis=0) + local, np.diff(rows_at, append=n), axis=0)
-    Xv = np.insert(X.vertices, pos, X.values_at(phase_times), axis=0)
     return times, Z, L, Xv, tuple(events), phase_counts, extras
 
 
@@ -368,23 +385,27 @@ def solve_continuous(R: ReflectionMatrix, X: SampledPath,
     return sol
 
 
-def _check_method(X, method: str) -> None:
-    """Raise ``ParameterError`` unless ``method`` applies to the driver X."""
-    if method != "exact" and (method != "grid" or isinstance(X, RegularPath)):
+def _check_method(X, method: str, level: int | None) -> None:
+    """Raise ``ParameterError`` unless ``method`` and ``level`` apply to the
+    driver X: a level is read only by the exact method on a sampled path."""
+    regular = isinstance(X, RegularPath)
+    if method != "exact" and (method != "grid" or regular):
         raise ParameterError(f"method {method!r} cannot solve a {type(X).__name__}; "
                              "use 'exact', or 'grid' for a sampled path")
+    if level is not None and (method == "grid" or regular):
+        raise ParameterError(f"'level' = {level!r} applies to method 'exact' on a "
+                             f"sampled path; the {method} method on a "
+                             f"{type(X).__name__} reads no level")
 
 
 def solve(R: ReflectionMatrix, X, method: str = "exact", level: int | None = None,
           tol: float = GRID_TOL) -> SkorokhodSolution:
-    """Skorohod solution for X: exact for a ``RegularPath``; for a sampled
-    path, ``solve_continuous`` at ``level`` (``method="exact"``) or the grid
-    oracle at ``tol`` (``method="grid"``), which reads no level.
+    """Skorohod solution for X: exact for a ``RegularPath``, which reads no
+    level; for a sampled path, ``solve_continuous`` at ``level``
+    (``method="exact"``) or the grid oracle at ``tol`` (``method="grid"``),
+    which reads no level either.
     """
-    _check_method(X, method)
-    if method == "grid" and level is not None:
-        raise ParameterError(f"'level' = {level!r} applies to method 'exact'; "
-                             "the grid method reads no level")
+    _check_method(X, method, level)
     if isinstance(X, RegularPath):
         return solve_regular(R, X)
     if method == "exact":

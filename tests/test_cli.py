@@ -924,6 +924,19 @@ def test_grid_method_rejects_a_level(tmp_path, capsys, command):
     assert not (tmp_path / "run").exists()
 
 
+def test_solve_rejects_a_level_on_a_regular_path(tmp_path, capsys):
+    # a regular driver is solved as it is; the rejected runs write no file
+    solve_cfg = {"matrix": [[1.0]], "path": {"kind": "regular", "start": [1.0],
+                 "breakpoints": [0.0, 2.0], "axes": [1], "slopes": [-1.0]}}
+    for cfg, flags in ((solve_cfg, ["--level", "7"]), ({**solve_cfg, "level": 7}, [])):
+        out_dir = tmp_path / "run"
+        argv = ["solve", "--config", write_config(tmp_path, cfg), "--out", str(out_dir)]
+        code, out, err = run(capsys, *argv, *flags)
+        assert (code, out) == (2, "")
+        assert "'level' = 7" in json.loads(err)["message"]
+        assert not out_dir.exists()
+
+
 # --------------------------------------------------- increments that overflow
 
 OVERFLOWING = {  # a CSV driver whose differences exceed the float range

@@ -8,8 +8,10 @@ keep Z >= 0 (ranks ordered), keep L nondecreasing, and satisfy the defining
 identity and complementarity (the integral of Z dL vanishes).  A free piece,
 on which nothing reaches the boundary or a neighbour, must change only its
 own axis, to the kernel's value, bit for bit, and every event of a pushing
-piece must name the zero sets of the rows around it.  The solvers' residual
-diagnostics, read off ``RegularPath.vertices``, must equal the plain
+piece must name the zero sets of the rows around it.  The driver rows that
+``_stitch`` sums in its index table must be ``RegularPath.vertices`` at every
+breakpoint and ``values_at`` at every phase time, bit for bit, the solvers'
+residual diagnostics, read off those rows, must equal the plain
 ``values_at`` reading bit for bit, the gap route must report its gap solve's
 Z, L and events, at the default level every sample time must be a row of each
 sampled-route solution, and ``values_at`` must give the bits of its reference
@@ -55,6 +57,7 @@ from orthantsim.skorokhod import (
     HIT_TIE_RTOL,
     _run_segments,
     _segment_arrays,
+    _stitch,
     simulate_srbm,
     solve,
     solve_continuous,
@@ -170,8 +173,8 @@ def test_particle_exact_solver_on_degenerate_drivers(case):
               - np.asarray(q.qminus) * np.hstack([L, pad]))
     assert_reflected(np.diff(Y, axis=1), L, np.abs(Y - Xv - pushed).max(), Xv)
     diag = sol.diagnostics
-    assert bits(diag["max_identity_residual"]) == bits(
-        np.abs(Y - _positions(q, Xv, L)).max())
+    P = _positions(q, Xv, L, np.empty_like(Xv), np.empty_like(L))
+    assert bits(diag["max_identity_residual"]) == bits(np.abs(Y - P).max())
     assert bits(diag["alpha_weight_residual"]) == bits(
         np.abs((Y - Xv) @ alphas(q)).max())
     if still is not None and not Y[:, still].any():  # rank 1 never pushed
@@ -438,7 +441,8 @@ def test_gap_route_reports_its_gap_solve(case):
     sk = solve(reflection_matrix_from_params(q), difference_path(X), method, level)
     assert (sol.Z, sol.L, sol.events) == (sk.Z, sk.L, sk.events)
     assert sol.Y.times.tobytes() == sk.Z.times.tobytes()
-    want = _positions(q, X.values_at(sk.Z.times), sk.L.values)
+    Xs, L = X.values_at(sk.Z.times), sk.L.values
+    want = _positions(q, Xs, L, np.empty_like(Xs), np.empty_like(L))
     assert sol.Y.values.tobytes() == want.tobytes()
 
 
@@ -586,6 +590,32 @@ def test_stitched_boundary_rows_are_the_running_sums(case):
     want = running_sum_L(Y, Y.start, len(qminus) - 1,
                          partial(_run_blocks, q.qplus, q.qminus))
     assert sol.L.values.tobytes() == want.tobytes()
+
+
+def assert_driver_rows_exact(X, row0, width, run):
+    """The X rows of ``_stitch`` are ``X.vertices`` at the breakpoints and
+    ``X.values_at`` at the phase times, bit for bit."""
+    times, _, _, Xv, _, _, _ = _stitch(X, row0, width, run)
+    at = np.searchsorted(times, X.breakpoints)
+    assert times[at].tobytes() == (X.breakpoints + 0.0).tobytes()
+    assert Xv[at].tobytes() == X.vertices.tobytes()
+    phase = np.delete(np.arange(len(times)), at)
+    assert Xv[phase].tobytes() == X.values_at(times[phase]).tobytes()
+
+
+@given(st.integers(2, 20).flatmap(lambda n: st.tuples(
+    reflection_matrix(n),
+    degenerate_driver(n).map(lambda case: case[0]) | push_dense_driver(n, False),
+    st.lists(st.floats(0.1, 0.9), min_size=n, max_size=n),
+    degenerate_driver(n, ordered=True).map(lambda case: case[0])
+    | push_dense_driver(n, True))))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_stitched_driver_rows_are_the_vertices_and_values_at(case):
+    R, X, qminus, Y = case
+    assert_driver_rows_exact(X, X.start, R.dim, partial(_run_segments, R.entries, {}))
+    q = CollisionParams.from_qminus(qminus)
+    assert_driver_rows_exact(Y, Y.start, len(qminus) - 1,
+                             partial(_run_blocks, q.qplus, q.qminus))
 
 
 # ------------------------------------------------------------------ symmetries

@@ -578,6 +578,14 @@ def test_grid_method_rejects_a_level():
         simulate_cbp(spec, "grid", level=7)
 
 
+def test_regular_path_rejects_a_level():
+    # a regular driver is solved as it is: no approximation reads a level
+    q = CollisionParams.symmetric(3)
+    X = RegularPath([0.0, 0.2, 0.5], [0.0, 0.5, 1.0], (1, 3), [1.0, -1.0])
+    with pytest.raises(ParameterError, match="'level' = 7"):
+        solve_competing(q, X, n=7)
+
+
 def test_cbp_ordering_margin():
     spec = spec_for(seed=14, n=5, steps=150)
     X = driving_path_for(spec)

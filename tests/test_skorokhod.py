@@ -384,6 +384,13 @@ def test_grid_method_rejects_a_level():
                       method="grid", level=4)
 
 
+def test_regular_path_rejects_a_level():
+    # a regular driver is solved as it is: no approximation reads a level
+    X = random_regular_path(np.random.default_rng(4), 2)
+    with pytest.raises(ParameterError, match="'level' = 7"):
+        solve(R_HALF, X, "exact", level=7)
+
+
 # ------------------------------------------------------------------- restart
 
 def test_restart_at_zero_returns_inputs():

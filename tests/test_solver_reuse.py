@@ -6,14 +6,18 @@ within ``RATE_CACHE_MAX`` entries, and the matrix must still compare and hash
 by its entries alone.  The solvers adopt the arrays they build instead of
 copying them: the outputs are read-only and share no memory with the driver.
 The private routes that adopt arrays check them as the constructors do.
+An exact solve builds each table once, so its traced peak stays within a
+bound counted in its own Z tables.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from orthantsim.errors import InvalidEntryError, ParameterError
 from orthantsim.mmatrix import ReflectionMatrix, spectral_radius_nonneg
-from orthantsim.particles import CollisionParams, solve_competing
+from orthantsim.particles import CbpSpec, CollisionParams, simulate_cbp, solve_competing
 from orthantsim.paths import (
     BrownianSpec,
     RegularPath,
@@ -149,3 +153,34 @@ def test_sweep_path_is_checked_as_the_constructor_checks():
     same = RegularPath([0.0, 1.0], [0.0, 0.5, 1.0], (1, 2), [1.0, -1.0])
     assert X == same and np.array_equal(X.cols, same.cols)
     assert not X.cols.flags.writeable
+
+
+# An exact solve's traced peak in units of its returned Z table: Z, L, the
+# index table that X is then summed in, L R^T, and the driver's 1-d arrays;
+# on the particle route also the rank driver, Y and the gap-shaped scratch.
+# A table-sized temporary more crosses these bounds.
+SRBM_PEAK_TABLES = 5.0
+CBP_PEAK_TABLES = 6.5
+
+
+def traced_peak(run) -> float:
+    run()  # the same solve warms the rate cache: the traced one adds no entry
+    tracemalloc.start()
+    try:
+        sol = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / sol.Z.values.nbytes
+
+
+def test_an_exact_solve_builds_each_table_once():
+    d = n = 10
+    R = ReflectionMatrix(push_heavy_matrix(d, rho=0.5))
+    srbm_peak = traced_peak(lambda: simulate_srbm(
+        R, np.zeros(d), np.eye(d), np.full(d, 0.7), 1.0, 1000, 3))
+    spec = CbpSpec((0.0,) * n, (1.0,) * n, CollisionParams.symmetric(n),
+                   tuple(0.3 * k for k in range(n)), 1.0, 1000, 3)
+    cbp_peak = traced_peak(lambda: simulate_cbp(spec))
+    assert srbm_peak <= SRBM_PEAK_TABLES, srbm_peak
+    assert cbp_peak <= CBP_PEAK_TABLES, cbp_peak
